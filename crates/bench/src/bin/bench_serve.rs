@@ -1,9 +1,9 @@
-//! End-to-end serving benchmark: reactor scalability, loadgen-style
-//! throughput, and batched-vs-unbatched verification.
+//! End-to-end serving benchmark: reactor scalability and loadgen-style
+//! throughput.
 //!
 //! Usage: `cargo run --release -p odcfp-bench --bin bench_serve [-- --fast --check]`
 //!
-//! Three sections, each against a real in-process `odcfp_serve::Server`
+//! Two sections, each against a real in-process `odcfp_serve::Server`
 //! driven over loopback TCP:
 //!
 //! 1. **Connection scaling** — open N idle connections against a
@@ -16,17 +16,10 @@
 //!    schedule: fixed send times, never gated on replies) drives a
 //!    mixed ping/locations workload at a target RPS and reports
 //!    achieved RPS and p50/p99 latency plus the full histogram.
-//! 3. **Batch verification** — the same closed-loop verify workload
-//!    (one warm golden, distinct fingerprinted candidates) against a
-//!    `batch_max = 1` server and a batching server, both single-worker
-//!    so the comparison isolates the coalescing benefit rather than
-//!    scheduling luck. Verdicts must be identical per candidate;
-//!    per-worker throughput of the coalesced path is the payoff.
 //!
 //! Results go to `BENCH_serve.json` at the repo root. `--fast` shrinks
 //! connection counts and durations for CI smoke; `--check` exits
-//! nonzero if the reactor multiplier drops below 4x, any verdict
-//! diverges between the batched and unbatched runs, or throughput
+//! nonzero if the reactor multiplier drops below 4x or throughput
 //! collapses below conservative floors.
 
 #![forbid(unsafe_code)]
@@ -40,8 +33,6 @@ use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use odcfp_core::codebook::CodeSpace;
-use odcfp_core::Fingerprinter;
 use odcfp_netlist::CellLibrary;
 use odcfp_serve::proto::{request_line, FieldValue};
 use odcfp_serve::{ConnMode, Reply, ServeSummary, Server, ServerConfig};
@@ -115,34 +106,12 @@ impl Wire {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic workload: one golden, distinct fingerprinted copies.
+// Deterministic workload: one golden design.
 // ---------------------------------------------------------------------
 
-struct Workload {
-    golden: String,
-    codes: Vec<String>,
-}
-
-/// Same per-buyer bit scheme as `bench_sat`/`bench_verify`, so the
-/// serving numbers describe the workload the rest of the suite uses.
-fn buyer_bits(buyer: u64, n: usize) -> Vec<bool> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (buyer + 1).wrapping_mul(0x0DCF_5EED);
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state & 1 == 1
-        })
-        .collect()
-}
-
-fn workload(copies: usize) -> Workload {
-    // Big enough that the warm state (fingerprint analysis + code-space
-    // proof) is real, small enough for CI smoke. The batch workload is
-    // the fleet-scale shape from the ISSUE: one warm golden, many
-    // per-buyer candidate *codes* decided by assumption against the
-    // cached code-space proof.
+/// The golden design's Verilog: big enough that the warm state
+/// (fingerprint analysis) is real, small enough for CI smoke.
+fn golden() -> String {
     let params = DagParams {
         inputs: 64,
         gates: 600,
@@ -150,35 +119,7 @@ fn workload(copies: usize) -> Workload {
         window: 80,
         seed: 0x0DCF,
     };
-    let base = random_dag(CellLibrary::standard(), params);
-    let fp = Fingerprinter::new(base.clone()).expect("valid base");
-    let groups = CodeSpace::build(&fp).expect("code space").num_groups();
-    let codes = (0..copies as u64)
-        .map(|b| {
-            buyer_bits(b, groups)
-                .into_iter()
-                .map(|bit| if bit { '1' } else { '0' })
-                .collect()
-        })
-        .collect();
-    Workload {
-        golden: write_verilog(&base),
-        codes,
-    }
-}
-
-fn verify_line(w: &Workload, code: usize, id: &str, tenant: &str) -> String {
-    request_line(
-        id,
-        tenant,
-        None,
-        "verify",
-        &[
-            ("golden_text", FieldValue::from(w.golden.as_str())),
-            ("golden_format", "v".into()),
-            ("candidate_bits", FieldValue::from(w.codes[code].as_str())),
-        ],
-    )
+    write_verilog(&random_dag(CellLibrary::standard(), params))
 }
 
 // ---------------------------------------------------------------------
@@ -344,7 +285,7 @@ fn histogram_le_us(sorted: &[u64]) -> Vec<(u64, u64)> {
     out
 }
 
-fn throughput(w: &Workload, fast: bool) -> Throughput {
+fn throughput(golden: &str, fast: bool) -> Throughput {
     let target_rps: u64 = if fast { 300 } else { 600 };
     let conns = 4usize;
     let duration = Duration::from_secs(if fast { 2 } else { 5 });
@@ -376,7 +317,6 @@ fn throughput(w: &Workload, fast: bool) -> Throughput {
                     // Writer: fixed schedule, never gated on replies.
                     let mut tx = wire.stream.try_clone().expect("clone");
                     let pending = &in_flight;
-                    let golden = &w.golden;
                     inner.spawn(move || {
                         let interval = Duration::from_secs(1).div_f64(per_conn as f64);
                         let t0 = Instant::now();
@@ -398,7 +338,7 @@ fn throughput(w: &Workload, fast: bool) -> Throughput {
                                     None,
                                     "locations",
                                     &[
-                                        ("design_text", FieldValue::from(golden.as_str())),
+                                        ("design_text", FieldValue::from(golden)),
                                         ("design_format", "v".into()),
                                     ],
                                 )
@@ -469,173 +409,6 @@ fn throughput(w: &Workload, fast: bool) -> Throughput {
 }
 
 // ---------------------------------------------------------------------
-// Section 3: batched vs unbatched verification.
-// ---------------------------------------------------------------------
-
-struct VerifyRun {
-    served: u64,
-    rps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    batched_requests: u64,
-    max_batch: u64,
-    /// Verdict per candidate index; a candidate whose verdict ever
-    /// flapped within the run is recorded as `"divergent"`.
-    verdicts: Vec<String>,
-}
-
-fn verify_run(
-    w: &Workload,
-    label: &'static str,
-    config: ServerConfig,
-    conns: usize,
-    duration: Duration,
-) -> VerifyRun {
-    eprintln!("batch_verify: closed-loop verify sweep against {label} server...");
-    let srv = start(config);
-
-    // Warm the golden once so both runs race with a hot cache and the
-    // first request's fingerprint analysis is off the clock.
-    {
-        let mut c = srv.connect();
-        let r = c.roundtrip(&verify_line(w, 0, "warmup", "warm"));
-        assert!(r.ok, "warmup verify: {r:?}");
-    }
-
-    let served = AtomicU64::new(0);
-    let batched_requests = AtomicU64::new(0);
-    let max_batch = AtomicU64::new(0);
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let verdicts: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; w.codes.len()]);
-
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for conn in 0..conns {
-            let addr = srv.addr.clone();
-            let (served, batched_requests, max_batch, latencies, verdicts) =
-                (&served, &batched_requests, &max_batch, &latencies, &verdicts);
-            scope.spawn(move || {
-                let mut wire = Wire::connect(&addr);
-                let mut i = 0u64;
-                while t0.elapsed() < duration {
-                    let candidate = (conn + i as usize * conns) % w.codes.len();
-                    let sent_at = Instant::now();
-                    let reply = wire.roundtrip(&verify_line(
-                        w,
-                        candidate,
-                        &format!("b{conn}-{i}"),
-                        &format!("tenant-{conn}"),
-                    ));
-                    assert!(reply.ok, "verify answered: {reply:?}");
-                    served.fetch_add(1, Ordering::Relaxed);
-                    latencies
-                        .lock()
-                        .unwrap()
-                        .push(sent_at.elapsed().as_micros() as u64);
-                    if reply.field_bool("batched") == Some(true) {
-                        batched_requests.fetch_add(1, Ordering::Relaxed);
-                        max_batch
-                            .fetch_max(reply.field_u64("batch").unwrap_or(0), Ordering::Relaxed);
-                    }
-                    let verdict = reply
-                        .field_str("verdict")
-                        .unwrap_or("missing")
-                        .to_owned();
-                    let mut slots = verdicts.lock().unwrap();
-                    match &slots[candidate] {
-                        None => slots[candidate] = Some(verdict),
-                        Some(prev) if *prev != verdict => {
-                            slots[candidate] = Some("divergent".to_owned());
-                        }
-                        Some(_) => {}
-                    }
-                    i += 1;
-                }
-            });
-        }
-    });
-    let elapsed = t0.elapsed();
-    srv.shutdown();
-
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_unstable();
-    let served = served.into_inner();
-    VerifyRun {
-        served,
-        rps: served as f64 / elapsed.as_secs_f64(),
-        p50_us: pct(&lat, 0.50),
-        p99_us: pct(&lat, 0.99),
-        batched_requests: batched_requests.into_inner(),
-        max_batch: max_batch.into_inner(),
-        verdicts: verdicts
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|v| v.unwrap_or_else(|| "unvisited".to_owned()))
-            .collect(),
-    }
-}
-
-struct BatchVerify {
-    conns: usize,
-    unbatched: VerifyRun,
-    batched: VerifyRun,
-    speedup: f64,
-    verdicts_equal: bool,
-}
-
-fn batch_verify(w: &Workload, fast: bool) -> BatchVerify {
-    // Fleet shape: concurrency well above the batch size, so the
-    // gather always finds a full cohort waiting and never sleeps out
-    // its window. One worker on both sides: the comparison is
-    // per-worker verify throughput.
-    let conns = 24usize;
-    let duration = Duration::from_secs(if fast { 2 } else { 5 });
-    let base = ServerConfig {
-        workers: 1,
-        queue_depth: 256,
-        ..ServerConfig::default()
-    };
-    let unbatched = verify_run(
-        w,
-        "unbatched",
-        ServerConfig {
-            batch_max: 1,
-            ..base.clone()
-        },
-        conns,
-        duration,
-    );
-    let batched = verify_run(
-        w,
-        "batched",
-        ServerConfig {
-            batch_window: Duration::from_millis(4),
-            batch_max: 8,
-            ..base
-        },
-        conns,
-        duration,
-    );
-    let verdicts_equal = unbatched
-        .verdicts
-        .iter()
-        .zip(&batched.verdicts)
-        .all(|(a, b)| {
-            // A candidate one short run never reached proves nothing
-            // either way; any visited verdict must match exactly.
-            a == "unvisited" || b == "unvisited" || (a == b && a != "divergent")
-        });
-    BatchVerify {
-        conns,
-        speedup: batched.rps / unbatched.rps.max(f64::MIN_POSITIVE),
-        unbatched,
-        batched,
-        verdicts_equal,
-    }
-}
-
-// ---------------------------------------------------------------------
 // Report.
 // ---------------------------------------------------------------------
 
@@ -647,22 +420,7 @@ fn json_histogram(hist: &[(u64, u64)]) -> String {
     format!("[ {} ]", entries.join(", "))
 }
 
-fn json_verify_run(r: &VerifyRun) -> String {
-    let verdicts: Vec<String> = r.verdicts.iter().map(|v| format!("\"{v}\"")).collect();
-    format!(
-        "{{ \"served\": {}, \"rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-         \"batched_requests\": {}, \"max_batch\": {}, \"verdicts\": [{}] }}",
-        r.served,
-        r.rps,
-        r.p50_us,
-        r.p99_us,
-        r.batched_requests,
-        r.max_batch,
-        verdicts.join(", "),
-    )
-}
-
-fn write_json(fast: bool, scale: &ConnScaling, tp: &Throughput, bv: &BatchVerify) {
+fn write_json(fast: bool, scale: &ConnScaling, tp: &Throughput) {
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"odcfp-bench-serve/1\",\n");
     json.push_str(&format!("  \"fast\": {fast},\n"));
@@ -684,7 +442,7 @@ fn write_json(fast: bool, scale: &ConnScaling, tp: &Throughput, bv: &BatchVerify
     json.push_str(&format!(
         "  \"throughput\": {{ \"target_rps\": {}, \"achieved_rps\": {:.1}, \"sent\": {}, \
          \"ok\": {}, \"errors\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-         \"histogram_le_us\": {} }},\n",
+         \"histogram_le_us\": {} }}\n}}\n",
         tp.target_rps,
         tp.achieved_rps,
         tp.sent,
@@ -693,16 +451,6 @@ fn write_json(fast: bool, scale: &ConnScaling, tp: &Throughput, bv: &BatchVerify
         tp.p50_us,
         tp.p99_us,
         json_histogram(&tp.histogram),
-    ));
-    json.push_str(&format!(
-        "  \"batch_verify\": {{ \"conns\": {}, \"candidates\": {}, \"unbatched\": {}, \
-         \"batched\": {}, \"speedup\": {:.2}, \"verdicts_equal\": {} }}\n}}\n",
-        bv.conns,
-        bv.unbatched.verdicts.len(),
-        json_verify_run(&bv.unbatched),
-        json_verify_run(&bv.batched),
-        bv.speedup,
-        bv.verdicts_equal,
     ));
 
     let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_serve.json"]
@@ -717,12 +465,10 @@ fn main() {
     let fast = args.iter().any(|a| a == "--fast");
     let check = args.iter().any(|a| a == "--check");
 
-    let w = workload(if fast { 6 } else { 12 });
     let scale = connection_scaling(fast);
-    let tp = throughput(&w, fast);
-    let bv = batch_verify(&w, fast);
+    let tp = throughput(&golden(), fast);
 
-    write_json(fast, &scale, &tp, &bv);
+    write_json(fast, &scale, &tp);
 
     println!("| section | result |");
     println!("|---------|--------|");
@@ -740,20 +486,6 @@ fn main() {
         "| open-loop throughput | {:.0}/{} rps, p50 {} us, p99 {} us, {} errors |",
         tp.achieved_rps, tp.target_rps, tp.p50_us, tp.p99_us, tp.errors,
     );
-    println!(
-        "| verify unbatched | {:.1} rps, p50 {} us, p99 {} us |",
-        bv.unbatched.rps, bv.unbatched.p50_us, bv.unbatched.p99_us,
-    );
-    println!(
-        "| verify batched | {:.1} rps, p50 {} us, p99 {} us, max batch {}, \
-         {:.2}x, verdicts equal: {} |",
-        bv.batched.rps,
-        bv.batched.p50_us,
-        bv.batched.p99_us,
-        bv.batched.max_batch,
-        bv.speedup,
-        bv.verdicts_equal,
-    );
 
     if check {
         let mut failures = Vec::new();
@@ -762,12 +494,6 @@ fn main() {
                 "reactor holds only {:.1}x the connections of threaded at equal memory \
                  (floor 4x)",
                 scale.multiplier
-            ));
-        }
-        if !bv.verdicts_equal {
-            failures.push(format!(
-                "batched verdicts diverge from unbatched: {:?} vs {:?}",
-                bv.batched.verdicts, bv.unbatched.verdicts
             ));
         }
         if tp.errors > 0 {
@@ -779,17 +505,6 @@ fn main() {
             failures.push(format!(
                 "open-loop generator achieved {:.0} of {} target rps",
                 tp.achieved_rps, tp.target_rps
-            ));
-        }
-        if bv.unbatched.served == 0 || bv.batched.served == 0 {
-            failures.push("verify sweep served zero requests".to_owned());
-        }
-        // The headline batching claim only gates the full run: --fast
-        // sweeps are too short for a stable ratio.
-        if !fast && bv.speedup < 1.05 {
-            failures.push(format!(
-                "coalesced verification is not measurably faster: {:.2}x",
-                bv.speedup
             ));
         }
         if !failures.is_empty() {

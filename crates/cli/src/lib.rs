@@ -30,7 +30,6 @@
 //! odcfp serve      [--listen ADDR] [--root DIR]  resident multi-tenant engine
 //!                  [--workers N] [--queue-depth N] [--cache-budget-mb N]
 //!                  [--drain-secs S] [--threaded] [--max-conns N]
-//!                  [--batch-window-ms MS] [--batch-max N]
 //!                  [--stream-threshold BYTES]
 //!                  (protocol: docs/PROTOCOL.md; operations: docs/SERVING.md)
 //! odcfp client     <addr> <op> [args]            one request against a server
@@ -201,8 +200,6 @@ struct Options {
     policy: Option<String>,
     threaded: bool,
     max_conns: Option<usize>,
-    batch_window_ms: Option<f64>,
-    batch_max: Option<usize>,
     stream_threshold: Option<usize>,
     rps: Option<f64>,
     duration_secs: Option<f64>,
@@ -290,8 +287,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         policy: None,
         threaded: false,
         max_conns: None,
-        batch_window_ms: None,
-        batch_max: None,
         stream_threshold: None,
         rps: None,
         duration_secs: None,
@@ -426,24 +421,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     return Err(usage("--max-conns needs a positive integer"));
                 }
                 o.max_conns = Some(n);
-            }
-            "--batch-window-ms" => {
-                let ms: f64 = take("--batch-window-ms")?
-                    .parse()
-                    .map_err(|_| usage("--batch-window-ms needs milliseconds"))?;
-                if !ms.is_finite() || ms < 0.0 {
-                    return Err(usage("--batch-window-ms needs non-negative milliseconds"));
-                }
-                o.batch_window_ms = Some(ms);
-            }
-            "--batch-max" => {
-                let n: usize = take("--batch-max")?
-                    .parse()
-                    .map_err(|_| usage("--batch-max needs a positive integer"))?;
-                if n == 0 {
-                    return Err(usage("--batch-max needs a positive integer"));
-                }
-                o.batch_max = Some(n);
             }
             "--stream-threshold" => {
                 o.stream_threshold = Some(
@@ -1326,11 +1303,9 @@ commands:
   report    <trace.jsonl>                       summarize an observability trace
   serve     [--listen ADDR] [--workers N]       resident multi-tenant engine
             [--queue-depth N] [--cache-budget-mb N] [--drain-secs S] [--root DIR]
-            [--threaded] [--max-conns N] [--batch-window-ms MS] [--batch-max N]
-            [--stream-threshold BYTES]
-            (event-driven multiplexing with streaming replies and batched
-             verification; protocol spec in docs/PROTOCOL.md, operations
-             guide in docs/SERVING.md)
+            [--threaded] [--max-conns N] [--stream-threshold BYTES]
+            (event-driven multiplexing with streaming replies; protocol
+             spec in docs/PROTOCOL.md, operations guide in docs/SERVING.md)
   client    <addr> <op> [args]                  one request against a server
             ops: ping locations embed verify campaign report probe shutdown
             [--tenant NAME] [--deadline-ms N] [--policy quick|strict|budgeted:N]

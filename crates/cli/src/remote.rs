@@ -52,11 +52,6 @@ pub fn run_serve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliE
         cache_budget: o.cache_budget_mb.unwrap_or(64) * 1024 * 1024,
         drain_deadline: Duration::from_secs_f64(o.drain_secs.unwrap_or(5.0)),
         max_line: defaults.max_line,
-        batch_window: o
-            .batch_window_ms
-            .map(Duration::from_secs_f64_ms)
-            .unwrap_or(defaults.batch_window),
-        batch_max: o.batch_max.unwrap_or(defaults.batch_max),
         stream_threshold: o.stream_threshold.unwrap_or(defaults.stream_threshold),
         stream_chunk: defaults.stream_chunk,
         root: PathBuf::from(o.root.clone().unwrap_or_else(|| ".".into())),
@@ -74,16 +69,6 @@ pub fn run_serve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliE
         summary.served, summary.rejected, summary.panics
     )?;
     Ok(0)
-}
-
-/// Millisecond-flavoured constructor, kept local to avoid fp drift.
-trait FromMs {
-    fn from_secs_f64_ms(ms: f64) -> Duration;
-}
-impl FromMs for Duration {
-    fn from_secs_f64_ms(ms: f64) -> Duration {
-        Duration::from_secs_f64(ms / 1000.0)
-    }
 }
 
 /// Builds the op-specific request fields for `odcfp client`.
@@ -327,8 +312,6 @@ struct LoadStats {
     sent: AtomicU64,
     ok: AtomicU64,
     errors: AtomicU64,
-    /// Replies carrying `batched=true` (coalesced verification).
-    batched: AtomicU64,
     /// Error replies by structured code (`overloaded`, `deadline`, …) —
     /// the troubleshooting table in docs/SERVING.md is keyed by these.
     error_codes: Mutex<HashMap<String, u64>>,
@@ -340,8 +323,10 @@ struct LoadStats {
 /// is drawn from a `Xoshiro256` stream seeded with `--seed` plus the
 /// connection index, so two runs against the same server issue the
 /// identical request sequence. Open-loop means requests are sent on
-/// schedule regardless of outstanding replies — measured latency
-/// includes queueing, which is what capacity planning needs.
+/// schedule regardless of outstanding replies, and each latency runs
+/// from the request's scheduled send time — measured latency includes
+/// queueing and any lateness of the sender itself, which is what
+/// capacity planning needs.
 pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliError> {
     let [addr] = o.positional.as_slice() else {
         return Err(usage("loadgen needs <addr>"));
@@ -353,8 +338,7 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
     let mix = parse_mix(o.mix.as_deref().unwrap_or("ping:1,locations:1,embed:1,verify:1"))?;
 
     // One deterministic design shared by every design-bearing request,
-    // so the server answers from its warm cache and verify requests are
-    // batchable (same golden, same policy).
+    // so the server answers from its warm cache.
     let design = write_verilog(&random_dag(CellLibrary::standard(), DagParams::small(seed)));
     let stats = Arc::new(LoadStats::default());
     let start = Instant::now();
@@ -394,7 +378,6 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
     let sent = stats.sent.load(Ordering::SeqCst);
     let ok = stats.ok.load(Ordering::SeqCst);
     let errors = stats.errors.load(Ordering::SeqCst);
-    let batched = stats.batched.load(Ordering::SeqCst);
     let achieved = ok as f64 / elapsed.as_secs_f64();
 
     // Power-of-two latency histogram (bucket upper bounds in µs).
@@ -415,7 +398,7 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
 
     writeln!(
         out,
-        "loadgen: {sent} sent, {ok} ok, {errors} errors, {batched} batched over {:.2}s ({achieved:.1} rps achieved, {rps:.1} targeted)",
+        "loadgen: {sent} sent, {ok} ok, {errors} errors over {:.2}s ({achieved:.1} rps achieved, {rps:.1} targeted)",
         elapsed.as_secs_f64()
     )?;
     writeln!(
@@ -456,7 +439,6 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
             .map(|(code, n)| format!("\"{code}\": {n}"))
             .collect();
         json.push_str(&format!("  \"error_codes\": {{{}}},\n", codes.join(", ")));
-        json.push_str(&format!("  \"batched\": {batched},\n"));
         json.push_str(&format!(
             "  \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {},\n",
             pct(0.50),
@@ -589,7 +571,9 @@ fn conn_loop(
                 return Err(());
             }
             stats.sent.fetch_add(1, Ordering::SeqCst);
-            pending.insert(id, now);
+            // Stamp with the due time, not `now`: a sender that fell
+            // behind schedule must not hide its own lateness.
+            pending.insert(id, next_send);
             sent_count += 1;
             next_send += interval;
             continue;
@@ -605,8 +589,8 @@ fn conn_loop(
                 if let Some(Frame::Reply(reply)) =
                     (!trimmed.is_empty()).then(|| Frame::parse_line(trimmed)).flatten()
                 {
-                    if let Some(sent_at) = pending.remove(&reply.id) {
-                        let us = sent_at.elapsed().as_micros() as u64;
+                    if let Some(due) = pending.remove(&reply.id) {
+                        let us = due.elapsed().as_micros() as u64;
                         stats
                             .latencies_us
                             .lock()
@@ -614,9 +598,6 @@ fn conn_loop(
                             .push(us);
                         if reply.ok {
                             stats.ok.fetch_add(1, Ordering::SeqCst);
-                            if reply.field_bool("batched") == Some(true) {
-                                stats.batched.fetch_add(1, Ordering::SeqCst);
-                            }
                         } else {
                             stats.errors.fetch_add(1, Ordering::SeqCst);
                             let code = reply.error.clone().unwrap_or_else(|| "?".into());

@@ -688,3 +688,57 @@ fn client_reports_connection_closed_when_server_drops_mid_reply() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("connection-closed"), "{stderr}");
 }
+
+/// Regression: loadgen measures each latency from the request's
+/// scheduled send time. The fake server dribbles its first reply out
+/// over a few hundred milliseconds, which keeps loadgen's single
+/// connection reading instead of sending; the requests that fell due
+/// meanwhile go out late, in one burst, and are answered at once.
+/// Stamped at send time they would all read as instant and hide the
+/// stall; stamped at their due time they carry it.
+#[test]
+fn loadgen_latency_counts_a_stalled_senders_lateness() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut first = true;
+        let mut line = String::new();
+        while reader.read_line(&mut line).expect("request read") > 0 {
+            let request = odcfp_serve::Request::parse_line(line.trim_end()).expect("request");
+            let mut reply = Reply::ok(&request.id, "ping");
+            if first {
+                reply = reply.field("pad", "x".repeat(1200));
+            }
+            let mut bytes = reply.to_line().into_bytes();
+            bytes.push(b'\n');
+            if first {
+                // Well inside loadgen's 2 ms read timeout per byte, so
+                // the read never gives up until the line is complete.
+                for byte in &bytes {
+                    stream.write_all(std::slice::from_ref(byte)).expect("dribble");
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                first = false;
+            } else {
+                stream.write_all(&bytes).expect("reply");
+            }
+            line.clear();
+        }
+    });
+    let out = odcfp(&[
+        "loadgen", &addr, "--rps", "100", "--duration-secs", "0.4", "--conns", "1", "--mix",
+        "ping:1",
+    ]);
+    server.join().expect("fake server");
+    let stdout = stdout_of(&out);
+    let p90_us: u64 = stdout
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("p90=")?.strip_suffix("us")?.parse().ok())
+        .unwrap_or_else(|| panic!("no p90 in {stdout}"));
+    // More than half of the 40 requests fall due during the stall of
+    // at least 240 ms; their lateness lifts p90 far above the
+    // sub-millisecond replies a send-time stamp would record.
+    assert!(p90_us >= 50_000, "p90 {p90_us} us hides the stall: {stdout}");
+}

@@ -46,7 +46,7 @@ use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 use odcfp_sat::{
     EquivError, Miter, MiterOutcome, RaceReport, SelectableInput, SelectableVariant, SharedMiter,
-    SolverConfig, SolverStats, SweepEngine, SweepOptions, VariantId,
+    SolverConfig, SolverStats, SweepEngine, SweepOptions,
 };
 
 use crate::FingerprintError;
@@ -950,123 +950,6 @@ impl VerifySession {
         stats.elapsed = start.elapsed();
         trace_verdict(&verdict, &stats);
         Ok(VerifyReport { verdict, stats })
-    }
-
-    /// Verifies a batch of candidates against the session's golden
-    /// netlist through **one** warm [`SharedMiter`] probe pass, each
-    /// candidate under its own [`CancelToken`].
-    ///
-    /// The per-candidate ladder is preserved: every candidate first runs
-    /// the same simulation stages as [`VerifySession::verify_cancellable`]
-    /// (closed-circuit, random smoke test, exhaustive proof), and only
-    /// the survivors reach SAT. Those survivors are then all encoded
-    /// into the session's shared miter in one pass — Tseitin clauses,
-    /// learnt clauses, and the base encoding amortize across the whole
-    /// batch — and probed one activation literal at a time, each probe
-    /// limited by the policy's total SAT budget and its own token.
-    /// Variants retire after their probe, so a refuted candidate never
-    /// slows later queries.
-    ///
-    /// Definitive verdicts (`Proven` / `Refuted`) are identical to the
-    /// per-request path — both procedures are sound and complete given
-    /// budget — which is what lets `odcfp serve` coalesce concurrent
-    /// verify requests without changing a single answer (the serve-side
-    /// differential test pins this). Under exhausted budgets the two
-    /// paths may differ only in *which* requests degrade to `Undecided`,
-    /// because the batch path probes the whole miter instead of running
-    /// the sweep engine's cone-by-cone pass.
-    ///
-    /// Returns one `Result` per candidate, in input order. Per-candidate
-    /// validation or interface errors fail only that slot.
-    pub fn verify_many_cancellable(
-        &mut self,
-        candidates: &[(&Netlist, &CancelToken)],
-        policy: &VerifyPolicy,
-    ) -> Vec<Result<VerifyReport, FingerprintError>> {
-        let mut batch_span = odcfp_obs::span("verify.batch");
-        batch_span.field("size", candidates.len());
-        let start = Instant::now();
-        let mut results: Vec<Option<Result<VerifyReport, FingerprintError>>> =
-            (0..candidates.len()).map(|_| None).collect();
-        // Index, composed token, and accrued stats of candidates that
-        // survive simulation and need the shared SAT probe.
-        let mut pending: Vec<(usize, CancelToken, VerifyStats)> = Vec::new();
-        for (i, (candidate, token)) in candidates.iter().enumerate() {
-            if let Err(e) = candidate.validate() {
-                results[i] = Some(Err(e.into()));
-                continue;
-            }
-            if let Err(e) = check_interfaces(&self.golden, candidate) {
-                results[i] = Some(Err(e));
-                continue;
-            }
-            let token = token.bounded_by(policy.time_limit.map(|limit| Instant::now() + limit));
-            let mut stats = VerifyStats::default();
-            if let Some(verdict) =
-                sim_stages(&self.golden, candidate, policy, &token, &mut stats, start)
-            {
-                stats.elapsed = start.elapsed();
-                trace_verdict(&verdict, &stats);
-                results[i] = Some(Ok(VerifyReport { verdict, stats }));
-                continue;
-            }
-            pending.push((i, token, stats));
-        }
-        batch_span.field("sat_probes", pending.len());
-        if !pending.is_empty() {
-            let budget = total_sat_budget(policy);
-            let golden = &self.golden;
-            let solver = self.solver;
-            let shared = match &mut self.shared {
-                Some(shared) => shared,
-                None => self.shared.insert(SharedMiter::build_with(golden, solver)),
-            };
-            // Encode the whole batch before the first probe: one pass
-            // over the base, all deltas guarded by activation literals.
-            let mut probes: Vec<(usize, CancelToken, VerifyStats, Option<VariantId>)> = pending
-                .into_iter()
-                .map(|(i, token, stats)| {
-                    let id = match shared.add_variant(candidates[i].0) {
-                        Ok(id) => Some(id),
-                        Err(e) => {
-                            results[i] = Some(Err(FingerprintError::Verification(e)));
-                            None
-                        }
-                    };
-                    (i, token, stats, id)
-                })
-                .collect();
-            for (i, token, stats, id) in probes.drain(..) {
-                let Some(id) = id else { continue };
-                shared.set_interrupt(token.flag());
-                let before = shared.stats().conflicts;
-                let outcome = if token.is_cancelled() {
-                    MiterOutcome::Undecided
-                } else {
-                    shared.check(id, budget, token.deadline())
-                };
-                shared.retire(id);
-                let mut stats = stats;
-                stats.sat_conflicts += shared.stats().conflicts.saturating_sub(before);
-                let verdict = match outcome {
-                    MiterOutcome::Equivalent => Verdict::Proven,
-                    MiterOutcome::Counterexample(counterexample) => {
-                        Verdict::Refuted { counterexample }
-                    }
-                    MiterOutcome::Undecided => Verdict::Undecided {
-                        conflicts_spent: stats.sat_conflicts,
-                        elapsed: start.elapsed(),
-                    },
-                };
-                stats.elapsed = start.elapsed();
-                trace_verdict(&verdict, &stats);
-                results[i] = Some(Ok(VerifyReport { verdict, stats }));
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every candidate slot was decided"))
-            .collect()
     }
 
     /// Proves the *code space* of a fingerprinter in one SAT call: given

@@ -1,5 +1,5 @@
-//! Request execution: the worker pool, per-request isolation, the
-//! operation implementations, and cross-request batch verification.
+//! Request execution: the worker pool, per-request isolation, and the
+//! operation implementations.
 //!
 //! Workers are connection-agnostic. They pop [`Job`]s from the
 //! tenant-fair queue, execute under `catch_unwind` with a composed
@@ -11,18 +11,8 @@
 //! and are chunked out by the reactor under socket-writability
 //! backpressure.
 //!
-//! # Cross-request batch verification
-//!
-//! Verify requests are stamped at admission with a `batch_key` — a
-//! digest of their golden design reference and policy. When a worker
-//! pops a verify job it drains same-key jobs already queued, waits one
-//! configurable gather window for stragglers, and executes the whole
-//! batch through one warm `SharedMiter` probe pass
-//! ([`VerifySession::verify_many_cancellable`]); fingerprint-code
-//! candidates ride the cached code-space proof instead. Verdicts are
-//! demultiplexed to their requesters and are identical to the
-//! per-request path at definitive outcomes (pinned by differential
-//! test). Each job keeps its own deadline token and its own reply.
+//! Every request, verify included, runs alone on the worker that popped
+//! it: a verify's latency is its queue wait plus its own execution.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -53,9 +43,6 @@ pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) reply_to: ReplyTo,
     pub(crate) enqueued: Instant,
-    /// Digest of (golden design, policy) for verify requests; jobs with
-    /// equal keys are candidates for batched execution.
-    pub(crate) batch_key: Option<u64>,
 }
 
 /// Where a finished response goes.
@@ -138,11 +125,9 @@ pub(crate) fn admit(shared: &Shared, request: Request, reply_to: ReplyTo) -> Adm
             Admit::Immediate(Reply::ok(&request.id, "shutdown").versioned(version))
         }
         _ => {
-            let batch_key = batch_key(&request.op);
             let job = Job {
                 reply_to,
                 enqueued: Instant::now(),
-                batch_key,
                 request,
             };
             let tenant = job.request.tenant.clone();
@@ -180,52 +165,7 @@ pub(crate) fn admit(shared: &Shared, request: Request, reply_to: ReplyTo) -> Adm
     }
 }
 
-/// Batch grouping key for verify requests: FNV-1a over the golden
-/// design reference and the policy string. Equal keys *suggest* a
-/// shared golden; the executor re-checks structural equality before
-/// coalescing, so a hash collision costs batching, never correctness.
-fn batch_key(op: &Op) -> Option<u64> {
-    let Op::Verify { golden, policy, .. } = op else {
-        return None;
-    };
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    match golden {
-        DesignRef::Text { text, format } => {
-            eat(b"text:");
-            eat(format.as_bytes());
-            eat(b":");
-            eat(text.as_bytes());
-        }
-        DesignRef::Path(path) => {
-            eat(b"path:");
-            eat(path.as_bytes());
-        }
-    }
-    eat(b"|policy:");
-    eat(policy.as_deref().unwrap_or("").as_bytes());
-    Some(hash)
-}
-
-/// `true` when two verify ops may share one batch: same golden design
-/// and same policy, compared structurally.
-fn same_batch(a: &Op, b: &Op) -> bool {
-    match (a, b) {
-        (
-            Op::Verify { golden: ga, policy: pa, .. },
-            Op::Verify { golden: gb, policy: pb, .. },
-        ) => ga == gb && pa == pb,
-        _ => false,
-    }
-}
-
-/// Worker thread: pop round-robin, gather batches, execute under
-/// isolation, reply.
+/// Worker thread: pop round-robin, execute under isolation, reply.
 pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     while let Some((tenant, job)) = shared.queue.pop() {
         odcfp_obs::point("serve.queue_wait")
@@ -233,35 +173,7 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
             .field("us", job.enqueued.elapsed().as_micros() as u64)
             .nondet()
             .emit();
-        let key = job.batch_key;
-        if key.is_none() || shared.config.batch_max <= 1 {
-            run_one(shared, job);
-            continue;
-        }
-        let mut batch = vec![job];
-        let gather = |batch: &mut Vec<Job>| {
-            let room = shared.config.batch_max.saturating_sub(batch.len());
-            let anchor_op = batch[0].request.op.clone();
-            for (_, j) in shared
-                .queue
-                .drain_matching(room, |j| j.batch_key == key && same_batch(&j.request.op, &anchor_op))
-            {
-                batch.push(j);
-            }
-        };
-        gather(&mut batch);
-        if batch.len() < shared.config.batch_max && !shared.config.batch_window.is_zero() {
-            // The gather window: a short, bounded wait for concurrent
-            // requests against the same golden to coalesce. Zero
-            // disables it for latency-critical deployments.
-            std::thread::sleep(shared.config.batch_window);
-            gather(&mut batch);
-        }
-        if batch.len() == 1 {
-            run_one(shared, batch.pop().expect("len checked"));
-        } else {
-            run_verify_batch(shared, batch);
-        }
+        run_one(shared, job);
     }
 }
 
@@ -290,59 +202,6 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
         reply.error.clone().unwrap_or_else(|| "ok".to_owned()),
     );
     finish(shared, job, reply);
-}
-
-/// Executes a coalesced verify batch: one circuit lock, one warm
-/// SharedMiter probe pass, per-job deadlines and replies.
-fn run_verify_batch(shared: &Arc<Shared>, jobs: Vec<Job>) {
-    let mut span = odcfp_obs::span("serve.batch.execute");
-    span.field("size", jobs.len());
-    let tokens: Vec<CancelToken> = jobs
-        .iter()
-        .map(|job| {
-            shared.drain_token.bounded_by(
-                job.request
-                    .deadline_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms)),
-            )
-        })
-        .collect();
-    odcfp_obs::point("serve.batch.gather")
-        .field("size", jobs.len())
-        .nondet()
-        .emit();
-    let mut touched: Option<Digest> = None;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute_verify_batch(shared, &jobs, &tokens, &mut touched)
-    }));
-    match outcome {
-        Ok(replies) => {
-            debug_assert_eq!(replies.len(), jobs.len());
-            span.field("outcome", "ok");
-            for (job, reply) in jobs.into_iter().zip(replies) {
-                finish(shared, job, reply);
-            }
-        }
-        Err(payload) => {
-            // One isolation boundary per batch: a panic answers every
-            // coalesced request and poisons the shared circuit once.
-            span.field("outcome", "panic");
-            let text = panic_text(payload);
-            let mut message = format!("request panicked: {text}");
-            if let Some(digest) = touched {
-                let strikes = shared.cache.poison(digest);
-                message.push_str(&format!(
-                    " (circuit warm state dropped; strike {strikes}/{})",
-                    crate::cache::QUARANTINE_THRESHOLD
-                ));
-            }
-            for job in jobs {
-                shared.panics.fetch_add(1, Ordering::SeqCst);
-                let reply = Reply::err(&job.request.id, ErrorCode::Panic, message.clone());
-                finish(shared, job, reply);
-            }
-        }
-    }
 }
 
 /// Version-stamps, counts, maybe streams, and delivers one reply.
@@ -720,20 +579,6 @@ fn verify_code_op(
     let policy = parse_policy(policy, VerifyPolicy::strict())?;
     let (state, disp) = circuit_state(shared, golden, touched)?;
     let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-    let reply = check_one_code(shared, id, &mut state, bits, &policy, token)?;
-    Ok(reply.field("cache", disp.as_str()))
-}
-
-/// Shared by the single path and the batch path: ensures the code-space
-/// proof exists, then decides `bits` by assumption.
-fn check_one_code(
-    shared: &Shared,
-    id: &str,
-    state: &mut CircuitState,
-    bits: &str,
-    policy: &VerifyPolicy,
-    token: &CancelToken,
-) -> Result<Reply, OpError> {
     let code: Vec<bool> = bits
         .chars()
         .map(|c| match c {
@@ -746,7 +591,7 @@ fn check_one_code(
         fingerprinter,
         session,
         codespace,
-    } = state;
+    } = &mut *state;
     if codespace.is_none() {
         let space = CodeSpace::build(fingerprinter)
             .map_err(|e| bad(format!("code-space verification unavailable: {e}")))?;
@@ -776,142 +621,8 @@ fn check_one_code(
     Ok(Reply::ok(id, "verify")
         .field("verdict", verdict.name())
         .field("mode", "code")
-        .field("code_space", proof.outcome.name()))
-}
-
-/// The batch body: one policy parse, one circuit lock, candidates
-/// partitioned into netlists (one `verify_many_cancellable` pass) and
-/// codes (assumption probes on the cached proof). Runs inside the
-/// batch's `catch_unwind`.
-fn execute_verify_batch(
-    shared: &Shared,
-    jobs: &[Job],
-    tokens: &[CancelToken],
-    touched: &mut Option<Digest>,
-) -> Vec<Reply> {
-    let all_err = |code: ErrorCode, message: &str| -> Vec<Reply> {
-        jobs.iter()
-            .map(|job| Reply::err(&job.request.id, code, message.to_owned()))
-            .collect()
-    };
-    let Op::Verify { golden, policy, .. } = &jobs[0].request.op else {
-        unreachable!("batch keys only stamp verify ops");
-    };
-    let policy = match parse_policy(policy.as_deref(), VerifyPolicy::strict()) {
-        Ok(policy) => policy,
-        Err((code, message)) => return all_err(code, &message),
-    };
-    let (state, disp) = match circuit_state(shared, golden, touched) {
-        Ok(x) => x,
-        Err((code, message)) => return all_err(code, &message),
-    };
-    let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-    let n = jobs.len();
-
-    // Per-job candidate parsing, each in its own unwind boundary so one
-    // hostile candidate answers `panic` without sinking its batchmates.
-    enum Cand {
-        Netlist(Box<Netlist>),
-        Code(String),
-        Failed(ErrorCode, String),
-    }
-    let cands: Vec<Cand> = jobs
-        .iter()
-        .map(|job| {
-            let Op::Verify { candidate, candidate_bits, .. } = &job.request.op else {
-                unreachable!("batch keys only stamp verify ops");
-            };
-            match (candidate, candidate_bits) {
-                (Some(design), None) => {
-                    let parsed = catch_unwind(AssertUnwindSafe(|| {
-                        let (text, format) = design_source(shared, design)?;
-                        parse_netlist(shared, &text, &format)
-                    }));
-                    match parsed {
-                        Ok(Ok(netlist)) => Cand::Netlist(Box::new(netlist)),
-                        Ok(Err((code, message))) => Cand::Failed(code, message),
-                        Err(payload) => Cand::Failed(
-                            ErrorCode::Panic,
-                            format!("candidate parse panicked: {}", panic_text(payload)),
-                        ),
-                    }
-                }
-                (None, Some(bits)) => Cand::Code(bits.clone()),
-                _ => Cand::Failed(
-                    ErrorCode::BadRequest,
-                    "verify needs exactly one of candidate or candidate_bits".into(),
-                ),
-            }
-        })
-        .collect();
-
-    let mut replies: Vec<Option<Reply>> = (0..n).map(|_| None).collect();
-
-    // Netlist candidates: one warm SharedMiter probe pass.
-    let netlist_idx: Vec<usize> = cands
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| matches!(c, Cand::Netlist(_)).then_some(i))
-        .collect();
-    if !netlist_idx.is_empty() {
-        let pairs: Vec<(&Netlist, &CancelToken)> = netlist_idx
-            .iter()
-            .map(|&i| {
-                let Cand::Netlist(netlist) = &cands[i] else {
-                    unreachable!("index filtered on Netlist");
-                };
-                (netlist.as_ref(), &tokens[i])
-            })
-            .collect();
-        let reports = state.session.verify_many_cancellable(&pairs, &policy);
-        for (&i, report) in netlist_idx.iter().zip(reports) {
-            let id = &jobs[i].request.id;
-            replies[i] = Some(match report {
-                Ok(report) => {
-                    if tokens[i].is_cancelled() {
-                        let (code, why) = cancel_code(shared);
-                        Reply::err(id, code, format!("{why}; verification undecided"))
-                    } else {
-                        Reply::ok(id, "verify")
-                            .field("verdict", report.verdict.name())
-                            .field("sat_conflicts", report.stats.sat_conflicts)
-                            .field("fast_path", report.stats.used_fast_path)
-                            .field("cache", disp.as_str())
-                            .field("batched", true)
-                            .field("batch", n)
-                    }
-                }
-                Err(e) => Reply::err(id, ErrorCode::BadRequest, format!("verify: {e}")),
-            });
-        }
-    }
-
-    // Code candidates: assumption probes against the cached proof.
-    for (i, cand) in cands.iter().enumerate() {
-        match cand {
-            Cand::Code(bits) => {
-                let id = &jobs[i].request.id;
-                replies[i] = Some(
-                    match check_one_code(shared, id, &mut state, bits, &policy, &tokens[i]) {
-                        Ok(reply) => reply
-                            .field("cache", disp.as_str())
-                            .field("batched", true)
-                            .field("batch", n),
-                        Err((code, message)) => Reply::err(id, code, message),
-                    },
-                );
-            }
-            Cand::Failed(code, message) => {
-                replies[i] = Some(Reply::err(&jobs[i].request.id, *code, message.clone()));
-            }
-            Cand::Netlist(_) => {}
-        }
-    }
-
-    replies
-        .into_iter()
-        .map(|r| r.expect("every batch slot answered"))
-        .collect()
+        .field("code_space", proof.outcome.name())
+        .field("cache", disp.as_str()))
 }
 
 fn campaign_op(
@@ -1063,31 +774,5 @@ mod tests {
         assert!(parse_policy(Some("budgeted:5000"), VerifyPolicy::quick()).is_ok());
         assert!(parse_policy(Some("budgeted:x"), VerifyPolicy::quick()).is_err());
         assert!(parse_policy(Some("frob"), VerifyPolicy::quick()).is_err());
-    }
-
-    #[test]
-    fn batch_keys_group_same_golden_and_policy() {
-        let op = |text: &str, policy: Option<&str>| Op::Verify {
-            golden: DesignRef::Text { text: text.into(), format: "v".into() },
-            candidate: None,
-            candidate_bits: Some("01".into()),
-            policy: policy.map(str::to_owned),
-        };
-        let a = batch_key(&op("module m; endmodule", Some("strict")));
-        let b = batch_key(&op("module m; endmodule", Some("strict")));
-        let c = batch_key(&op("module m; endmodule", Some("quick")));
-        let d = batch_key(&op("module x; endmodule", Some("strict")));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
-        assert!(batch_key(&Op::Ping).is_none());
-        assert!(same_batch(
-            &op("module m; endmodule", Some("strict")),
-            &op("module m; endmodule", Some("strict"))
-        ));
-        assert!(!same_batch(
-            &op("module m; endmodule", Some("strict")),
-            &op("module m; endmodule", None)
-        ));
     }
 }

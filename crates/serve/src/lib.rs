@@ -13,9 +13,8 @@
 //! readiness, so idle connections cost a few hundred bytes instead of
 //! an OS thread. Requests flow through framing ([`frame`]) and
 //! admission into the tenant-fair queue ([`queue`]); a fixed worker
-//! pool (`executor`) runs them under deadlines, coalescing verify
-//! requests that share a golden circuit into single warm-miter batch
-//! probes. Large replies stream back as `chunk`/`done` frames
+//! pool (`executor`) runs each one alone under its own deadline.
+//! Large replies stream back as `chunk`/`done` frames
 //! ([`stream`]) paced by each connection's own socket. The pre-v2
 //! thread-per-connection layer survives as
 //! [`server::ConnMode::Threaded`] for comparison benchmarks.
@@ -33,8 +32,7 @@
 //! * **Bounded time** — per-request deadlines ride the analysis layer's
 //!   `CancelToken` into the SAT core, so one slow obligation cannot
 //!   wedge a worker.
-//! * **Fault isolation** — every request (and every verify batch) runs
-//!   inside `catch_unwind`; a panicking netlist answers an error,
+//! * **Fault isolation** — every request runs inside `catch_unwind`; a panicking netlist answers an error,
 //!   poisons only its own cache entry, and after repeated strikes is
 //!   quarantined — the process survives.
 //! * **Graceful drain** — SIGTERM ([`signal`]) stops admission,
@@ -42,9 +40,8 @@
 //!   flushes outbound streams, and leaves campaign journals fsync'd for
 //!   resume.
 //!
-//! Verdicts served warm — or batched — are identical to the batch
-//! CLI's: caching and coalescing change how fast an answer arrives,
-//! never what it is.
+//! Verdicts served warm are identical to the batch CLI's: caching
+//! changes how fast an answer arrives, never what it is.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -110,47 +110,6 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Removes and returns up to `max` queued items satisfying `pred`,
-    /// scanning tenants in lane order and preserving FIFO order within
-    /// each lane. Used by cross-request batch verification to coalesce
-    /// queued requests that share a golden circuit; fairness is
-    /// preserved because every drained item is answered by the same
-    /// worker invocation that drained it.
-    pub fn drain_matching(
-        &self,
-        max: usize,
-        mut pred: impl FnMut(&T) -> bool,
-    ) -> Vec<(String, T)> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return out;
-        }
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let s = &mut *guard;
-        let tenants: Vec<String> = s.lanes.keys().cloned().collect();
-        for tenant in tenants {
-            let lane = s.lanes.get_mut(&tenant).expect("lane existed under lock");
-            let mut i = 0;
-            while i < lane.len() && out.len() < max {
-                if pred(&lane[i]) {
-                    let item = lane.remove(i).expect("index in bounds");
-                    out.push((tenant.clone(), item));
-                    s.len -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-            if lane.is_empty() {
-                s.lanes.remove(&tenant);
-                s.rotation.retain(|t| t != &tenant);
-            }
-            if out.len() >= max {
-                break;
-            }
-        }
-        out
-    }
-
     /// Stops admission. Queued work still drains; blocked `pop`s wake.
     pub fn close(&self) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
@@ -220,39 +179,6 @@ mod tests {
         assert_eq!(q.push("t", 2), Err(PushError::Closed));
         assert_eq!(q.pop(), Some(("t".to_owned(), 1)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn drain_matching_removes_only_matches_and_fixes_bookkeeping() {
-        let q = FairQueue::new(16);
-        for (tenant, item) in
-            [("a", 10), ("a", 3), ("b", 11), ("b", 4), ("c", 12)]
-        {
-            q.push(tenant, item).unwrap();
-        }
-        // Drain evens (capped at 2): lane order is a, b, c, so the cap
-        // stops after a's 10 and b's 4.
-        let drained = q.drain_matching(2, |i| i % 2 == 0);
-        let items: Vec<i32> = drained.iter().map(|(_, i)| *i).collect();
-        assert_eq!(items, vec![10, 4]);
-        assert_eq!(q.len(), 3);
-        // Remaining items still pop in fair order, lanes intact.
-        q.close();
-        let rest: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
-        assert_eq!(rest.len(), 3);
-        assert!(rest.contains(&3) && rest.contains(&11) && rest.contains(&12));
-    }
-
-    #[test]
-    fn drain_matching_emptying_a_lane_keeps_pop_sound() {
-        let q = FairQueue::new(8);
-        q.push("a", 1).unwrap();
-        q.push("b", 2).unwrap();
-        let drained = q.drain_matching(8, |i| *i == 1);
-        assert_eq!(drained.len(), 1);
-        // Lane "a" is gone from rotation; pop must not panic on it.
-        assert_eq!(q.pop(), Some(("b".to_owned(), 2)));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! 3. A worker pops round-robin across tenants, arms a
 //!    [`CancelToken`] composing the server's drain token with the
 //!    request's deadline, and runs the operation inside `catch_unwind`.
-//!    Verify requests sharing a golden circuit may coalesce into one
-//!    batch (see the `executor` module). A panic answers `panic`, poisons
+//!    A panic answers `panic`, poisons
 //!    the circuit's warm-cache entry, and leaves the process (and every
 //!    other request) untouched.
 //! 4. The reply is routed back to the connection layer: written
@@ -95,11 +94,6 @@ pub struct ServerConfig {
     /// Hard cap on one request line; longer lines are answered
     /// `bad_request` instead of buffering without bound.
     pub max_line: usize,
-    /// How long a worker waits for same-golden verify requests to
-    /// coalesce into one batch. Zero disables batching.
-    pub batch_window: Duration,
-    /// Maximum verify requests coalesced into one batch.
-    pub batch_max: usize,
     /// Reply payload size (bytes) at which v2 replies switch to
     /// `chunk`/`done` streaming (reactor mode only). `usize::MAX`
     /// disables streaming.
@@ -122,8 +116,6 @@ impl Default for ServerConfig {
             cache_budget: 64 * 1024 * 1024,
             drain_deadline: Duration::from_secs(5),
             max_line: 8 * 1024 * 1024,
-            batch_window: Duration::from_millis(2),
-            batch_max: 16,
             stream_threshold: DEFAULT_STREAM_THRESHOLD,
             stream_chunk: DEFAULT_STREAM_CHUNK,
             root: PathBuf::from("."),

@@ -664,17 +664,21 @@ fn slow_reader_backpressure_never_blocks_the_worker_pool() {
 }
 
 #[test]
-fn batched_verification_is_verdict_identical_to_per_request() {
+fn concurrent_mixed_verifies_answer_per_request() {
     // Candidate mix: netlist copies (proven), a functional mutant
     // (refuted), and a fingerprint code checked against the golden's
-    // code space. The batched server coalesces them into one warm
-    // probe; verdicts must match a server running strictly one-by-one.
+    // code space, all against one golden, in flight at once on five
+    // connections to two workers. Each runs alone and answers its own
+    // verdict.
     let golden = BLIF_GOLDEN.to_owned();
     let mutant = blif_mutant();
+    let srv = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
 
     // A valid code for the golden comes from embedding with a seed.
     let bits = {
-        let srv = start(ServerConfig::default());
         let mut c = srv.connect();
         let reply = c.roundtrip(&request_line(
             "mint",
@@ -688,9 +692,7 @@ fn batched_verification_is_verdict_identical_to_per_request() {
             ],
         ));
         assert!(reply.ok, "{reply:?}");
-        let bits = reply.field_str("bits").expect("bits minted").to_owned();
-        srv.shutdown();
-        bits
+        reply.field_str("bits").expect("bits minted").to_owned()
     };
     let requests: Vec<String> = vec![
         request_line("q0", "t0", None, "verify", &verify_blif_args(&golden, &golden)),
@@ -709,84 +711,32 @@ fn batched_verification_is_verdict_identical_to_per_request() {
         ),
         request_line("q4", "t4", None, "verify", &verify_blif_args(&golden, &mutant)),
     ];
+    let mut conns: Vec<Client> = requests.iter().map(|_| srv.connect()).collect();
+    for (c, r) in conns.iter_mut().zip(&requests) {
+        c.send_raw(r);
+    }
+    let replies: Vec<Reply> = conns.iter_mut().map(Client::read_assembled_reply).collect();
+    srv.shutdown();
 
-    // Batched: a spin probe pins the single worker while the verifies
-    // queue, so the gather window sees them all at once.
-    let batched = start(ServerConfig {
-        workers: 1,
-        batch_window: Duration::from_millis(200),
-        batch_max: 16,
-        ..ServerConfig::default()
-    });
-    let mut pin = batched.connect();
-    pin.send_raw(&request_line(
-        "pin",
-        "pinner",
-        Some(500),
-        "probe",
-        &[("mode", "spin".into())],
-    ));
-    std::thread::sleep(Duration::from_millis(150));
-    let mut conns: Vec<Client> = requests
+    let verdicts: Vec<(&str, &str)> = replies
         .iter()
-        .map(|r| {
-            let mut c = batched.connect();
-            c.send_raw(r);
-            c
-        })
+        .map(|r| (r.id.as_str(), r.field_str("verdict").unwrap_or("?")))
         .collect();
-    assert_eq!(pin.read_reply().error.as_deref(), Some("deadline"));
-    let batched_replies: Vec<Reply> =
-        conns.iter_mut().map(Client::read_assembled_reply).collect();
-    batched.shutdown();
-
-    // Per-request: batch_max 1 makes every pop a singleton.
-    let solo = start(ServerConfig {
-        workers: 1,
-        batch_max: 1,
-        ..ServerConfig::default()
-    });
-    let mut c = solo.connect();
-    let solo_replies: Vec<Reply> = requests
-        .iter()
-        .map(|r| {
-            c.send_raw(r);
-            c.read_assembled_reply()
-        })
-        .collect();
-    solo.shutdown();
-
-    let verdicts = |replies: &[Reply]| -> Vec<(String, Option<String>)> {
+    assert_eq!(
+        verdicts,
+        vec![
+            ("q0", "proven"),
+            ("q1", "refuted"),
+            ("q2", "proven"),
+            ("q3", "proven"),
+            ("q4", "refuted"),
+        ],
+        "{replies:?}"
+    );
+    assert!(
         replies
             .iter()
-            .map(|r| (r.id.clone(), r.field_str("verdict").map(str::to_owned)))
-            .collect()
-    };
-    assert_eq!(
-        verdicts(&batched_replies),
-        verdicts(&solo_replies),
-        "coalescing changes latency, never verdicts"
-    );
-    assert_eq!(
-        verdicts(&solo_replies)
-            .iter()
-            .map(|(_, v)| v.as_deref().unwrap_or("?").to_owned())
-            .collect::<Vec<_>>(),
-        vec!["proven", "refuted", "proven", "proven", "refuted"],
-    );
-    assert!(
-        batched_replies
-            .iter()
-            .any(|r| r.field_bool("batched") == Some(true)
-                && r.field_u64("batch").is_some_and(|n| n >= 2)),
-        "the gather window coalesced concurrent requests: {:?}",
-        batched_replies
-            .iter()
-            .map(|r| (r.id.clone(), r.field_bool("batched")))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        solo_replies.iter().all(|r| r.field_bool("batched").is_none()),
-        "singleton execution carries no batch fields"
+            .all(|r| r.fields.iter().all(|(k, _)| k != "batched" && k != "batch")),
+        "no reply carries batch bookkeeping: {replies:?}"
     );
 }
