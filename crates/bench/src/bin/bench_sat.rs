@@ -1,11 +1,11 @@
 //! Solver-tier benchmark: regenerates `BENCH_sat.json` at the
-//! repository root, measuring the CDCL profiles and the portfolio racer
-//! the verify ladder now runs on.
+//! repository root, measuring the CDCL profiles the verify ladder runs
+//! on.
 //!
 //! Usage: `cargo run --release -p odcfp-bench --bin bench_sat
 //! [--fast] [--check]`
 //!
-//! Four sections:
+//! Three sections:
 //!
 //! 1. **profiles** — the hard-instance set (pigeonhole formulas, a
 //!    deep xor-chain miter) solved unbounded under the `legacy` and
@@ -13,31 +13,25 @@
 //!    conflicts/sec. The headline number is the aggregate wall-time
 //!    speedup of `modern` (LBD-guided learnt-DB reduction + phase
 //!    saving) over `legacy` (the pre-trait fixed-heuristic solver).
-//! 2. **portfolio_rescue** — a calibrated random 3-SAT instance on
-//!    which a single `modern` backend exhausts a 4096-conflict budget
-//!    (`Undecided`) while a width-5 race decides it inside the same
-//!    per-racer budget: the rescue the verify ladder's `--portfolio`
-//!    hook performs on budget-starved obligations.
-//! 3. **des_sweep** — a strict fast-path verify sweep over
+//! 2. **des_sweep** — a strict fast-path verify sweep over
 //!    fingerprinted `des` buyers; the Undecided-rate must be zero.
-//! 4. **c6288_hard_miter** — the intractable multiplier cold miter,
+//! 3. **c6288_hard_miter** — the intractable multiplier cold miter,
 //!    conflict-capped exactly like `bench_verify`'s baseline, with a
-//!    wall-clock ceiling so a pathological backend regression (e.g.
+//!    wall-clock ceiling so a pathological solver regression (e.g.
 //!    propagation slowdown) fails CI even though the verdict is
 //!    honestly `undecided` at the cap.
 //!
 //! `--check` exits non-zero if: the modern/legacy aggregate speedup
-//! falls below 2x, the portfolio fails to rescue the calibrated
-//! instance, any des verdict is Undecided, or the capped c6288 miter
-//! misses its wall ceiling. `--fast` trims section 1 to its quickest
-//! instance (the CI smoke still runs every check).
+//! falls below 2x (full mode only), any des verdict is Undecided, or the
+//! capped c6288 miter misses its wall ceiling. `--fast` trims section 1
+//! to its quickest instance and the des sweep to two buyers; the JSON
+//! records which mode produced it.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use odcfp_bench::netlist_for;
 use odcfp_core::{verify_equivalent_report, Fingerprinter, Verdict, VerifyPolicy, VerifySession};
-use odcfp_sat::portfolio::{self, RaceOptions};
 use odcfp_sat::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig};
 
 /// Wall-clock ceiling for the conflict-capped c6288 miter. The cap
@@ -45,11 +39,6 @@ use odcfp_sat::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig};
 /// is far under a second, so the ceiling only trips on order-of-
 /// magnitude regressions while staying safe on slow CI machines.
 const C6288_CEILING_MS: f64 = 60_000.0;
-
-/// Conflict budget for the rescue scenario — calibrated so the single
-/// `modern` backend exhausts it while the width-5 race's best racer
-/// decides within one synchronized round (see `rescue()`).
-const RESCUE_BUDGET: u64 = 4096;
 
 // ---------------------------------------------------------------------
 // Instance generators (all deterministic; no clocks or OS randomness).
@@ -103,9 +92,9 @@ fn xor_miter(width: usize) -> CnfBuilder {
 }
 
 /// Deterministic random 3-SAT at the phase-transition ratio (m/n =
-/// 4.26), xorshift64* keyed by `seed`. The rescue instance below was
-/// calibrated against this exact generator, so the bytes it produces
-/// must never change.
+/// 4.26), xorshift64* keyed by `seed`. The profile rows' conflict
+/// counts depend on the exact bytes it produces, so they must never
+/// change.
 fn rand3sat(n: usize, m: usize, seed: u64) -> CnfBuilder {
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed.wrapping_mul(0x0DCF_5EED);
     if state == 0 {
@@ -228,61 +217,7 @@ fn speedup(runs: &[ProfileRun]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Section 2: portfolio rescue on the calibrated instance.
-// ---------------------------------------------------------------------
-
-struct Rescue {
-    instance: &'static str,
-    budget: u64,
-    single_verdict: &'static str,
-    single_conflicts: u64,
-    race_verdict: &'static str,
-    winner: Option<usize>,
-    winner_backend: Option<&'static str>,
-    rounds: u64,
-    race_conflicts: u64,
-    wall_ms: f64,
-    rescued: bool,
-}
-
-fn rescue() -> Rescue {
-    // Calibrated against the committed generator: at 4096 conflicts the
-    // single modern backend returns Unknown (it needs ~8k single-shot),
-    // while racer #1 of a width-5 race (reseeded cdcl-modern) decides in
-    // one synchronized round (~3.1k chunked conflicts).
-    let cnf = rand3sat(200, 852, 5);
-    let config = SolverConfig::from_profile("modern").expect("profile");
-
-    eprintln!("rescue: single modern backend @{RESCUE_BUDGET} conflicts...");
-    let mut solo = Solver::from_cnf_with(&cnf, config);
-    solo.set_conflict_budget(RESCUE_BUDGET);
-    let single = solo.solve();
-
-    eprintln!("rescue: width-5 portfolio @{RESCUE_BUDGET} conflicts per racer...");
-    let opts = RaceOptions::new(5).with_base(config);
-    let t0 = Instant::now();
-    let (result, report) = portfolio::race(&cnf, &[], &opts, Some(RESCUE_BUDGET), None, None);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let rescued =
-        matches!(single, SolveResult::Unknown) && !matches!(result, SolveResult::Unknown);
-    Rescue {
-        instance: "rand3sat_n200_m852_s5",
-        budget: RESCUE_BUDGET,
-        single_verdict: result_name(&single),
-        single_conflicts: solo.stats().conflicts,
-        race_verdict: result_name(&result),
-        winner: report.winner,
-        winner_backend: report.winner_backend,
-        rounds: report.rounds,
-        race_conflicts: report.conflicts,
-        wall_ms,
-        rescued,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Section 3: des fast-path sweep — the Undecided-rate acceptance.
+// Section 2: des fast-path sweep — the Undecided-rate acceptance.
 // ---------------------------------------------------------------------
 
 struct DesSweep {
@@ -318,7 +253,7 @@ fn des_sweep(buyers: usize) -> DesSweep {
 }
 
 // ---------------------------------------------------------------------
-// Section 4: conflict-capped c6288 cold miter under a wall ceiling.
+// Section 3: conflict-capped c6288 cold miter under a wall ceiling.
 // ---------------------------------------------------------------------
 
 struct HardMiter {
@@ -374,17 +309,15 @@ fn hard_miter() -> HardMiter {
 // Report.
 // ---------------------------------------------------------------------
 
-fn write_json(
-    runs: &[ProfileRun],
-    speedup: f64,
-    rescue: &Rescue,
-    des: &DesSweep,
-    hard: &HardMiter,
-) {
+fn write_json(fast: bool, runs: &[ProfileRun], speedup: f64, des: &DesSweep, hard: &HardMiter) {
     let undecided_rate = runs.iter().filter(|r| r.verdict == "unknown").count() as f64
         / runs.len().max(1) as f64;
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"odcfp-bench-sat/1\",\n");
+    json.push_str("{\n  \"schema\": \"odcfp-bench-sat/2\",\n");
+    json.push_str(&format!(
+        "  \"mode\": \"{}\",\n",
+        if fast { "fast" } else { "full" }
+    ));
     json.push_str("  \"profiles\": [\n");
     for (i, r) in runs.iter().enumerate() {
         json.push_str(&format!(
@@ -401,28 +334,8 @@ fn write_json(
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"profile_undecided_rate\": {undecided_rate:.3},\n\
+        "  \"profile_undecided_rate\": {undecided_rate:.3},\n  \
          \"profile_speedup_modern_vs_legacy\": {speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"portfolio_rescue\": {{ \"instance\": \"{}\", \"budget\": {}, \
-         \"single_verdict\": \"{}\", \"single_conflicts\": {}, \
-         \"race_verdict\": \"{}\", \"winner\": {}, \"winner_backend\": {}, \
-         \"rounds\": {}, \"race_conflicts\": {}, \"wall_ms\": {:.3}, \
-         \"rescued\": {} }},\n",
-        rescue.instance,
-        rescue.budget,
-        rescue.single_verdict,
-        rescue.single_conflicts,
-        rescue.race_verdict,
-        rescue.winner.map_or("null".into(), |w| w.to_string()),
-        rescue
-            .winner_backend
-            .map_or("null".into(), |b| format!("\"{b}\"")),
-        rescue.rounds,
-        rescue.race_conflicts,
-        rescue.wall_ms,
-        rescue.rescued,
     ));
     json.push_str(&format!(
         "  \"des_sweep\": {{ \"buyers\": {}, \"proven\": {}, \"undecided\": {}, \
@@ -458,27 +371,14 @@ fn main() {
 
     let runs = profile_runs(fast);
     let speedup = speedup(&runs);
-    let rescue = rescue();
     let des = des_sweep(if fast { 2 } else { 4 });
     let hard = hard_miter();
 
-    write_json(&runs, speedup, &rescue, &des, &hard);
+    write_json(fast, &runs, speedup, &des, &hard);
 
     println!("| section | result |");
     println!("|---------|--------|");
     println!("| modern vs legacy wall speedup | {speedup:.2}x |");
-    println!(
-        "| portfolio rescue @{} | single={} race={} winner={} |",
-        rescue.budget,
-        rescue.single_verdict,
-        rescue.race_verdict,
-        rescue
-            .winner_backend
-            .map_or("none".into(), |b| format!(
-                "#{} {b}",
-                rescue.winner.unwrap_or(0)
-            )),
-    );
     println!(
         "| des sweep | {}/{} proven, {} undecided |",
         des.proven, des.buyers, des.undecided
@@ -498,12 +398,6 @@ fn main() {
         if !fast && speedup < 2.0 {
             failures.push(format!(
                 "modern profile speedup {speedup:.2}x is below the 2x floor"
-            ));
-        }
-        if !rescue.rescued {
-            failures.push(format!(
-                "portfolio failed to rescue {} (single={}, race={})",
-                rescue.instance, rescue.single_verdict, rescue.race_verdict
             ));
         }
         if des.undecided != 0 {

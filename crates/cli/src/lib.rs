@@ -11,9 +11,9 @@
 //! odcfp extract    <base.(blif|v)> <suspect.v>   recover a fingerprint
 //! odcfp verify     <golden.(blif|v)> <candidate.(blif|v)>
 //!                  [--verify-budget N] [--verify-timeout SECS] [--stats]
-//!                  [--solver-profile P] [--portfolio N]
+//!                  [--solver-profile legacy|modern]
 //! odcfp solve      <in.dimacs>                    decide one DIMACS CNF
-//!                  [--solver-profile P] [--portfolio N] (debug tool;
+//!                  [--solver-profile legacy|modern] (debug tool;
 //!                  exit codes 0 sat / 1 unsat / 2 undecided)
 //! odcfp constrain  <in.(blif|v)> -o <out.v>      delay-constrained embedding
 //!                  --delay-pct P [--method reactive|proactive]
@@ -86,10 +86,7 @@ use odcfp_core::{
     verify_equivalent_report, Fingerprinter, Verdict, VerifyLevel, VerifyPolicy, VerifyStats,
 };
 use odcfp_netlist::{genlib, CellLibrary, Netlist};
-use odcfp_sat::{
-    backend_from_cnf, parse_dimacs, portfolio, RaceOptions, RaceReport, SolveResult, SolverConfig,
-    SolverStats, Var,
-};
+use odcfp_sat::{parse_dimacs, SolveResult, Solver, SolverConfig, SolverStats, Var};
 use odcfp_verilog::{parse_verilog, write_verilog};
 
 /// A CLI failure: message already formatted for the user, plus the process
@@ -217,11 +214,10 @@ struct Options {
     robust_locations: Option<String>,
     // solver tier (verify / solve).
     solver_profile: Option<String>,
-    portfolio: Option<usize>,
 }
 
 impl Options {
-    /// The SAT backend configuration `--solver-profile` names (default
+    /// The solver configuration `--solver-profile` names (default
     /// profile when the flag is absent).
     fn solver_config(&self) -> Result<SolverConfig, CliError> {
         match &self.solver_profile {
@@ -241,7 +237,7 @@ impl Options {
 
     /// The equivalence-checking policy the flags ask for: `--verify-budget`
     /// overrides `base`, `--verify-timeout` adds a deadline, and
-    /// `--solver-profile` / `--portfolio` configure the SAT tier.
+    /// `--solver-profile` configures the SAT tier.
     fn verify_policy(&self, base: VerifyPolicy) -> Result<VerifyPolicy, CliError> {
         let mut policy = match self.verify_budget {
             Some(budget) => VerifyPolicy::budgeted(budget),
@@ -251,9 +247,6 @@ impl Options {
             policy = policy.with_time_limit(Duration::from_secs_f64(secs));
         }
         policy.solver = self.solver_config()?;
-        if let Some(width) = self.portfolio {
-            policy.portfolio = width;
-        }
         Ok(policy)
     }
 }
@@ -302,7 +295,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         survival_out: None,
         robust_locations: None,
         solver_profile: None,
-        portfolio: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -498,12 +490,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             }
             "--survival-out" => o.survival_out = Some(take("--survival-out")?),
             "--solver-profile" => o.solver_profile = Some(take("--solver-profile")?),
-            "--portfolio" => {
-                let n: usize = take("--portfolio")?
-                    .parse()
-                    .map_err(|_| usage("--portfolio needs a racer count"))?;
-                o.portfolio = Some(n);
-            }
             "--robust-locations" => o.robust_locations = Some(take("--robust-locations")?),
             "--threads" => {
                 let n: usize = take("--threads")?
@@ -1092,9 +1078,8 @@ fn report_trace(
 }
 
 /// The `solve` subcommand: decide one DIMACS CNF file with the configured
-/// backend (`--solver-profile`), optionally as a portfolio race
-/// (`--portfolio N`), bounded by `--verify-budget` conflicts and
-/// `--verify-timeout` seconds.
+/// solver (`--solver-profile`), bounded by `--verify-budget` conflicts
+/// and `--verify-timeout` seconds.
 ///
 /// This is a solver debug tool, so unlike the netlist commands it uses
 /// the SAT-competition exit-code convention: `0` satisfiable, `1`
@@ -1104,33 +1089,17 @@ fn run_solve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliError
     let text =
         fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
     let cnf = parse_dimacs(&text).map_err(|e| fail(format!("{path}: {e}")))?;
-    let config = o.solver_config()?;
-    let budget = o.verify_budget;
     let deadline = o
         .verify_timeout
         .map(|secs| Instant::now() + Duration::from_secs_f64(secs));
-    let width = o.portfolio.unwrap_or(1);
-    let (result, stats, race) = if width >= 2 {
-        let opts = RaceOptions::new(width).with_base(config);
-        let (result, report) = portfolio::race(&cnf, &[], &opts, budget, deadline, None);
-        let stats = report
-            .winner
-            .map(|w| report.racers[w].stats)
-            .unwrap_or_default();
-        (result, stats, Some(report))
-    } else {
-        let mut backend = backend_from_cnf(&cnf, config);
-        if let Some(b) = budget {
-            backend.set_conflict_budget(b);
-        }
-        if let Some(d) = deadline {
-            backend.set_deadline(d);
-        }
-        let result = backend.solve();
-        let stats = backend.stats();
-        (result, stats, None)
-    };
-    let code = match &result {
+    let mut solver = Solver::from_cnf_with(&cnf, o.solver_config()?);
+    if let Some(b) = o.verify_budget {
+        solver.set_conflict_budget(b);
+    }
+    if let Some(d) = deadline {
+        solver.set_deadline(d);
+    }
+    let code = match &solver.solve() {
         SolveResult::Sat(model) => {
             writeln!(out, "s SATISFIABLE")?;
             let lits: Vec<String> = (0..cnf.num_vars())
@@ -1156,10 +1125,7 @@ fn run_solve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliError
         }
     };
     if o.stats {
-        write_solver_line(out, &stats)?;
-        if let Some(report) = &race {
-            write_race_lines(out, report)?;
-        }
+        write_solver_line(out, &solver.stats())?;
     }
     Ok(code)
 }
@@ -1186,37 +1152,6 @@ fn write_solver_line(
         s.rephases,
         s.chrono_backtracks,
     )?;
-    Ok(())
-}
-
-/// Prints the portfolio-race block: the deterministic winner line plus one
-/// line per racer (racer conflict counts are timing-dependent — see
-/// `odcfp_sat::portfolio`).
-fn write_race_lines(
-    out: &mut impl std::io::Write,
-    report: &RaceReport,
-) -> Result<(), CliError> {
-    match (report.winner, report.winner_backend) {
-        (Some(idx), Some(backend)) => writeln!(
-            out,
-            "race: winner=#{idx} backend={backend} rounds={} conflicts={}",
-            report.rounds, report.conflicts,
-        )?,
-        _ => writeln!(
-            out,
-            "race: no winner (rounds={} conflicts={}{})",
-            report.rounds,
-            report.conflicts,
-            if report.cancelled { ", cancelled" } else { "" },
-        )?,
-    }
-    for (idx, racer) in report.racers.iter().enumerate() {
-        writeln!(
-            out,
-            "race[{idx}]: backend={} seed={:#x} outcome={} conflicts={} restarts={}",
-            racer.backend, racer.seed, racer.outcome, racer.stats.conflicts, racer.stats.restarts,
-        )?;
-    }
     Ok(())
 }
 
@@ -1258,9 +1193,6 @@ fn write_verify_stats(
             write_solver_line(out, s)?;
         }
     }
-    if let Some(report) = &stats.race {
-        write_race_lines(out, report)?;
-    }
     Ok(())
 }
 
@@ -1275,11 +1207,9 @@ commands:
   extract   <base.(blif|v)> <suspect.v>         recover a fingerprint
   verify    <golden.(blif|v)> <candidate.(blif|v)>   equivalence check
             [--verify-budget N] [--verify-timeout SECS] [--stats]
-            [--solver-profile legacy|modern|glucose|phased|chrono]
-            [--portfolio N] (race N configured backends when an attempt
-             stalls; verdicts are identical at any width)
+            [--solver-profile legacy|modern]
   solve     <in.dimacs>                         decide one DIMACS CNF (debug)
-            [--solver-profile P] [--portfolio N] [--verify-budget N]
+            [--solver-profile legacy|modern] [--verify-budget N]
             [--verify-timeout SECS] [--stats]
             (SAT-competition exit codes: 0 sat, 1 unsat, 2 undecided)
   constrain <in.(blif|v)> --delay-pct P         delay-constrained embedding
@@ -1320,7 +1250,6 @@ options: --genlib <file> to use a custom cell library
                      (ODCFP_TRACE is the lower-precedence equivalent)
          --verify-budget / --verify-timeout bound SAT effort (embed, verify)
          --solver-profile picks the CDCL heuristics profile (verify, solve)
-         --portfolio N races N backends on stalled obligations (verify, solve)
          --stats prints verification effort accounting (verify)
 exit codes: 0 ok/proven, 1 error, 2 usage,
             3 refuted, 4 undecided, 5 probably-equivalent,
@@ -1828,58 +1757,78 @@ mod tests {
     }
 
     #[test]
-    fn solve_portfolio_agrees_with_single_backend_and_prints_race_stats() {
-        let path = tmp("solve_race.dimacs", &xor_miter_dimacs(8));
-        let mut out = Vec::new();
-        assert_eq!(run("solve", std::slice::from_ref(&path), &mut out).unwrap(), 1);
-        let mut out = Vec::new();
-        let code = run(
-            "solve",
+    fn solver_profiles_agree_and_reach_the_solver() {
+        // c432 has too many inputs for exhaustive simulation, so the
+        // fingerprinted copy is proven by the SAT tier.
+        let golden = tmp("prof_c432.v", "");
+        run_ok("bench", &["c432".into(), "-o".into(), golden.clone()]);
+        let copy = tmp("prof_copy.v", "");
+        run_ok(
+            "embed",
             &[
-                path,
-                "--portfolio".into(),
+                golden.clone(),
+                "--seed".into(),
                 "3".into(),
-                "--stats".into(),
+                "--verify".into(),
+                "none".into(),
+                "-o".into(),
+                copy.clone(),
             ],
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("s UNSATISFIABLE"), "{text}");
-        assert!(text.contains("race: winner=#"), "{text}");
-        assert!(text.contains("race[2]: backend="), "three racers:\n{text}");
-        assert!(text.contains("heuristics: avg-lbd="), "{text}");
+        );
+        let text = fs::read_to_string(&copy).unwrap();
+        let broken = tmp("prof_bad.v", &text.replacen("  AND2 ", "  NAND2 ", 1));
+        for (candidate, want) in [(copy, 0), (broken, 3)] {
+            for profile in ["legacy", "modern"] {
+                let mut out = Vec::new();
+                let code = run(
+                    "verify",
+                    &[
+                        golden.clone(),
+                        candidate.clone(),
+                        "--solver-profile".into(),
+                        profile.into(),
+                    ],
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(code, want, "{profile}: {}", String::from_utf8_lossy(&out));
+            }
+        }
+
+        // The profile reaches the search: only `modern` scores LBD and
+        // rephases.
+        let hard = tmp("prof_hard.dimacs", &xor_miter_dimacs(12));
+        let heuristics = |profile: &str| {
+            let mut out = Vec::new();
+            let args = [hard.clone(), "--stats".into(), "--solver-profile".into(), profile.into()];
+            assert_eq!(run("solve", &args, &mut out).unwrap(), 1);
+            let text = String::from_utf8(out).unwrap();
+            text.lines()
+                .find(|l| l.starts_with("heuristics:"))
+                .unwrap_or_else(|| panic!("no heuristics line:\n{text}"))
+                .to_owned()
+        };
+        assert!(heuristics("legacy").contains("avg-lbd=0.00"));
+        assert!(!heuristics("modern").contains("avg-lbd=0.00"));
     }
 
     #[test]
-    fn verify_solver_profile_and_portfolio_flags_are_accepted() {
-        let golden = tmp("vprof_a.blif", BLIF);
-        let copy = tmp("vprof_b.blif", BLIF);
-        for profile in ["legacy", "modern", "glucose", "phased", "chrono"] {
-            let mut out = Vec::new();
-            let code = run(
-                "verify",
-                &[
-                    golden.clone(),
-                    copy.clone(),
-                    "--solver-profile".into(),
-                    profile.into(),
-                    "--portfolio".into(),
-                    "2".into(),
-                ],
-                &mut out,
-            )
-            .unwrap();
-            assert_eq!(code, 0, "{profile}: {}", String::from_utf8_lossy(&out));
+    fn removed_solver_flags_are_usage_errors() {
+        let design = tmp("flags.blif", BLIF);
+        let cnf = tmp("flags.dimacs", "p cnf 1 1\n1 0\n");
+        let cases: [(&str, Vec<String>); 2] = [
+            ("verify", vec![design.clone(), design]),
+            ("solve", vec![cnf]),
+        ];
+        for (command, inputs) in cases {
+            for flag in [["--portfolio", "2"], ["--solver-profile", "glucose"]] {
+                let mut args = inputs.clone();
+                args.extend(flag.map(String::from));
+                let e = run(command, &args, &mut Vec::new())
+                    .expect_err("removed flag must be rejected");
+                assert_eq!(e.exit_code(), 2, "{command} {flag:?}: {}", e.0);
+            }
         }
-        let e = run(
-            "verify",
-            &[golden, copy, "--solver-profile".into(), "warp".into()],
-            &mut Vec::new(),
-        )
-        .expect_err("unknown profile must fail");
-        assert_eq!(e.exit_code(), 2, "{}", e.0);
     }
 
     #[test]

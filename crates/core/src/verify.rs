@@ -45,8 +45,8 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 use odcfp_sat::{
-    EquivError, Miter, MiterOutcome, RaceReport, SelectableInput, SelectableVariant, SharedMiter,
-    SolverConfig, SolverStats, SweepEngine, SweepOptions,
+    EquivError, Miter, MiterOutcome, SelectableInput, SelectableVariant, SharedMiter, SolverConfig,
+    SolverStats, SweepEngine, SweepOptions,
 };
 
 use crate::FingerprintError;
@@ -87,18 +87,10 @@ pub struct VerifyPolicy {
     /// either way — the flag exists so benchmarks and differential tests
     /// can pin the cold baseline.
     pub use_fast_path: bool,
-    /// Backend configuration for every SAT engine the ladder builds (cold
+    /// Solver configuration for every SAT engine the ladder builds (cold
     /// miter, sweep engine, session shared miter). Verdicts are identical
-    /// for every profile; the knob only trades search heuristics.
+    /// for every configuration; the knob only trades search heuristics.
     pub solver: SolverConfig,
-    /// When ≥ 2 and a cold-miter attempt comes back undecided, race this
-    /// many differently-configured backends on the miter CNF — the first
-    /// definitive verdict wins, deterministically (see
-    /// [`odcfp_sat::portfolio`]). `0`/`1` disables racing, which keeps
-    /// campaign and attack scorecards byte-identical with earlier
-    /// releases. Each racer gets the remaining conflict cap, so a width-N
-    /// race may spend up to N× the leftover budget.
-    pub portfolio: usize,
 }
 
 impl VerifyPolicy {
@@ -117,7 +109,6 @@ impl VerifyPolicy {
             time_limit: None,
             use_fast_path: true,
             solver: SolverConfig::default(),
-            portfolio: 0,
         }
     }
 
@@ -255,10 +246,6 @@ pub struct VerifyStats {
     pub solver: Option<SolverStats>,
     /// Whether the SAT rung went through the sweep engine.
     pub used_fast_path: bool,
-    /// Report of the portfolio race, when the cold-miter ladder escalated
-    /// into one ([`VerifyPolicy::portfolio`] ≥ 2 and an attempt came back
-    /// undecided).
-    pub race: Option<RaceReport>,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
 }
@@ -606,28 +593,6 @@ fn sat_stage_cold(
                 break;
             }
             MiterOutcome::Undecided => {
-                // Once the incremental solver has burned its first budget,
-                // a wide portfolio often decides faster than escalating the
-                // same search — race fresh backends once, on the same CNF.
-                if policy.portfolio >= 2 && stats.race.is_none() && !token.is_cancelled() {
-                    let per_racer = policy
-                        .sat_conflict_cap
-                        .map(|cap| cap.saturating_sub(miter.conflicts_spent()));
-                    let outcome =
-                        miter.race(policy.portfolio, per_racer, deadline, Some(token.flag()));
-                    stats.race = miter.last_race().cloned();
-                    match outcome {
-                        MiterOutcome::Equivalent => {
-                            verdict = Some(Verdict::Proven);
-                            break;
-                        }
-                        MiterOutcome::Counterexample(counterexample) => {
-                            verdict = Some(Verdict::Refuted { counterexample });
-                            break;
-                        }
-                        MiterOutcome::Undecided => {}
-                    }
-                }
                 if policy
                     .sat_conflict_cap
                     .is_some_and(|cap| miter.conflicts_spent() >= cap)
@@ -1214,66 +1179,6 @@ mod tests {
         // The same pair under a real budget is decidable.
         assert_eq!(
             verify_equivalent(&left, &right, &VerifyPolicy::strict()).unwrap(),
-            Verdict::Proven
-        );
-    }
-
-    /// A cold miter starved down to a one-conflict budget cannot decide a
-    /// 20-bit XOR pair — but with `portfolio ≥ 2` the Undecided attempt
-    /// escalates into a race of fresh backends, which proves it.
-    #[test]
-    fn portfolio_rescues_a_starved_cold_miter() {
-        let left = xor_chain(20, false);
-        let right = xor_chain(20, true);
-        let starved = VerifyPolicy {
-            use_fast_path: false,
-            sat_initial_conflicts: Some(1),
-            sat_max_attempts: 1,
-            ..VerifyPolicy::strict()
-        };
-        // Without a portfolio the starved ladder gives up...
-        assert!(matches!(
-            verify_equivalent(&left, &right, &starved).unwrap(),
-            Verdict::Undecided { .. }
-        ));
-        // ...and with one it must reach the proof and report the race.
-        let policy = VerifyPolicy {
-            portfolio: 3,
-            ..starved
-        };
-        let report = verify_equivalent_report(&left, &right, &policy).unwrap();
-        assert_eq!(report.verdict, Verdict::Proven);
-        let race = report.stats.race.expect("race report recorded");
-        assert!(race.winner.is_some(), "a racer won: {race:?}");
-        assert_eq!(race.racers.len(), 3);
-    }
-
-    /// Regression: losing racers are cancelled through *private* per-racer
-    /// flags. The shared [`CancelToken`] handed to the verify call must
-    /// never be raised by the race, or every subsequent obligation on the
-    /// same token would be silently cancelled.
-    #[test]
-    fn portfolio_race_cannot_poison_the_shared_cancel_token() {
-        let left = xor_chain(20, false);
-        let right = xor_chain(20, true);
-        let policy = VerifyPolicy {
-            use_fast_path: false,
-            sat_initial_conflicts: Some(1),
-            sat_max_attempts: 1,
-            portfolio: 4,
-            ..VerifyPolicy::strict()
-        };
-        let token = CancelToken::new();
-        let report =
-            verify_equivalent_report_cancellable(&left, &right, &policy, &token).unwrap();
-        assert_eq!(report.verdict, Verdict::Proven);
-        assert!(
-            !token.is_cancelled(),
-            "losing racers must not raise the shared token"
-        );
-        // A second obligation on the same token still verifies normally.
-        assert_eq!(
-            verify_equivalent_cancellable(&left, &right, &policy, &token).unwrap(),
             Verdict::Proven
         );
     }

@@ -1,12 +1,12 @@
 //! Verify-ladder differential suite for the solver tier: on
-//! fault-battery circuits, every `--solver-profile`, every portfolio
-//! width, and every analysis thread count must produce the **same
-//! verdict** — and that verdict must match brute-force ground truth.
+//! fault-battery circuits, every solver heuristic combination and every
+//! analysis thread count must produce the **same verdict** — and that
+//! verdict must match brute-force ground truth.
 //!
 //! This is the end-to-end face of the contract unit-tested in
-//! `crates/sat/tests/differential.rs`: heuristics and racing change the
-//! search, never the conclusion, so campaign journals and attack
-//! scorecards stay byte-identical whichever backend configuration runs.
+//! `crates/sat/tests/differential.rs`: heuristics change the search,
+//! never the conclusion, so campaign journals and attack scorecards stay
+//! byte-identical whichever solver configuration runs.
 
 use odcfp_analysis::engine::set_thread_override;
 use odcfp_core::faults::FaultInjector;
@@ -45,6 +45,37 @@ fn battery() -> Vec<(String, Netlist, Netlist)> {
     pairs
 }
 
+/// Both named profiles plus `legacy` with one heuristic family switched
+/// on: the five points of the feature cube the suite sweeps.
+fn heuristic_combinations() -> [(&'static str, SolverConfig); 5] {
+    [
+        ("legacy", SolverConfig::legacy()),
+        ("modern", SolverConfig::modern()),
+        (
+            "lbd+db-reduction",
+            SolverConfig {
+                lbd_tracking: true,
+                db_reduction: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "rephasing",
+            SolverConfig {
+                rephasing: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "chrono-backtrack",
+            SolverConfig {
+                chrono_backtrack: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+    ]
+}
+
 /// Verdicts compare by kind; refutations also prove themselves on the
 /// netlists, so two refuting configurations agree even when their
 /// counterexamples differ.
@@ -71,39 +102,23 @@ fn check(golden: &Netlist, candidate: &Netlist, policy: &VerifyPolicy, label: &s
 /// One test (not one per axis) so the global thread override is never
 /// mutated concurrently by the harness's parallel test runner.
 #[test]
-fn profiles_portfolios_and_thread_counts_agree_with_ground_truth() {
+fn profiles_and_thread_counts_agree_with_ground_truth() {
     let pairs = battery();
     // The ladder is exercised on both rungs: the sweep fast path and the
-    // cold whole-circuit miter, with and without a portfolio.
-    let policies: Vec<(String, VerifyPolicy)> = {
-        let mut all = Vec::new();
-        for (profile, config) in SolverConfig::profiles() {
-            for fast in [true, false] {
-                all.push((
-                    format!("{profile}/{}", if fast { "fast" } else { "cold" }),
-                    VerifyPolicy {
-                        use_fast_path: fast,
-                        solver: config,
-                        ..VerifyPolicy::strict()
-                    },
-                ));
-            }
-        }
-        for width in [2usize, 4] {
-            all.push((
-                format!("portfolio_{width}"),
+    // cold whole-circuit miter.
+    let mut policies: Vec<(String, VerifyPolicy)> = Vec::new();
+    for (profile, config) in heuristic_combinations() {
+        for fast in [true, false] {
+            policies.push((
+                format!("{profile}/{}", if fast { "fast" } else { "cold" }),
                 VerifyPolicy {
-                    use_fast_path: false,
-                    // Starve the first attempt so the race actually runs.
-                    sat_initial_conflicts: Some(1),
-                    sat_max_attempts: 1,
-                    portfolio: width,
+                    use_fast_path: fast,
+                    solver: config,
                     ..VerifyPolicy::strict()
                 },
             ));
         }
-        all
-    };
+    }
     for threads in [1usize, 8] {
         set_thread_override(Some(threads));
         for (name, golden, candidate) in &pairs {

@@ -1,31 +1,25 @@
-//! Named solver configurations ("profiles").
+//! Solver configurations ("profiles").
 //!
-//! Every modern-CDCL heuristic the native backend implements is
-//! independently switchable, so a configuration is a point in a small
-//! feature cube plus a seed. Named profiles pin the points we care
-//! about: `legacy` is the original MiniSat-1.x-era search (byte-for-byte
-//! identical to the pre-profile solver), `modern` turns everything on
-//! and is the default. The portfolio racer derives diverse members from
-//! these profiles by varying the seed.
+//! Every modern-CDCL heuristic the solver implements is independently
+//! switchable, so a configuration is a point in a small feature cube.
+//! Two named profiles pin the points we care about: `legacy` is the
+//! original MiniSat-1.x-era search (byte-for-byte identical to the
+//! pre-profile solver), `modern` turns everything on and is the default.
 
-/// A native-backend configuration: which CDCL heuristics run, plus a
-/// seed that perturbs initial phases for portfolio diversity.
+/// Which CDCL heuristics the solver runs.
 ///
-/// `seed == 0` means "no perturbation" (all phases start `false`, like
-/// the original solver); any other seed assigns pseudo-random initial
-/// phases. All search behavior is a deterministic function of the
-/// configuration and the formula.
+/// All search behavior is a deterministic function of the configuration
+/// and the formula.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolverConfig {
-    /// Initial-phase seed (`0` = all-false phases, the legacy choice).
-    pub seed: u64,
     /// Compute glucose-style literal-block-distance for learnt clauses.
     pub lbd_tracking: bool,
     /// Periodically delete low-value learnt clauses (tiered retention;
     /// implies LBD scoring of learnt clauses).
     pub db_reduction: bool,
     /// Periodically re-seed saved phases from the best-trail snapshot,
-    /// its inverse, or the seed stream (target/best-phase rephasing).
+    /// its inverse, or a fixed pseudo-random stream (target/best-phase
+    /// rephasing).
     pub rephasing: bool,
     /// Backtrack chronologically (one level) instead of jumping when the
     /// computed backjump would discard more than a threshold of levels.
@@ -37,7 +31,6 @@ impl SolverConfig {
     /// Search is byte-for-byte identical to the pre-profile solver.
     pub const fn legacy() -> SolverConfig {
         SolverConfig {
-            seed: 0,
             lbd_tracking: false,
             db_reduction: false,
             rephasing: false,
@@ -49,7 +42,6 @@ impl SolverConfig {
     /// and chronological backtracking. The default profile.
     pub const fn modern() -> SolverConfig {
         SolverConfig {
-            seed: 0,
             lbd_tracking: true,
             db_reduction: true,
             rephasing: true,
@@ -57,46 +49,12 @@ impl SolverConfig {
         }
     }
 
-    /// LBD tracking + tiered DB reduction only (the glucose core).
-    pub const fn glucose() -> SolverConfig {
-        SolverConfig {
-            lbd_tracking: true,
-            db_reduction: true,
-            ..SolverConfig::legacy()
-        }
-    }
-
-    /// Rephasing only, on top of the legacy search.
-    pub const fn phased() -> SolverConfig {
-        SolverConfig {
-            rephasing: true,
-            ..SolverConfig::legacy()
-        }
-    }
-
-    /// Chronological backtracking only, on top of the legacy search.
-    pub const fn chrono() -> SolverConfig {
-        SolverConfig {
-            chrono_backtrack: true,
-            ..SolverConfig::legacy()
-        }
-    }
-
-    /// Returns this config with a different phase seed.
-    pub const fn with_seed(mut self, seed: u64) -> SolverConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Every named profile, for differential testing: verdicts must be
-    /// identical across all of them on any formula.
-    pub fn profiles() -> [(&'static str, SolverConfig); 5] {
+    /// Every named profile: verdicts must be identical across all of
+    /// them on any formula.
+    pub fn profiles() -> [(&'static str, SolverConfig); 2] {
         [
             ("legacy", SolverConfig::legacy()),
             ("modern", SolverConfig::modern()),
-            ("glucose", SolverConfig::glucose()),
-            ("phased", SolverConfig::phased()),
-            ("chrono", SolverConfig::chrono()),
         ]
     }
 
@@ -107,49 +65,6 @@ impl SolverConfig {
             .find(|(n, _)| *n == name)
             .map(|(_, c)| c)
     }
-
-    /// The profile name this configuration matches (ignoring the seed),
-    /// or `"custom"`.
-    pub fn profile_name(&self) -> &'static str {
-        let unseeded = self.with_seed(0);
-        SolverConfig::profiles()
-            .into_iter()
-            .find(|(_, c)| *c == unseeded)
-            .map(|(n, _)| n)
-            .unwrap_or("custom")
-    }
-
-    /// The native-backend name this configuration reports through
-    /// [`SatBackend::backend_name`](crate::SatBackend::backend_name).
-    pub fn backend_name(&self) -> &'static str {
-        match self.profile_name() {
-            "legacy" => "cdcl-legacy",
-            "modern" => "cdcl-modern",
-            "glucose" => "cdcl-glucose",
-            "phased" => "cdcl-phased",
-            "chrono" => "cdcl-chrono",
-            _ => "cdcl-custom",
-        }
-    }
-
-    /// The member configuration for position `index` of a portfolio:
-    /// position 0 races the base configuration unchanged, later positions
-    /// cycle through the named profiles with distinct phase seeds so the
-    /// racers explore genuinely different search trajectories.
-    pub fn portfolio_member(base: SolverConfig, index: usize) -> SolverConfig {
-        if index == 0 {
-            return base;
-        }
-        let rotation = [
-            SolverConfig::modern(),
-            SolverConfig::glucose(),
-            SolverConfig::chrono(),
-            SolverConfig::phased(),
-            SolverConfig::legacy(),
-        ];
-        let profile = rotation[(index - 1) % rotation.len()];
-        profile.with_seed(splitmix64(index as u64))
-    }
 }
 
 impl Default for SolverConfig {
@@ -159,12 +74,45 @@ impl Default for SolverConfig {
 }
 
 /// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used to
-/// derive phase bits and portfolio seeds deterministically.
+/// derive the rephasing stream's phase bits deterministically.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The five heuristic combinations the unit tests sweep: both profiles
+/// plus `legacy` with one heuristic family switched on. Verdicts must
+/// agree across all of them.
+#[cfg(test)]
+pub(crate) fn heuristic_combinations() -> [(&'static str, SolverConfig); 5] {
+    [
+        ("legacy", SolverConfig::legacy()),
+        ("modern", SolverConfig::modern()),
+        (
+            "lbd+db-reduction",
+            SolverConfig {
+                lbd_tracking: true,
+                db_reduction: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "rephasing",
+            SolverConfig {
+                rephasing: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "chrono-backtrack",
+            SolverConfig {
+                chrono_backtrack: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -175,36 +123,15 @@ mod tests {
     fn profiles_round_trip_by_name() {
         for (name, config) in SolverConfig::profiles() {
             assert_eq!(SolverConfig::from_profile(name), Some(config));
-            assert_eq!(config.profile_name(), name);
         }
         assert_eq!(SolverConfig::from_profile("no-such-profile"), None);
+        assert_eq!(SolverConfig::from_profile("glucose"), None);
     }
 
     #[test]
     fn default_is_modern() {
         assert_eq!(SolverConfig::default(), SolverConfig::modern());
-        assert_eq!(SolverConfig::default().profile_name(), "modern");
-    }
-
-    #[test]
-    fn seeded_profile_keeps_its_name() {
-        let seeded = SolverConfig::glucose().with_seed(42);
-        assert_eq!(seeded.profile_name(), "glucose");
-        assert_eq!(seeded.seed, 42);
-    }
-
-    #[test]
-    fn portfolio_members_are_diverse_and_deterministic() {
-        let base = SolverConfig::modern();
-        assert_eq!(SolverConfig::portfolio_member(base, 0), base);
-        let members: Vec<SolverConfig> =
-            (0..6).map(|i| SolverConfig::portfolio_member(base, i)).collect();
-        let again: Vec<SolverConfig> =
-            (0..6).map(|i| SolverConfig::portfolio_member(base, i)).collect();
-        assert_eq!(members, again, "member derivation must be deterministic");
-        for pair in members.windows(2) {
-            assert_ne!(pair[0], pair[1], "adjacent members must differ");
-        }
+        assert_eq!(SolverConfig::from_profile("modern"), Some(SolverConfig::default()));
     }
 
     #[test]

@@ -7,9 +7,8 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 
-use crate::portfolio::{self, RaceOptions, RaceReport};
 use crate::tseitin::encode_netlist;
-use crate::{backend_from_cnf, CnfBuilder, Lit, SatBackend, SolveResult, SolverConfig, Var};
+use crate::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig, Var};
 
 /// Why two netlists could not be compared.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +125,7 @@ pub enum MiterOutcome {
 /// An incremental equivalence miter: built once, solvable repeatedly under
 /// escalating conflict budgets.
 ///
-/// Learnt clauses are retained inside the embedded [`SatBackend`](crate::SatBackend) across
+/// Learnt clauses are retained inside the embedded [`Solver`] across
 /// [`Miter::solve`] calls, so a retry with a larger budget resumes from the
 /// accumulated knowledge of earlier attempts rather than starting over.
 /// This is the engine behind budget-escalation verification policies.
@@ -155,15 +154,9 @@ pub enum MiterOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Miter {
-    solver: Box<dyn SatBackend>,
-    /// The miter formula, kept so [`Miter::race`] can load fresh portfolio
-    /// backends on the exact same CNF.
-    cnf: CnfBuilder,
+    solver: Solver,
     input_vars: Vec<Var>,
     trivially_equivalent: bool,
-    conflicts_spent: u64,
-    race_conflicts: u64,
-    last_race: Option<RaceReport>,
 }
 
 impl Miter {
@@ -178,7 +171,7 @@ impl Miter {
     }
 
     /// Builds the miter CNF over `left` and `right` (shared inputs by
-    /// position, XOR-compared outputs by position) on a backend running
+    /// position, XOR-compared outputs by position) on a solver running
     /// `config`.
     ///
     /// Primary inputs and outputs are matched **by position**, which is the
@@ -238,13 +231,9 @@ impl Miter {
             .map(|&pi| enc_l.var(pi))
             .collect();
         Ok(Miter {
-            solver: backend_from_cnf(&cnf, config),
-            cnf,
+            solver: Solver::from_cnf_with(&cnf, config),
             input_vars,
             trivially_equivalent,
-            conflicts_spent: 0,
-            race_conflicts: 0,
-            last_race: None,
         })
     }
 
@@ -268,9 +257,7 @@ impl Miter {
         if let Some(d) = deadline {
             self.solver.set_deadline(d);
         }
-        let result = self.solver.solve();
-        self.conflicts_spent = self.solver.stats().conflicts + self.race_conflicts;
-        match result {
+        match self.solver.solve() {
             SolveResult::Unsat => MiterOutcome::Equivalent,
             SolveResult::Sat(model) => MiterOutcome::Counterexample(
                 self.input_vars.iter().map(|&v| model.value(v)).collect(),
@@ -279,51 +266,9 @@ impl Miter {
         }
     }
 
-    /// Races `width` differently-configured portfolio backends on the
-    /// miter CNF (see [`crate::portfolio::race`]): the first definitive
-    /// verdict wins, with ties broken deterministically by racer index.
-    ///
-    /// Each racer starts from the original formula (not the incremental
-    /// solver state accumulated by [`Miter::solve`] attempts), so the
-    /// outcome depends only on the formula and the race shape.
-    /// `per_racer_budget` bounds the conflicts each racer may spend;
-    /// `external` is a read-only cancellation flag (typically a
-    /// `CancelToken`'s) that is forwarded to the racers but never written.
-    pub fn race(
-        &mut self,
-        width: usize,
-        per_racer_budget: Option<u64>,
-        deadline: Option<Instant>,
-        external: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    ) -> MiterOutcome {
-        if self.trivially_equivalent {
-            return MiterOutcome::Equivalent;
-        }
-        let opts = RaceOptions::new(width).with_base(*self.solver.config());
-        let (result, report) =
-            portfolio::race(&self.cnf, &[], &opts, per_racer_budget, deadline, external);
-        self.race_conflicts += report.conflicts;
-        self.conflicts_spent = self.solver.stats().conflicts + self.race_conflicts;
-        self.last_race = Some(report);
-        match result {
-            SolveResult::Unsat => MiterOutcome::Equivalent,
-            SolveResult::Sat(model) => MiterOutcome::Counterexample(
-                self.input_vars.iter().map(|&v| model.value(v)).collect(),
-            ),
-            SolveResult::Unknown => MiterOutcome::Undecided,
-        }
-    }
-
-    /// The report of the most recent [`Miter::race`], if one ran.
-    pub fn last_race(&self) -> Option<&RaceReport> {
-        self.last_race.as_ref()
-    }
-
-    /// Total conflicts spent across all [`Miter::solve`] and
-    /// [`Miter::race`] calls so far (racing counts every racer's
-    /// conflicts).
+    /// Total conflicts spent across all [`Miter::solve`] calls so far.
     pub fn conflicts_spent(&self) -> u64 {
-        self.conflicts_spent
+        self.solver.stats().conflicts
     }
 
     /// Search statistics of the embedded solver, accumulated across all
@@ -556,50 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn race_decides_a_budget_starved_miter() {
-        let left = xor_chain(14, false);
-        let right = xor_chain(14, true);
-        let mut miter = Miter::build(&left, &right).unwrap();
-        // Starve the single backend, then let the portfolio finish the job.
-        assert_eq!(miter.solve(Some(0), None), MiterOutcome::Undecided);
-        assert_eq!(miter.race(3, None, None, None), MiterOutcome::Equivalent);
-        let report = miter.last_race().expect("race ran");
-        assert!(report.winner.is_some());
-        assert!(miter.conflicts_spent() > 0);
-    }
-
-    #[test]
-    fn race_counterexample_is_concrete_and_deterministic() {
-        let base = fig1(false);
-        let lib = base.library().clone();
-        let mut wrong = Netlist::new("wrong", lib);
-        let a = wrong.add_primary_input("A");
-        let b = wrong.add_primary_input("B");
-        let _c = wrong.add_primary_input("C");
-        let _d = wrong.add_primary_input("D");
-        let and2 = wrong.library().cell_for(PrimitiveFn::And, 2).unwrap();
-        let x = wrong.add_gate("gx", and2, &[a, b]);
-        wrong.set_primary_output(wrong.gate_output(x));
-
-        let run = || {
-            let mut miter = Miter::build(&base, &wrong).unwrap();
-            miter.race(4, None, None, None)
-        };
-        let (first, second) = (run(), run());
-        match &first {
-            MiterOutcome::Counterexample(inputs) => {
-                assert_ne!(base.eval(inputs), wrong.eval(inputs));
-            }
-            other => panic!("expected counterexample, got {other:?}"),
-        }
-        assert_eq!(first, second, "race witness must be deterministic");
-    }
-
-    #[test]
     fn build_with_profile_reaches_same_verdicts() {
         let left = xor_chain(10, false);
         let right = xor_chain(10, true);
-        for (name, config) in SolverConfig::profiles() {
+        for (name, config) in crate::config::heuristic_combinations() {
             let mut miter = Miter::build_with(&left, &right, config).unwrap();
             assert_eq!(
                 miter.solve(None, None),

@@ -6,7 +6,10 @@
 //!
 //! * [`Solver`] — a conflict-driven clause-learning SAT solver with
 //!   two-literal watching, VSIDS branching, phase saving, first-UIP clause
-//!   learning and Luby restarts;
+//!   learning and Luby restarts, plus the switchable heuristics of
+//!   [`SolverConfig`]. It is the only solver type: [`Miter`],
+//!   [`SharedMiter`] and [`SweepEngine`] each own one and call it
+//!   directly;
 //! * [`tseitin`] — Tseitin encoding of a gate-level
 //!   [`Netlist`](odcfp_netlist::Netlist) into CNF;
 //! * [`check_equivalence`] — miter-based combinational equivalence checking
@@ -38,26 +41,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cnf;
 mod config;
 mod dimacs;
 mod equiv;
 mod heap;
 mod lit;
-pub mod portfolio;
 pub mod shared;
 mod solver;
 pub mod sweep;
 pub mod tseitin;
 
-pub use backend::{backend_from_cnf, build_backend, SatBackend};
 pub use cnf::CnfBuilder;
 pub use config::SolverConfig;
 pub use dimacs::{parse_dimacs, ParseDimacsError};
 pub use equiv::{check_equivalence, probably_equivalent, EquivError, EquivResult, Miter, MiterOutcome};
 pub use lit::{Lit, Var};
-pub use portfolio::{RaceOptions, RaceReport, RacerReport};
 pub use shared::{SelectableInput, SelectableVariant, SharedMiter, VariantId};
 pub use solver::{Model, SolveResult, Solver, SolverStats};
 pub use sweep::{SweepEngine, SweepOptions, SweepReport};

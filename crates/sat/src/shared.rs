@@ -35,7 +35,7 @@ use odcfp_netlist::{GateId, NetDriver, Netlist};
 
 use crate::equiv::{EquivError, MiterOutcome};
 use crate::tseitin::{encode_gate, encode_netlist, ClauseSink};
-use crate::{backend_from_cnf, CnfBuilder, Lit, SatBackend, SolveResult, SolverConfig, SolverStats, Var};
+use crate::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
 /// Handle to a variant registered with [`SharedMiter::add_variant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +102,7 @@ struct Variant {
 /// A clause sink that guards every emitted clause with `¬act`, making the
 /// clauses conditional on the variant's activation literal.
 struct GuardedSink<'a> {
-    solver: &'a mut dyn SatBackend,
+    solver: &'a mut Solver,
     guard: Lit,
 }
 
@@ -114,7 +114,7 @@ impl ClauseSink for GuardedSink<'_> {
         let mut clause: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
         clause.push(self.guard);
         clause.extend_from_slice(lits);
-        self.solver.add_clause(&clause);
+        self.solver.add_clause(clause);
     }
 }
 
@@ -150,7 +150,7 @@ impl ClauseSink for GuardedSink<'_> {
 /// ```
 #[derive(Debug)]
 pub struct SharedMiter {
-    solver: Box<dyn SatBackend>,
+    solver: Solver,
     /// CNF variable of each base net, by net index.
     base_vars: Vec<Var>,
     /// Driver shape of each base net, for structural delta detection.
@@ -165,7 +165,7 @@ pub struct SharedMiter {
 }
 
 impl SharedMiter {
-    /// Tseitin-encodes `base` once into a fresh persistent backend running
+    /// Tseitin-encodes `base` once into a fresh persistent solver running
     /// the default [`SolverConfig`].
     ///
     /// # Panics
@@ -176,7 +176,7 @@ impl SharedMiter {
         SharedMiter::build_with(base, SolverConfig::default())
     }
 
-    /// Tseitin-encodes `base` once into a fresh persistent backend running
+    /// Tseitin-encodes `base` once into a fresh persistent solver running
     /// `config`.
     ///
     /// # Panics
@@ -205,7 +205,7 @@ impl SharedMiter {
             })
             .collect();
         SharedMiter {
-            solver: backend_from_cnf(&cnf, config),
+            solver: Solver::from_cnf_with(&cnf, config),
             base_vars,
             base_shapes,
             input_vars: base.primary_inputs().iter().map(|&p| enc.var(p)).collect(),
@@ -322,7 +322,7 @@ impl SharedMiter {
                     let fresh = self.solver.new_var();
                     var_of[i] = Some(fresh);
                     self.solver
-                        .add_clause(&[guard, Lit::with_polarity(fresh, v)]);
+                        .add_clause([guard, Lit::with_polarity(fresh, v)]);
                 }
             }
         }
@@ -348,18 +348,18 @@ impl SharedMiter {
                     let x = *v;
                     let e = self.solver.new_var();
                     if neutral {
-                        self.solver.add_clause(&[guard, Lit::neg(x), Lit::pos(e)]);
-                        self.solver.add_clause(&[guard, Lit::pos(sel), Lit::pos(e)]);
-                        self.solver.add_clause(&[
+                        self.solver.add_clause([guard, Lit::neg(x), Lit::pos(e)]);
+                        self.solver.add_clause([guard, Lit::pos(sel), Lit::pos(e)]);
+                        self.solver.add_clause([
                             guard,
                             Lit::neg(e),
                             Lit::pos(x),
                             Lit::neg(sel),
                         ]);
                     } else {
-                        self.solver.add_clause(&[guard, Lit::neg(e), Lit::pos(x)]);
-                        self.solver.add_clause(&[guard, Lit::neg(e), Lit::pos(sel)]);
-                        self.solver.add_clause(&[
+                        self.solver.add_clause([guard, Lit::neg(e), Lit::pos(x)]);
+                        self.solver.add_clause([guard, Lit::neg(e), Lit::pos(sel)]);
+                        self.solver.add_clause([
                             guard,
                             Lit::pos(e),
                             Lit::neg(x),
@@ -388,7 +388,7 @@ impl SharedMiter {
                 let fresh = self.solver.new_var();
                 var_of[out] = Some(fresh);
                 let mut sink = GuardedSink {
-                    solver: &mut *self.solver,
+                    solver: &mut self.solver,
                     guard,
                 };
                 encode_gate(&mut sink, f, fresh, &ins);
@@ -405,15 +405,15 @@ impl SharedMiter {
                 continue; // structurally identical output: can never differ
             }
             let d = self.solver.new_var();
-            self.solver.add_clause(&[guard, Lit::neg(d), Lit::pos(a), Lit::pos(b)]);
-            self.solver.add_clause(&[guard, Lit::neg(d), Lit::neg(a), Lit::neg(b)]);
-            self.solver.add_clause(&[guard, Lit::pos(d), Lit::pos(a), Lit::neg(b)]);
-            self.solver.add_clause(&[guard, Lit::pos(d), Lit::neg(a), Lit::pos(b)]);
+            self.solver.add_clause([guard, Lit::neg(d), Lit::pos(a), Lit::pos(b)]);
+            self.solver.add_clause([guard, Lit::neg(d), Lit::neg(a), Lit::neg(b)]);
+            self.solver.add_clause([guard, Lit::pos(d), Lit::pos(a), Lit::neg(b)]);
+            self.solver.add_clause([guard, Lit::pos(d), Lit::neg(a), Lit::pos(b)]);
             diffs.push(Lit::pos(d));
         }
         let trivial = diffs.len() == 1;
         if !trivial {
-            self.solver.add_clause(&diffs);
+            self.solver.add_clause(diffs);
         }
         // New variant clauses are problem clauses, not learnt ones.
         self.solver.rebase_problem_clauses();
@@ -545,7 +545,7 @@ impl SharedMiter {
         if !v.retired {
             v.retired = true;
             let act = v.act;
-            self.solver.add_clause(&[Lit::neg(act)]);
+            self.solver.add_clause([Lit::neg(act)]);
         }
     }
 

@@ -300,21 +300,23 @@ impl Solver {
         self.learnt_tombstones = 0;
     }
 
+    /// Allocates and returns a fresh variable.
+    pub fn new_var(&mut self) -> Var {
+        let n = self.num_vars();
+        self.reserve_vars(n + 1);
+        Var::from_index(n)
+    }
+
     /// Ensures variables `0..n` exist.
     pub fn reserve_vars(&mut self, n: usize) {
         while self.assign.len() < n {
             let v = Var::from_index(self.assign.len());
-            // A nonzero seed scatters initial phases so differently-seeded
-            // portfolio racers explore different trajectories; seed 0 keeps
-            // the legacy all-false start.
-            let init_phase = self.config.seed != 0
-                && splitmix64(self.config.seed ^ v.index() as u64) & 1 == 1;
             self.assign.push(UNASSIGNED);
             self.level.push(0);
             self.reason.push(None);
             self.activity.push(0.0);
-            self.phase.push(init_phase);
-            self.best_phase.push(init_phase);
+            self.phase.push(false);
+            self.best_phase.push(false);
             self.seen.push(false);
             self.watches.push(Vec::new());
             self.watches.push(Vec::new());
@@ -668,7 +670,7 @@ impl Solver {
 
     /// Re-seeds saved phases, cycling through four modes: the best-trail
     /// snapshot (target phasing), no change (let the search drift), the
-    /// inverted snapshot, and a seed-derived random assignment.
+    /// inverted snapshot, and a fixed pseudo-random assignment.
     fn rephase(&mut self) {
         self.stats.rephases += 1;
         let mode = self.rephase_count % 4;
@@ -684,10 +686,7 @@ impl Solver {
             _ => {
                 let round = self.rephase_count;
                 for (i, p) in self.phase.iter_mut().enumerate() {
-                    *p = splitmix64(
-                        self.config.seed ^ (round << 32) ^ i as u64,
-                    ) & 1
-                        == 1;
+                    *p = splitmix64((round << 32) ^ i as u64) & 1 == 1;
                 }
             }
         }
@@ -925,6 +924,7 @@ fn luby(i: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::heuristic_combinations;
 
     fn lit(i: i64) -> Lit {
         let v = Var::from_index((i.unsigned_abs() - 1) as usize);
@@ -1291,31 +1291,23 @@ mod tests {
                     (0..num_vars).map(|v| (m >> v) & 1 == 1).collect();
                 cnf.eval(&assignment)
             });
-            for (name, config) in SolverConfig::profiles() {
-                for seed in [0u64, 7] {
-                    let mut s =
-                        Solver::from_cnf_with(&cnf, config.with_seed(seed));
-                    match s.solve() {
-                        SolveResult::Sat(model) => {
-                            assert!(
-                                brute_sat,
-                                "round {round} {name} seed {seed}: SAT vs brute UNSAT"
-                            );
-                            let assignment: Vec<bool> = (0..num_vars)
-                                .map(|v| model.value(vars[v]))
-                                .collect();
-                            assert!(cnf.eval(&assignment), "model violates formula");
-                            // model_value reports the same assignment.
-                            for (k, &v) in vars.iter().enumerate() {
-                                assert_eq!(s.model_value(v), Some(assignment[k]));
-                            }
+            for (name, config) in heuristic_combinations() {
+                let mut s = Solver::from_cnf_with(&cnf, config);
+                match s.solve() {
+                    SolveResult::Sat(model) => {
+                        assert!(brute_sat, "round {round} {name}: SAT vs brute UNSAT");
+                        let assignment: Vec<bool> =
+                            (0..num_vars).map(|v| model.value(vars[v])).collect();
+                        assert!(cnf.eval(&assignment), "model violates formula");
+                        // model_value reports the same assignment.
+                        for (k, &v) in vars.iter().enumerate() {
+                            assert_eq!(s.model_value(v), Some(assignment[k]));
                         }
-                        SolveResult::Unsat => assert!(
-                            !brute_sat,
-                            "round {round} {name} seed {seed}: UNSAT vs brute SAT"
-                        ),
-                        SolveResult::Unknown => panic!("no budget set"),
                     }
+                    SolveResult::Unsat => {
+                        assert!(!brute_sat, "round {round} {name}: UNSAT vs brute SAT")
+                    }
+                    SolveResult::Unknown => panic!("no budget set"),
                 }
             }
         }
@@ -1324,7 +1316,12 @@ mod tests {
     #[test]
     fn db_reduction_fires_and_search_stays_sound() {
         let cnf = xor_miter_cnf(40);
-        let mut s = Solver::from_cnf_with(&cnf, SolverConfig::glucose());
+        let glucose = SolverConfig {
+            lbd_tracking: true,
+            db_reduction: true,
+            ..SolverConfig::legacy()
+        };
+        let mut s = Solver::from_cnf_with(&cnf, glucose);
         s.reduce_limit = 1; // force a reduction at every restart
         // Starve it first so the reduced database must survive a resume.
         s.set_conflict_budget(200);
@@ -1340,7 +1337,11 @@ mod tests {
     #[test]
     fn rephasing_fires_and_search_stays_sound() {
         let cnf = xor_miter_cnf(12);
-        let mut s = Solver::from_cnf_with(&cnf, SolverConfig::phased());
+        let phased = SolverConfig {
+            rephasing: true,
+            ..SolverConfig::legacy()
+        };
+        let mut s = Solver::from_cnf_with(&cnf, phased);
         s.next_rephase = 1;
         s.rephase_interval = 1;
         assert_eq!(s.solve(), SolveResult::Unsat);
@@ -1352,9 +1353,13 @@ mod tests {
         // Wide xor miters build trails deep enough for chronological
         // backtracking to be reachable; whatever it does, the verdict
         // must not change.
+        let chrono = SolverConfig {
+            chrono_backtrack: true,
+            ..SolverConfig::legacy()
+        };
         for width in [12usize, 40, 120] {
             let cnf = xor_miter_cnf(width);
-            let mut s = Solver::from_cnf_with(&cnf, SolverConfig::chrono());
+            let mut s = Solver::from_cnf_with(&cnf, chrono);
             assert_eq!(s.solve(), SolveResult::Unsat, "width {width}");
         }
     }

@@ -42,7 +42,7 @@ use odcfp_netlist::{NetDriver, Netlist};
 
 use crate::equiv::{EquivError, MiterOutcome};
 use crate::tseitin::encode_gate;
-use crate::{build_backend, Lit, SatBackend, SolveResult, SolverConfig, SolverStats, Var};
+use crate::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
 /// The semantic class of a strash node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,7 +86,7 @@ pub struct SweepOptions {
     /// Cap on candidate pairs drawn from one signature group, guarding
     /// against quadratic blowup on degenerate signatures.
     pub max_pairs_per_group: usize,
-    /// Configuration of the persistent backend answering the SAT queries.
+    /// Configuration of the persistent solver answering the SAT queries.
     pub solver: SolverConfig,
 }
 
@@ -185,7 +185,7 @@ pub struct SweepEngine {
     /// Node id of each golden primary output, by position.
     golden_pos: Vec<u32>,
     // ---- solving ----
-    solver: Box<dyn SatBackend>,
+    solver: Solver,
     interrupt: Option<Arc<AtomicBool>>,
     rng: Xoshiro256,
 }
@@ -199,7 +199,7 @@ impl SweepEngine {
     /// (validate first), or if `opts.sim_words` is zero.
     pub fn new(golden: &Netlist, opts: SweepOptions) -> SweepEngine {
         assert!(opts.sim_words > 0, "signatures need at least one word");
-        let solver = build_backend(opts.solver);
+        let solver = Solver::with_config(opts.solver);
         let mut eng = SweepEngine {
             rng: Xoshiro256::seed_from_u64(opts.seed),
             opts,
@@ -747,8 +747,8 @@ impl SweepEngine {
             match (self.var[keep as usize], self.var[retire as usize]) {
                 (Some(vk), Some(vr)) => {
                     // Both classes already encoded: tie them in the solver.
-                    self.solver.add_clause(&[Lit::neg(vk), Lit::pos(vr)]);
-                    self.solver.add_clause(&[Lit::pos(vk), Lit::neg(vr)]);
+                    self.solver.add_clause([Lit::neg(vk), Lit::pos(vr)]);
+                    self.solver.add_clause([Lit::pos(vk), Lit::neg(vr)]);
                 }
                 (None, Some(vr)) => self.var[keep as usize] = Some(vr),
                 _ => {}
@@ -872,7 +872,7 @@ impl SweepEngine {
             match self.kind[n as usize] {
                 NodeKind::Input(_) => {}
                 NodeKind::Const(val) => {
-                    self.solver.add_clause(&[Lit::with_polarity(v, val)]);
+                    self.solver.add_clause([Lit::with_polarity(v, val)]);
                 }
                 NodeKind::Gate(f) => {
                     let ins: Vec<Var> = (0..self.children(n).len())
@@ -914,7 +914,7 @@ impl SweepEngine {
         match self.solver.solve_under(&[Lit::pos(d)]) {
             SolveResult::Unsat => {
                 // Retire the query variable; equality is recorded by union.
-                self.solver.add_clause(&[Lit::neg(d)]);
+                self.solver.add_clause([Lit::neg(d)]);
                 Query::Equal
             }
             SolveResult::Sat(model) => {

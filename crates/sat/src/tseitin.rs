@@ -26,9 +26,7 @@ impl ClauseSink for CnfBuilder {
 
 impl ClauseSink for Solver {
     fn fresh_var(&mut self) -> Var {
-        let n = self.num_vars();
-        self.reserve_vars(n + 1);
-        Var::from_index(n)
+        self.new_var()
     }
     fn emit(&mut self, lits: &[Lit]) {
         self.add_clause(lits.iter().copied());
@@ -36,15 +34,6 @@ impl ClauseSink for Solver {
 }
 
 impl<S: ClauseSink + ?Sized> ClauseSink for &mut S {
-    fn fresh_var(&mut self) -> Var {
-        (**self).fresh_var()
-    }
-    fn emit(&mut self, lits: &[Lit]) {
-        (**self).emit(lits);
-    }
-}
-
-impl<S: ClauseSink + ?Sized> ClauseSink for Box<S> {
     fn fresh_var(&mut self) -> Var {
         (**self).fresh_var()
     }

@@ -1,11 +1,10 @@
 //! Differential suite for the solver tier: every [`SolverConfig`]
-//! profile and every portfolio width must return the **same verdict** on
-//! the same formula. The heuristics (LBD tracking, DB reduction,
-//! rephasing, chronological backtracking, racing) may only change how the
-//! search runs, never what it concludes — this is the determinism
-//! contract `odcfp verify --solver-profile/--portfolio` relies on.
+//! heuristic combination must return the **same verdict** on the same
+//! formula. The heuristics (LBD tracking, DB reduction, rephasing,
+//! chronological backtracking) may only change how the search runs,
+//! never what it concludes — this is the determinism contract
+//! `odcfp verify --solver-profile` relies on.
 
-use odcfp_sat::portfolio::{self, RaceOptions};
 use odcfp_sat::{parse_dimacs, CnfBuilder, SolveResult, Solver, SolverConfig};
 
 /// The DIMACS corpus: inline instances mirroring the fixtures in
@@ -70,7 +69,38 @@ fn instances() -> Vec<(String, CnfBuilder)> {
     all
 }
 
-/// SAT models differ across profiles; compare verdict kinds, and check
+/// Both named profiles plus `legacy` with one heuristic family switched
+/// on: the five points of the feature cube the suite sweeps.
+fn heuristic_combinations() -> [(&'static str, SolverConfig); 5] {
+    [
+        ("legacy", SolverConfig::legacy()),
+        ("modern", SolverConfig::modern()),
+        (
+            "lbd+db-reduction",
+            SolverConfig {
+                lbd_tracking: true,
+                db_reduction: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "rephasing",
+            SolverConfig {
+                rephasing: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+        (
+            "chrono-backtrack",
+            SolverConfig {
+                chrono_backtrack: true,
+                ..SolverConfig::legacy()
+            },
+        ),
+    ]
+}
+
+/// SAT models differ across configurations; compare verdict kinds, and check
 /// any model against the formula itself instead of against a reference.
 fn verdict_kind(result: &SolveResult, cnf: &CnfBuilder, label: &str) -> &'static str {
     match result {
@@ -92,7 +122,7 @@ fn verdict_kind(result: &SolveResult, cnf: &CnfBuilder, label: &str) -> &'static
 fn every_profile_reaches_the_same_verdict_on_the_corpus() {
     for (name, cnf) in instances() {
         let mut reference: Option<&'static str> = None;
-        for (profile, config) in SolverConfig::profiles() {
+        for (profile, config) in heuristic_combinations() {
             let mut solver = Solver::from_cnf_with(&cnf, config);
             let kind = verdict_kind(&solver.solve(), &cnf, &format!("{name}/{profile}"));
             assert_ne!(kind, "unknown", "{name}/{profile}: unbounded solve decided");
@@ -101,56 +131,6 @@ fn every_profile_reaches_the_same_verdict_on_the_corpus() {
                 Some(expect) => {
                     assert_eq!(kind, expect, "{name}: profile {profile} disagrees")
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn every_portfolio_width_reaches_the_same_verdict_on_the_corpus() {
-    for (name, cnf) in instances() {
-        let mut solo = Solver::from_cnf(&cnf);
-        let expect = verdict_kind(&solo.solve(), &cnf, &name);
-        for width in [1, 2, 3, 5] {
-            let opts = RaceOptions::new(width);
-            let (result, report) = portfolio::race(&cnf, &[], &opts, None, None, None);
-            let kind = verdict_kind(&result, &cnf, &format!("{name}/width{width}"));
-            assert_eq!(kind, expect, "{name}: portfolio width {width} disagrees");
-            assert_eq!(report.racers.len(), width);
-            assert!(report.winner.is_some(), "{name}/width{width}: someone won");
-        }
-    }
-}
-
-#[test]
-fn race_winner_and_verdict_are_stable_across_repeats() {
-    // The portfolio's synchronized-round design makes the winner (and
-    // therefore any witness) a pure function of the formula — re-running
-    // the same race must reproduce it exactly, regardless of OS thread
-    // scheduling.
-    for (name, cnf) in instances() {
-        let opts = RaceOptions::new(4);
-        let (first_result, first) = portfolio::race(&cnf, &[], &opts, None, None, None);
-        for _ in 0..3 {
-            let (result, report) = portfolio::race(&cnf, &[], &opts, None, None, None);
-            assert_eq!(report.winner, first.winner, "{name}: winner changed");
-            assert_eq!(
-                report.winner_backend, first.winner_backend,
-                "{name}: winning backend changed"
-            );
-            assert_eq!(report.rounds, first.rounds, "{name}: round count changed");
-            match (&result, &first_result) {
-                (SolveResult::Sat(a), SolveResult::Sat(b)) => {
-                    let vars = (0..cnf.num_vars()).map(odcfp_sat::Var::from_index);
-                    for v in vars {
-                        assert_eq!(a.value(v), b.value(v), "{name}: witness changed");
-                    }
-                }
-                (a, b) => assert_eq!(
-                    std::mem::discriminant(a),
-                    std::mem::discriminant(b),
-                    "{name}: verdict changed"
-                ),
             }
         }
     }
