@@ -1,5 +1,5 @@
 //! Benchmark-scale differential suite for codebook batch verification:
-//! the one-shot code-space proof plus per-code combination checks must
+//! the code-space proof plus per-code combination checks must
 //! agree verdict-for-verdict with the per-buyer [`VerifySession`] path
 //! that materializes each fingerprinted netlist, on 64-buyer sweeps over
 //! c6288 and des and under the PR 1 fault battery (wrong-cell faults in
@@ -54,7 +54,7 @@ fn sweep_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) {
     assert_eq!(
         proof.outcome,
         CodeSpaceOutcome::ProvenAll,
-        "{name}: ODC-justified code space must prove in one shot"
+        "{name}: ODC-justified code space must prove"
     );
 
     let golden_digest = Digest128::of(name.as_bytes());
@@ -103,7 +103,7 @@ fn sweep_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) {
 }
 
 /// Fault battery, netlist tier: tamper the superposed encoding with a
-/// wrong-cell fault outside the selectable inputs. The one-shot proof
+/// wrong-cell fault outside the selectable inputs. The code-space proof
 /// must now fail (`SomeCodeDiffers` or a per-code refutation), and every
 /// per-code verdict must match a strict per-buyer verify of the equally
 /// tampered materialized netlist — verdict for verdict.
@@ -135,7 +135,7 @@ fn fault_battery_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) 
         .expect("tampered proof");
     assert!(
         !matches!(proof.outcome, CodeSpaceOutcome::ProvenAll),
-        "{name}: wrong-cell fault must break the one-shot proof"
+        "{name}: wrong-cell fault must break the code-space proof"
     );
 
     for buyer in 0..16u64 {
@@ -185,14 +185,19 @@ fn des_fault_battery_batch_matches_per_buyer() {
     fault_battery_agrees("des", netlist_for("des"), 0xBA77);
 }
 
-/// c6288 is the known-intractable miter (DESIGN.md §11): the
-/// free-selector code-space proof exhausts any reasonable budget, just
-/// like its cold whole-circuit miter. The batch-verification contract on
-/// such circuits is *fallback*: the proof comes back `Undecided` (never
-/// a refutation — the space is genuinely equivalent), and the campaign
-/// verifies buyers through the per-buyer fast path, which must prove
-/// every authorized buyer and refute the fault battery exactly as in
-/// full-artifact mode.
+/// c6288 is the known-intractable *whole-circuit* miter (DESIGN.md §11),
+/// and the monolithic free-selector code-space miter exhausts any
+/// reasonable budget on it too. Its code space now settles locally: every
+/// location is a small obligation (a 4-variable truth table each), so
+/// the budgeted proof must come back `ProvenAll` without falling back,
+/// and the strong contract applies — the full sweep agrees with
+/// per-buyer verification.
+///
+/// The per-buyer fallback leg stays tested here anyway, because it is
+/// what a delta campaign runs after `CodeSpaceFallback` on a circuit
+/// whose space does not settle locally: at the same 20k budget the
+/// per-buyer fast path must prove every authorized buyer and refute the
+/// fault battery exactly as in full-artifact mode.
 #[test]
 #[ignore = "benchmark scale; run in release from CI's population job"]
 fn c6288_budgeted_proof_falls_back_to_per_buyer() {
@@ -205,46 +210,43 @@ fn c6288_budgeted_proof_falls_back_to_per_buyer() {
     let proof = space
         .prove(&mut session, Some(20_000), &token)
         .expect("budgeted proof");
-    match proof.outcome {
-        // A faster solver may someday prove it — then the strong
-        // contract applies and the full sweep must agree.
-        CodeSpaceOutcome::ProvenAll => sweep_agrees(name, netlist_for(name), 2015),
-        CodeSpaceOutcome::SomeCodeDiffers { .. } => {
-            panic!("{name}: the code space is equivalent; a refutation is a soundness bug")
-        }
-        CodeSpaceOutcome::Undecided => {
-            // Fallback leg: the per-buyer fast path decides all 64
-            // buyers (this is what a delta campaign runs after
-            // CodeSpaceFallback) ...
-            let policy = VerifyPolicy::strict();
-            for buyer in 0..BUYERS {
-                let bits = buyer_code(2015, buyer, locations);
-                let copy = fp.embed(&bits).expect("embed");
-                let verdict = session
-                    .verify(copy.netlist(), &policy)
-                    .expect("per-buyer verify")
-                    .verdict;
-                assert!(
-                    matches!(verdict, Verdict::Proven),
-                    "{name} buyer {buyer}: fallback path must prove an authorized code"
-                );
-            }
-            // ... and still catches the fault battery.
-            let mut faults = FaultInjector::new(0xBA77);
-            let copy = fp
-                .embed(&buyer_code(2015, 0, locations))
-                .expect("embed");
-            let (faulty, _gate) = faults
-                .random_wrong_cell(copy.netlist())
-                .expect("substitutable gate");
-            let verdict = session
-                .verify(&faulty, &policy)
-                .expect("verify")
-                .verdict;
-            assert!(
-                matches!(verdict, Verdict::Refuted { .. }),
-                "{name}: fallback path must refute a wrong-cell fault"
-            );
-        }
+    assert_eq!(
+        proof.outcome,
+        CodeSpaceOutcome::ProvenAll,
+        "{name}: the code space settles by local obligations"
+    );
+    assert!(!proof.fell_back, "{name}: no monolithic solve is needed");
+    sweep_agrees(name, netlist_for(name), 2015);
+
+    // Fallback leg: the per-buyer fast path decides all 64 buyers under
+    // the same budget ...
+    let policy = VerifyPolicy::budgeted(20_000);
+    for buyer in 0..BUYERS {
+        let bits = buyer_code(2015, buyer, locations);
+        let copy = fp.embed(&bits).expect("embed");
+        let verdict = session
+            .verify(copy.netlist(), &policy)
+            .expect("per-buyer verify")
+            .verdict;
+        assert!(
+            matches!(verdict, Verdict::Proven),
+            "{name} buyer {buyer}: fallback path must prove an authorized code"
+        );
     }
+    // ... and still catches the fault battery.
+    let mut faults = FaultInjector::new(0xBA77);
+    let copy = fp
+        .embed(&buyer_code(2015, 0, locations))
+        .expect("embed");
+    let (faulty, _gate) = faults
+        .random_wrong_cell(copy.netlist())
+        .expect("substitutable gate");
+    let verdict = session
+        .verify(&faulty, &policy)
+        .expect("verify")
+        .verdict;
+    assert!(
+        matches!(verdict, Verdict::Refuted { .. }),
+        "{name}: fallback path must refute a wrong-cell fault"
+    );
 }

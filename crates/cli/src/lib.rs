@@ -1004,10 +1004,15 @@ fn run_campaign(
         JobEvent::GoldenMinted { circuit, locations } => {
             eprintln!("circuit {circuit}: golden artifact minted ({locations} locations)");
         }
-        JobEvent::CodeSpaceProven { circuit, conflicts, millis } => {
+        JobEvent::CodeSpaceProven {
+            circuit,
+            obligations,
+            conflicts,
+            millis,
+        } => {
             eprintln!(
-                "circuit {circuit}: code space proven in one solve \
-                 ({conflicts} conflicts, {millis} ms) — all buyers proven"
+                "circuit {circuit}: code space proven ({obligations} local obligations, \
+                 {conflicts} conflicts, {millis} ms) — all buyers proven"
             );
         }
         JobEvent::CodeSpaceFallback { circuit, reason } => {

@@ -537,7 +537,7 @@ window 128
     let ref_stderr = String::from_utf8_lossy(&ref_run.stderr);
     assert_eq!(ref_run.status.code(), Some(0), "{ref_stderr}");
     assert!(
-        ref_stderr.contains("code space proven in one solve"),
+        ref_stderr.contains("code space proven (") && ref_stderr.contains(" local obligations, "),
         "delta campaign must batch-verify: {ref_stderr}"
     );
     let codebook = "codebook.pop.jsonl";

@@ -157,12 +157,15 @@ pub enum JobEvent {
         /// Fingerprint locations (bits per buyer code).
         locations: u64,
     },
-    /// Delta mode: the one-shot code-space proof landed — every buyer of
-    /// this circuit is `proven` without per-buyer solving.
+    /// Delta mode: the code-space proof landed — every buyer of this
+    /// circuit is `proven` without per-buyer solving.
     CodeSpaceProven {
         /// Circuit name.
         circuit: String,
-        /// Conflicts the free-selector solve spent.
+        /// Local obligations the proof checked.
+        obligations: usize,
+        /// Conflicts the proof spent (local obligations plus any
+        /// free-selector fallback solve).
         conflicts: u64,
         /// Wall-clock milliseconds the proof took.
         millis: u64,
@@ -172,7 +175,8 @@ pub enum JobEvent {
     CodeSpaceFallback {
         /// Circuit name.
         circuit: String,
-        /// Why the batch proof was unavailable.
+        /// Why the batch proof was unavailable: the outcome, and the gate
+        /// that failed to settle locally when there is one.
         reason: String,
     },
     /// Delta mode: a window of buyers is durably in the codebook.

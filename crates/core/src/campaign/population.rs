@@ -15,8 +15,9 @@
 //!   Journal traffic and fsync count drop from `O(buyers)` to
 //!   `O(buyers / window)`;
 //! * verification is hoisted out of the buyer loop entirely when the
-//!   one-shot code-space proof lands ([`CodeSpace::prove`]): every
-//!   buyer's verdict is `proven` by the same UNSAT certificate. If the
+//!   code-space proof lands ([`CodeSpace::prove`]): every buyer's
+//!   verdict is `proven` by the same proof — local per-location
+//!   obligations, or the free-selector UNSAT they fall back to. If the
 //!   proof is unavailable (entangled locations, refuted superposition,
 //!   budget exhausted), every buyer falls back to the existing per-buyer
 //!   session path, so verdicts never silently weaken.
@@ -418,8 +419,8 @@ fn setup_circuit(
             VerifySession::new(entry.fp.base())
                 .map_err(|e| attempt_err(format!("building verify session: {e}")))?,
         );
-        // The proof handle lives inside the session's shared miter; a
-        // rebuilt session invalidates any previous proof.
+        // A fallback proof's handle lives inside the session's shared
+        // miter; a rebuilt session invalidates any previous proof.
         entry.proof = None;
         entry.proof_attempted = false;
     }
@@ -439,20 +440,18 @@ fn setup_circuit(
         let session = entry.session.as_mut().expect("session built above");
         match CodeSpace::build(&fp).and_then(|space| space.prove(session, budget, &token)) {
             Ok(proof) => {
-                match &proof.outcome {
-                    CodeSpaceOutcome::ProvenAll => {
-                        on_event(&JobEvent::CodeSpaceProven {
-                            circuit: name.clone(),
-                            conflicts: proof.conflicts,
-                            millis: started.elapsed().as_millis() as u64,
-                        });
-                    }
-                    other => {
-                        on_event(&JobEvent::CodeSpaceFallback {
-                            circuit: name.clone(),
-                            reason: other.name().to_owned(),
-                        });
-                    }
+                if proof.outcome == CodeSpaceOutcome::ProvenAll {
+                    on_event(&JobEvent::CodeSpaceProven {
+                        circuit: name.clone(),
+                        obligations: proof.obligations,
+                        conflicts: proof.conflicts,
+                        millis: started.elapsed().as_millis() as u64,
+                    });
+                } else {
+                    on_event(&JobEvent::CodeSpaceFallback {
+                        circuit: name.clone(),
+                        reason: proof.fallback_reason(),
+                    });
                 }
                 entry.proof = Some(proof);
             }

@@ -13,17 +13,34 @@
 //! Verification gets the same treatment. [`CodeSpace::build`] applies
 //! **all** selected modifications to one *superposed* netlist and
 //! records, for every added input, which location controls it and the
-//! plane-neutral value it takes when that location is unselected. One
-//! SAT solve with all selectors free
-//! ([`VerifySession::prove_code_space`]) then proves every `2^L` code
-//! equivalent to the golden at once — the "location-delta algebra" — and
-//! each buyer's verification collapses to a combination check. Soundness
-//! does not rest on any compositionality assumption about ODCs: the
-//! selectable encoding is *exact* (a neutral literal is the identity of
+//! plane-neutral value it takes when that location is unselected. The
+//! selectable encoding is *exact*: a neutral literal is the identity of
 //! its plane, so pinning the selectors to a code yields precisely that
-//! code's netlist), so the free-selector UNSAT is a real proof for every
-//! buyer. If the solve refutes or runs out of budget, callers fall back
-//! to the existing per-buyer path and verdicts stay identical.
+//! code's netlist. [`VerifySession::prove_code_space`] then proves every
+//! `2^L` code equivalent to the golden at once — the "location-delta
+//! algebra" — and each buyer's verification collapses to a combination
+//! check.
+//!
+//! The proof is *local* ([`odcfp_sat::local`]), because every
+//! modification is (Definition 1, eq. 1): whenever the trigger is at its
+//! controlling value the primary gate ignores its fanout-free cone, and
+//! otherwise the added literal is plane-neutral. Walking the superposed
+//! netlist in topological order, a net is settled when its gate matches
+//! the golden gate at the same index over settled inputs; each other
+//! gate with a golden twin is an obligation — its output must equal the
+//! twin's for *all* values of the settled nets bounding its cone and of
+//! the selectors inside it. The FFC gates fail, the primary gate holds,
+//! and same-gate compositions and Fig. 5 reroutes merge into one
+//! obligation. Obligations of at most 16 free variables are truth-table
+//! checks by exhaustive simulation; wider ones are tiny SAT miters. By
+//! induction in topological order, every settled net equals its golden
+//! twin for every input and every code, so when all primary outputs
+//! settle, all `2^L` codes are equivalent. A failed obligation is not a
+//! refutation (free cuts over-approximate what the circuit can reach),
+//! so then the proof falls back to one SAT solve of the superposed miter
+//! with all selectors free — exact in both directions. If that refutes
+//! or runs out of budget, callers fall back to the existing per-buyer
+//! path and verdicts stay identical.
 //!
 //! Codebook files (`codebook.<circuit>.jsonl`) use the campaign
 //! journal's checksummed flat-JSON line format, written through a
@@ -130,7 +147,7 @@ impl CodeSpace {
         &self.selectable
     }
 
-    /// Proves the whole code space through `session` in one solve; see
+    /// Proves the whole code space through `session`; see
     /// [`VerifySession::prove_code_space`].
     ///
     /// # Errors
@@ -550,7 +567,7 @@ mod tests {
     #[test]
     fn code_space_proof_agrees_with_per_buyer_verification() {
         // Every code of a random-DAG fingerprinter must be proven by the
-        // one-shot code-space solve AND individually by check_code, and
+        // code-space proof AND individually by check_code, and
         // both must agree with the per-buyer session path.
         let base = random_dag(CellLibrary::standard(), DagParams::small(23));
         let fp = Fingerprinter::new(base).unwrap();

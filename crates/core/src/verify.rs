@@ -45,8 +45,8 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 use odcfp_sat::{
-    EquivError, Miter, MiterOutcome, SelectableInput, SelectableVariant, SharedMiter, SolverConfig,
-    SolverStats, SweepEngine, SweepOptions,
+    EquivError, LocalLimits, Miter, MiterOutcome, SelectableInput, SelectableVariant, SharedMiter,
+    SolverConfig, SolverStats, SweepEngine, SweepOptions,
 };
 
 use crate::FingerprintError;
@@ -749,31 +749,52 @@ pub struct VerifySession {
     shared: Option<SharedMiter>,
 }
 
-/// Result of [`VerifySession::prove_code_space`]: the handle to the
-/// selectable variant plus what one solve established about the whole
-/// code space.
+/// Result of [`VerifySession::prove_code_space`]: what the local
+/// obligations (and, if they fell short, the free-selector solve)
+/// established about the whole code space.
 #[derive(Debug, Clone)]
 pub struct CodeSpaceProof {
-    handle: SelectableVariant,
-    /// What the free-selector solve established.
+    /// The selectable variant in the session's shared miter; present
+    /// only when the monolithic fallback ran.
+    handle: Option<SelectableVariant>,
+    groups: usize,
+    /// What the proof established.
     pub outcome: CodeSpaceOutcome,
-    /// Conflicts spent by the free-selector solve.
+    /// Conflicts spent: the SAT-discharged local obligations plus, after
+    /// a fallback, the free-selector solve.
     pub conflicts: u64,
+    /// Local obligations checked (see [`odcfp_sat::local`]).
+    pub obligations: usize,
+    /// Whether the local pass left a primary output unsettled and the
+    /// monolithic free-selector solve decided instead.
+    pub fell_back: bool,
+    /// Name of the gate the local failure traces back to, when the pass
+    /// fell back for a reason other than cancellation.
+    pub unsettled: Option<String>,
 }
 
 impl CodeSpaceProof {
     /// Number of fingerprint locations (selector groups) covered.
     pub fn num_groups(&self) -> usize {
-        self.handle.num_groups()
+        self.groups
+    }
+
+    /// Why the proof did not cover the space, for a fallback report:
+    /// the outcome, plus the gate that failed to settle locally.
+    pub fn fallback_reason(&self) -> String {
+        match &self.unsettled {
+            Some(gate) => format!("{}; gate {gate} failed to settle locally", self.outcome.name()),
+            None => self.outcome.name().to_owned(),
+        }
     }
 }
 
-/// Outcome of the one-shot code-space solve.
+/// Outcome of a code-space proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodeSpaceOutcome {
-    /// UNSAT with all selectors free: **every** code in the space is
-    /// equivalent to the golden netlist — individual buyers need no
-    /// further solving.
+    /// Every local obligation held, or the free-selector miter is UNSAT:
+    /// **every** code in the space is equivalent to the golden netlist —
+    /// individual buyers need no further solving.
     ProvenAll,
     /// Some code differs; the witness assigns the primary inputs. Buyers
     /// must be decided individually (or through the per-buyer fallback).
@@ -917,18 +938,21 @@ impl VerifySession {
         Ok(VerifyReport { verdict, stats })
     }
 
-    /// Proves the *code space* of a fingerprinter in one SAT call: given
-    /// the superposed variant (every modification applied) and the
-    /// selectable-input map produced by
-    /// [`CodeSpace::build`](crate::codebook::CodeSpace::build), solves the
-    /// miter with all selectors free. UNSAT proves every `2^groups` buyer
-    /// code equivalent to the golden at once; afterwards
-    /// [`VerifySession::check_code`] decides individual codes by
-    /// assumption, with no per-buyer netlist ever materialized.
+    /// Proves the *code space* of a fingerprinter: given the superposed
+    /// variant (every modification applied) and the selectable-input map
+    /// produced by [`CodeSpace::build`](crate::codebook::CodeSpace::build),
+    /// proves every `2^groups` buyer code equivalent to the golden at once;
+    /// afterwards [`VerifySession::check_code`] decides individual codes,
+    /// with no per-buyer netlist ever materialized.
     ///
-    /// The selectable variant's clauses stay active in the session's
-    /// shared solver for the session's lifetime (they are guarded, so
-    /// other queries only pay propagation on them).
+    /// The proof first runs [`odcfp_sat::prove_locally`]: one small
+    /// obligation per modified gate, by exhaustive simulation or a tiny
+    /// miter, with no shared solver built. Only when some primary output
+    /// stays unsettled does it fall back to the monolithic miter with all
+    /// selectors free, in the session's shared solver; that variant's
+    /// clauses stay active (guarded) until
+    /// [`VerifySession::retire_code_space`]. `budget` bounds the conflicts
+    /// of both steps together.
     ///
     /// # Errors
     ///
@@ -946,36 +970,75 @@ impl VerifySession {
         check_interfaces(&self.golden, superposed)?;
         let mut span = odcfp_obs::span("verify.codespace");
         span.field("groups", groups);
-        let golden = &self.golden;
-        let shared = match &mut self.shared {
-            Some(shared) => shared,
-            None => self.shared.insert(SharedMiter::build_with(golden, self.solver)),
+        let local = odcfp_sat::prove_locally(
+            &self.golden,
+            superposed,
+            selectable,
+            groups,
+            &LocalLimits {
+                solver: self.solver,
+                conflict_budget: budget,
+                deadline: token.deadline(),
+                interrupt: Some(token.flag()),
+            },
+        );
+        span.field("obligations", local.obligations);
+        span.field("simulated", local.simulated);
+        span.field("sat_discharged", local.solved);
+        span.field("widest_cut", local.widest_cut);
+        span.field("fell_back", !local.proven);
+        let mut proof = CodeSpaceProof {
+            handle: None,
+            groups,
+            outcome: CodeSpaceOutcome::ProvenAll,
+            conflicts: local.conflicts,
+            obligations: local.obligations,
+            fell_back: !local.proven,
+            unsettled: local
+                .unsettled
+                .map(|g| superposed.gate(g).name().to_owned()),
         };
-        shared.set_interrupt(token.flag());
-        let before = shared.stats().conflicts;
-        let handle = shared
-            .add_selectable_variant(superposed, selectable, groups)
-            .map_err(FingerprintError::Verification)?;
-        let outcome = if token.is_cancelled() {
-            MiterOutcome::Undecided
-        } else {
-            shared.check(handle.id(), budget, token.deadline())
-        };
-        let conflicts = shared.stats().conflicts.saturating_sub(before);
-        let outcome = match outcome {
-            MiterOutcome::Equivalent => CodeSpaceOutcome::ProvenAll,
-            MiterOutcome::Counterexample(counterexample) => {
-                CodeSpaceOutcome::SomeCodeDiffers { counterexample }
-            }
-            MiterOutcome::Undecided => CodeSpaceOutcome::Undecided,
-        };
-        span.field("outcome", outcome.name());
-        span.field("conflicts", conflicts);
-        Ok(CodeSpaceProof {
-            handle,
-            outcome,
-            conflicts,
-        })
+        if proof.fell_back {
+            let golden = &self.golden;
+            let shared = match &mut self.shared {
+                Some(shared) => shared,
+                None => self.shared.insert(SharedMiter::build_with(golden, self.solver)),
+            };
+            shared.set_interrupt(token.flag());
+            let before = shared.stats().conflicts;
+            let handle = shared
+                .add_selectable_variant(superposed, selectable, groups)
+                .map_err(FingerprintError::Verification)?;
+            let remaining = budget.map(|b| b.saturating_sub(proof.conflicts));
+            let outcome = if token.is_cancelled() {
+                MiterOutcome::Undecided
+            } else {
+                shared.check(handle.id(), remaining, token.deadline())
+            };
+            proof.conflicts += shared.stats().conflicts.saturating_sub(before);
+            proof.outcome = match outcome {
+                MiterOutcome::Equivalent => CodeSpaceOutcome::ProvenAll,
+                MiterOutcome::Counterexample(counterexample) => {
+                    CodeSpaceOutcome::SomeCodeDiffers { counterexample }
+                }
+                MiterOutcome::Undecided => CodeSpaceOutcome::Undecided,
+            };
+            proof.handle = Some(handle);
+        }
+        span.field("outcome", proof.outcome.name());
+        span.field("conflicts", proof.conflicts);
+        Ok(proof)
+    }
+
+    /// Retires the selectable variant a fallback proof left in the
+    /// session's shared miter, so a superseded proof (say, one cut short
+    /// by a cancel) stops costing later queries propagation. The proof
+    /// must not be used afterwards; a locally proven one holds no
+    /// variant and this is a no-op.
+    pub fn retire_code_space(&mut self, proof: CodeSpaceProof) {
+        if let (Some(handle), Some(shared)) = (proof.handle, self.shared.as_mut()) {
+            shared.retire(handle.id());
+        }
     }
 
     /// Decides one buyer code against a [`CodeSpaceProof`] from this
@@ -999,20 +1062,19 @@ impl VerifySession {
     ) -> Verdict {
         assert_eq!(
             code.len(),
-            proof.handle.num_groups(),
+            proof.groups,
             "code length must match the proof's group count"
         );
         let start = Instant::now();
         if matches!(proof.outcome, CodeSpaceOutcome::ProvenAll) {
             return Verdict::Proven;
         }
-        let shared = self
-            .shared
-            .as_mut()
-            .expect("a CodeSpaceProof implies the shared miter exists");
+        let (Some(handle), Some(shared)) = (&proof.handle, self.shared.as_mut()) else {
+            panic!("a proof short of ProvenAll holds a variant of this session's shared miter")
+        };
         shared.set_interrupt(token.flag());
         let before = shared.stats().conflicts;
-        match shared.check_code(&proof.handle, code, budget, token.deadline()) {
+        match shared.check_code(handle, code, budget, token.deadline()) {
             MiterOutcome::Equivalent => Verdict::Proven,
             MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
             MiterOutcome::Undecided => Verdict::Undecided {

@@ -55,17 +55,30 @@ pub fn random_words(rng: &mut Xoshiro256, num_words: usize) -> Vec<u64> {
 /// practical sizes).
 pub fn exhaustive_patterns(num_vars: usize) -> Vec<Vec<u64>> {
     assert!(num_vars <= 16, "exhaustive simulation limited to 16 inputs");
+    // Signal v < 6 toggles within a word; signal v >= 6 is constant over
+    // runs of 2^(v-6) words.
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
     let rows = 1usize << num_vars;
     let num_words = rows.div_ceil(64);
-    let mut out = vec![vec![0u64; num_words]; num_vars];
-    for (v, signal) in out.iter_mut().enumerate() {
-        for row in 0..rows {
-            if (row >> v) & 1 == 1 {
-                signal[row >> 6] |= 1 << (row & 63);
-            }
-        }
-    }
-    out
+    let valid = if rows >= 64 { u64::MAX } else { (1u64 << rows) - 1 };
+    (0..num_vars)
+        .map(|v| {
+            (0..num_words)
+                .map(|w| match v {
+                    0..=5 => LOW[v] & valid,
+                    _ if (w >> (v - 6)) & 1 == 1 => u64::MAX,
+                    _ => 0,
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Number of bit positions that differ between two equally-long pattern
@@ -139,6 +152,21 @@ mod tests {
             for (v, pat) in pats.iter().enumerate() {
                 let bit = (pat[row >> 6] >> (row & 63)) & 1 == 1;
                 assert_eq!(bit, (row >> v) & 1 == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_patterns_match_row_enumeration_at_every_width() {
+        for num_vars in 0..=16 {
+            let pats = exhaustive_patterns(num_vars);
+            let rows = 1usize << num_vars;
+            for (v, pat) in pats.iter().enumerate() {
+                let mut expected = vec![0u64; rows.div_ceil(64)];
+                for row in (0..rows).filter(|row| (row >> v) & 1 == 1) {
+                    expected[row >> 6] |= 1 << (row & 63);
+                }
+                assert_eq!(*pat, expected, "{num_vars} vars, signal {v}");
             }
         }
     }

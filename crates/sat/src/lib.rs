@@ -10,6 +10,9 @@
 //!   [`SolverConfig`]. It is the only solver type: [`Miter`],
 //!   [`SharedMiter`] and [`SweepEngine`] each own one and call it
 //!   directly;
+//! * [`prove_locally`] — proves a superposed fingerprint variant's whole
+//!   code space as small per-location obligations, by exhaustive
+//!   simulation or a tiny miter each;
 //! * [`tseitin`] — Tseitin encoding of a gate-level
 //!   [`Netlist`](odcfp_netlist::Netlist) into CNF;
 //! * [`check_equivalence`] — miter-based combinational equivalence checking
@@ -47,6 +50,7 @@ mod dimacs;
 mod equiv;
 mod heap;
 mod lit;
+pub mod local;
 pub mod shared;
 mod solver;
 pub mod sweep;
@@ -57,6 +61,7 @@ pub use config::SolverConfig;
 pub use dimacs::{parse_dimacs, ParseDimacsError};
 pub use equiv::{check_equivalence, probably_equivalent, EquivError, EquivResult, Miter, MiterOutcome};
 pub use lit::{Lit, Var};
+pub use local::{prove_locally, LocalLimits, LocalProof};
 pub use shared::{SelectableInput, SelectableVariant, SharedMiter, VariantId};
 pub use solver::{Model, SolveResult, Solver, SolverStats};
 pub use sweep::{SweepEngine, SweepOptions, SweepReport};

@@ -1,0 +1,904 @@
+//! Local proof of a selectable variant's whole code space: one small
+//! obligation per modified gate instead of one free-selector miter.
+//!
+//! A superposed variant (see [`SharedMiter::add_selectable_variant`])
+//! is the base netlist with a few gates widened and a few fresh
+//! inverters added; every other gate sits at the same index with the
+//! same function and fanin. [`prove_locally`] exploits that:
+//!
+//! * **Structural pass.** In topological order a variant net is
+//!   *settled* when it is a primary input, the same constant as the
+//!   base, or a gate with the base gate's function over the same
+//!   (settled) input nets and no selectable input — the by-index shape
+//!   test the shared miter uses to reuse base variables. Every other
+//!   gate is *delta*.
+//! * **Claim points.** Each delta gate whose output net has a base twin
+//!   (a base gate driving the same net index) is an obligation: its
+//!   output must equal the twin's output as functions of the free
+//!   *cut* — the settled nets where the two cones stop — and of the
+//!   selectors of the selectable inputs inside the variant cone. A
+//!   claim that holds settles the net; one that fails leaves it delta,
+//!   and the next claim downstream absorbs its cone. So the FFC gates
+//!   of a location fail and its primary gate succeeds; same-gate
+//!   compositions and nested locations merge into one obligation.
+//!   When a claim fails, cut nets whose base driver reads another cut
+//!   net are expanded into their drivers and the claim is retried: this
+//!   is what a Fig. 5 reroute needs, whose sources and trigger are
+//!   related through the trigger-generating gate.
+//! * **Discharge.** An obligation of at most [`SIM_VARS`] free variables
+//!   is decided by exhaustive word-parallel simulation; a wider one by a
+//!   fresh small [`Solver`] miter over just the obligation's gates.
+//!
+//! **Soundness.** By induction in topological order every settled
+//! net computes, for every primary-input assignment and every selector
+//! assignment, the same value as the base net of the same index: a
+//! structurally settled net applies the same function to settled
+//! inputs, and a claim holds for *all* values of its cut and selectors,
+//! hence in particular for the values the settled cut nets actually
+//! take. If every primary output ends settled, all `2^groups` codes are
+//! equivalent to the base. The converse does not hold — a free cut
+//! over-approximates the values its nets can reach together — so a
+//! failed claim is **not** a refutation: callers fall back to the
+//! monolithic free-selector solve, which decides exactly.
+//!
+//! [`SharedMiter::add_selectable_variant`]: crate::SharedMiter::add_selectable_variant
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use odcfp_logic::sim::{exhaustive_patterns, gather_block, Block, BLOCK_LANES, ZERO_BLOCK};
+use odcfp_logic::PrimitiveFn;
+use odcfp_netlist::{GateId, NetDriver, NetId, Netlist};
+
+use crate::shared::SelectableInput;
+use crate::tseitin::encode_gate;
+use crate::{Lit, SolveResult, Solver, SolverConfig, Var};
+
+/// Obligations with at most this many free variables (cut nets plus
+/// selectors) are discharged by exhaustive simulation, without a solver.
+pub const SIM_VARS: usize = 16;
+
+/// Gates (variant and base side together) one obligation may span
+/// before the local pass gives up on the variant.
+const MAX_OBLIGATION_GATES: usize = 512;
+
+/// Conflicts one SAT-discharged obligation may spend before it counts
+/// as failed.
+const OBLIGATION_CONFLICTS: u64 = 10_000;
+
+/// Rounds of cut expansion a failed claim gets before it stays failed.
+const MAX_EXPANSIONS: usize = 4;
+
+/// Limits for [`prove_locally`]. The default is unlimited, on the
+/// default [`SolverConfig`].
+#[derive(Debug, Clone, Default)]
+pub struct LocalLimits {
+    /// Configuration of the per-obligation solvers.
+    pub solver: SolverConfig,
+    /// Total conflicts the SAT-discharged obligations may spend.
+    pub conflict_budget: Option<u64>,
+    /// Wall-clock deadline for the whole pass.
+    pub deadline: Option<Instant>,
+    /// Cooperative interrupt: the pass stops when it reads `true`.
+    pub interrupt: Option<Arc<AtomicBool>>,
+}
+
+/// What [`prove_locally`] established.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocalProof {
+    /// Every primary output ended settled: all `2^groups` codes are
+    /// equivalent to the base.
+    pub proven: bool,
+    /// Claim points checked (each retry after a cut expansion included).
+    pub obligations: usize,
+    /// Of those, decided by exhaustive simulation.
+    pub simulated: usize,
+    /// Of those, decided by a SAT miter.
+    pub solved: usize,
+    /// Free variables of the widest obligation checked.
+    pub widest_cut: usize,
+    /// Conflicts the SAT-discharged obligations spent.
+    pub conflicts: u64,
+    /// When not proven: the variant gate the failure traces back to —
+    /// the first claim point that failed to settle in the cone of the
+    /// primary output that stayed unsettled. `None` when the pass was
+    /// interrupted or the interfaces do not line up by index.
+    pub unsettled: Option<GateId>,
+}
+
+/// Proves every code of a selectable variant equivalent to `base` by
+/// local obligations; see the module docs for the argument.
+///
+/// # Panics
+///
+/// Panics if either netlist has a combinational cycle, or if
+/// `selectable` names an out-of-range gate, position or group or lists
+/// the same input twice (as [`SharedMiter::add_selectable_variant`]).
+///
+/// [`SharedMiter::add_selectable_variant`]: crate::SharedMiter::add_selectable_variant
+pub fn prove_locally(
+    base: &Netlist,
+    variant: &Netlist,
+    selectable: &[SelectableInput],
+    groups: usize,
+    limits: &LocalLimits,
+) -> LocalProof {
+    let mut gated: HashMap<(usize, usize), (usize, bool)> =
+        HashMap::with_capacity(selectable.len());
+    for s in selectable {
+        assert!(s.group < groups, "selector group {} out of range", s.group);
+        assert!(
+            s.position < variant.gate(s.gate).inputs().len(),
+            "selectable position {} out of range for gate {:?}",
+            s.position,
+            s.gate
+        );
+        let prev = gated.insert((s.gate.index(), s.position), (s.group, s.neutral));
+        assert!(
+            prev.is_none(),
+            "selectable input listed twice: gate {:?} position {}",
+            s.gate,
+            s.position
+        );
+    }
+    let mut pass = Pass {
+        base,
+        variant,
+        gated,
+        settled: vec![false; variant.num_nets()],
+        variant_pos: topo_positions(variant),
+        base_pos: topo_positions(base),
+        limits,
+        proof: LocalProof::default(),
+        work: 0,
+    };
+    pass.run();
+    pass.proof
+}
+
+/// Position of every gate in the netlist's topological order.
+fn topo_positions(netlist: &Netlist) -> Vec<usize> {
+    let order = netlist
+        .cached_topo()
+        .expect("cyclic netlist cannot be proven (validate first)");
+    let mut pos = vec![0; netlist.num_gates()];
+    for (k, g) in order.iter().enumerate() {
+        pos[g.index()] = k;
+    }
+    pos
+}
+
+struct Pass<'a> {
+    base: &'a Netlist,
+    variant: &'a Netlist,
+    /// (variant gate, input position) -> (selector group, neutral value).
+    gated: HashMap<(usize, usize), (usize, bool)>,
+    /// Variant net computes the base net of the same index.
+    settled: Vec<bool>,
+    variant_pos: Vec<usize>,
+    base_pos: Vec<usize>,
+    limits: &'a LocalLimits,
+    proof: LocalProof,
+    /// Gates visited by obligations so far, against a total cap.
+    work: usize,
+}
+
+/// Why the pass stopped before the last gate.
+enum Stop {
+    /// The variant is not provable locally; the gate is the origin.
+    Unsettled(GateId),
+    /// Interrupted, past the deadline, or the interfaces differ.
+    Aborted,
+}
+
+impl Pass<'_> {
+    fn run(&mut self) {
+        match self.walk() {
+            Ok(()) => self.proof.proven = true,
+            Err(Stop::Unsettled(gate)) => self.proof.unsettled = Some(gate),
+            Err(Stop::Aborted) => {}
+        }
+    }
+
+    fn interrupted(&self) -> bool {
+        self.limits
+            .interrupt
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+            || self.limits.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    fn walk(&mut self) -> Result<(), Stop> {
+        let (base, variant) = (self.base, self.variant);
+        // Interfaces line up by index, or nothing below means anything.
+        if base.primary_inputs() != variant.primary_inputs()
+            || base.primary_outputs() != variant.primary_outputs()
+        {
+            return Err(Stop::Aborted);
+        }
+        for &pi in variant.primary_inputs() {
+            self.settled[pi.index()] = true;
+        }
+        for (id, net) in variant.nets() {
+            if let NetDriver::Const(v) = net.driver() {
+                self.settled[id.index()] = base_driver(base, id) == Some(NetDriver::Const(v));
+            }
+        }
+        let mut has_selectable = vec![false; variant.num_gates()];
+        for &(gate, _) in self.gated.keys() {
+            has_selectable[gate] = true;
+        }
+        // The failed claim each delta net traces back to.
+        let mut origin: Vec<Option<GateId>> = vec![None; variant.num_nets()];
+        let work_cap = 8 * variant.num_gates() + 50_000;
+        let order = variant
+            .cached_topo()
+            .expect("cyclic netlist cannot be proven (validate first)");
+        for &g in order {
+            let gate = variant.gate(g);
+            let out = gate.output();
+            let twin = match base_driver(base, out) {
+                Some(NetDriver::Gate(t)) => Some(t),
+                _ => None,
+            };
+            let same_shape = twin.is_some_and(|t| {
+                base.gate_fn(t) == variant.gate_fn(g)
+                    && base.gate(t).inputs() == gate.inputs()
+                    && !has_selectable[g.index()]
+            });
+            if same_shape && gate.inputs().iter().all(|n| self.settled[n.index()]) {
+                self.settled[out.index()] = true;
+                continue;
+            }
+            let inherited = gate
+                .inputs()
+                .iter()
+                .filter(|n| !self.settled[n.index()])
+                .find_map(|n| origin[n.index()]);
+            let Some(twin) = twin else {
+                origin[out.index()] = inherited;
+                continue;
+            };
+            if self.interrupted() {
+                return Err(Stop::Aborted);
+            }
+            let culprit = inherited.unwrap_or(g);
+            match self.claim(g, twin) {
+                Some(true) => self.settled[out.index()] = true,
+                Some(false) => {
+                    origin[out.index()] = Some(culprit);
+                    // Settled-ness is final in topological order.
+                    if variant.net(out).is_primary_output() {
+                        return Err(Stop::Unsettled(culprit));
+                    }
+                }
+                None => return Err(Stop::Unsettled(culprit)),
+            }
+            if self.work > work_cap {
+                return Err(Stop::Unsettled(culprit));
+            }
+        }
+        match variant
+            .primary_outputs()
+            .iter()
+            .find(|po| !self.settled[po.index()])
+        {
+            None => Ok(()),
+            Some(&po) => match origin[po.index()].or(match variant.net(po).driver() {
+                NetDriver::Gate(g) => Some(g),
+                _ => None,
+            }) {
+                Some(g) => Err(Stop::Unsettled(g)),
+                None => Err(Stop::Aborted),
+            },
+        }
+    }
+
+    /// Tries to settle variant gate `g` against its base twin, widening
+    /// the cut on failure. `None` when the unexpanded obligation
+    /// outgrows its cap: the delta region is too large to prove locally.
+    fn claim(&mut self, g: GateId, twin: GateId) -> Option<bool> {
+        let mut expand = BTreeSet::new();
+        for round in 0..=MAX_EXPANSIONS {
+            let Some(cone) = self.collect(g, twin, &expand) else {
+                return (round > 0).then_some(false);
+            };
+            self.work += cone.base_gates.len() + cone.variant_gates.len();
+            let program = self.compile(&cone, g, twin);
+            self.proof.obligations += 1;
+            self.proof.widest_cut = self.proof.widest_cut.max(program.free);
+            if self.discharge(&program) {
+                return Some(true);
+            }
+            // Reconvergence through the cut: expand every cut net whose
+            // base driver reads another cut net.
+            let before = expand.len();
+            for &n in &cone.cut {
+                if let Some(NetDriver::Gate(d)) = base_driver(self.base, n) {
+                    if self
+                        .base
+                        .gate(d)
+                        .inputs()
+                        .iter()
+                        .any(|i| cone.cut.contains(i))
+                    {
+                        expand.insert(n);
+                    }
+                }
+            }
+            if expand.len() == before {
+                break;
+            }
+        }
+        Some(false)
+    }
+
+    /// Gathers the two cones of a claim: variant gates back to settled
+    /// nets, base gates back to settled nets, and expanded settled nets
+    /// evaluated through their base drivers (shared by both sides).
+    fn collect(&self, g: GateId, twin: GateId, expand: &BTreeSet<NetId>) -> Option<Cone> {
+        let (base, variant) = (self.base, self.variant);
+        let mut cone = Cone::default();
+        let mut seen_variant = BTreeSet::from([g]);
+        let mut seen_base = BTreeSet::from([twin]);
+        let mut variant_stack = vec![g];
+        let mut base_stack = vec![twin];
+        let mut cut = BTreeSet::new();
+        while let Some(v) = variant_stack.pop() {
+            cone.variant_gates.push(v);
+            for (p, &n) in variant.gate(v).inputs().iter().enumerate() {
+                if let Some(&(group, _)) = self.gated.get(&(v.index(), p)) {
+                    if !cone.groups.contains(&group) {
+                        cone.groups.push(group);
+                    }
+                }
+                if self.settled[n.index()] && !is_const(variant, n) {
+                    if expand.contains(&n) {
+                        if let Some(NetDriver::Gate(d)) = base_driver(base, n) {
+                            if seen_base.insert(d) {
+                                base_stack.push(d);
+                            }
+                        }
+                    } else {
+                        cut.insert(n);
+                    }
+                } else if let NetDriver::Gate(d) = variant.net(n).driver() {
+                    if seen_variant.insert(d) {
+                        variant_stack.push(d);
+                    }
+                }
+            }
+            if cone.variant_gates.len() > MAX_OBLIGATION_GATES {
+                return None;
+            }
+        }
+        while let Some(b) = base_stack.pop() {
+            cone.base_gates.push(b);
+            for &n in base.gate(b).inputs() {
+                if self.is_settled(n) && !expand.contains(&n) {
+                    if !is_const(base, n) {
+                        cut.insert(n);
+                    }
+                } else if let Some(NetDriver::Gate(d)) = base_driver(base, n) {
+                    if seen_base.insert(d) {
+                        base_stack.push(d);
+                    }
+                }
+            }
+            if cone.variant_gates.len() + cone.base_gates.len() > MAX_OBLIGATION_GATES {
+                return None;
+            }
+        }
+        let (vpos, bpos) = (&self.variant_pos, &self.base_pos);
+        cone.variant_gates.sort_by_key(|v| vpos[v.index()]);
+        cone.base_gates.sort_by_key(|b| bpos[b.index()]);
+        cone.cut = cut;
+        Some(cone)
+    }
+
+    fn is_settled(&self, n: NetId) -> bool {
+        self.settled.get(n.index()).copied().unwrap_or(false)
+    }
+
+    /// Lowers a cone to straight-line code over slots: the free cut nets
+    /// first, then the selectors, then one slot per gate output.
+    fn compile(&self, cone: &Cone, g: GateId, twin: GateId) -> Program {
+        let (base, variant) = (self.base, self.variant);
+        let mut program = Program::default();
+        let mut shared: HashMap<NetId, u32> = HashMap::new();
+        for &n in &cone.cut {
+            shared.insert(n, program.fresh());
+        }
+        let mut selector: HashMap<usize, u32> = HashMap::new();
+        for &group in &cone.groups {
+            selector.insert(group, program.fresh());
+        }
+        program.free = program.slots as usize;
+        let mut consts: [Option<u32>; 2] = [None; 2];
+        let mut constant = |program: &mut Program, value: bool| {
+            *consts[value as usize].get_or_insert_with(|| {
+                let out = program.fresh();
+                program.ops.push(Op::Const { out, value });
+                out
+            })
+        };
+        // Base side (expanded settled nets included): a net resolves to a
+        // cut slot, a base gate slot, or a constant.
+        let mut base_slot: HashMap<NetId, u32> = HashMap::new();
+        for &b in &cone.base_gates {
+            let ins = base
+                .gate(b)
+                .inputs()
+                .iter()
+                .map(|&n| match shared.get(&n).or(base_slot.get(&n)) {
+                    Some(&s) => s,
+                    None => match base.net(n).driver() {
+                        NetDriver::Const(v) => constant(&mut program, v),
+                        other => unreachable!("base net {n:?} ({other:?}) outside the cone"),
+                    },
+                })
+                .collect();
+            let out = program.fresh();
+            program.ops.push(Op::Gate {
+                f: base.gate_fn(b),
+                ins,
+                out,
+            });
+            base_slot.insert(base.gate_output(b), out);
+        }
+        // Variant side: settled nets read the cut (or, expanded, the base
+        // slot); delta nets read variant gate slots.
+        let mut variant_slot: HashMap<NetId, u32> = HashMap::new();
+        for &v in &cone.variant_gates {
+            let mut ins = Vec::with_capacity(variant.gate(v).inputs().len());
+            for (p, &n) in variant.gate(v).inputs().iter().enumerate() {
+                let x = if self.settled[n.index()] {
+                    shared.get(&n).or(base_slot.get(&n)).copied()
+                } else {
+                    variant_slot.get(&n).copied()
+                };
+                let x = x.unwrap_or_else(|| match variant.net(n).driver() {
+                    NetDriver::Const(value) => constant(&mut program, value),
+                    other => unreachable!("variant net {n:?} ({other:?}) outside the cone"),
+                });
+                let x = match self.gated.get(&(v.index(), p)) {
+                    Some(&(group, neutral)) => {
+                        let out = program.fresh();
+                        program.ops.push(Op::Select {
+                            x,
+                            sel: selector[&group],
+                            neutral,
+                            out,
+                        });
+                        out
+                    }
+                    None => x,
+                };
+                ins.push(x);
+            }
+            let out = program.fresh();
+            program.ops.push(Op::Gate {
+                f: variant.gate_fn(v),
+                ins,
+                out,
+            });
+            variant_slot.insert(variant.gate_output(v), out);
+        }
+        program.variant_out = variant_slot[&variant.gate_output(g)];
+        program.base_out = base_slot[&base.gate_output(twin)];
+        program
+    }
+
+    /// Decides one obligation: `true` when the two outputs agree for
+    /// every value of the free slots.
+    fn discharge(&mut self, program: &Program) -> bool {
+        if program.free <= SIM_VARS {
+            self.proof.simulated += 1;
+            return program.simulate();
+        }
+        self.proof.solved += 1;
+        let spent = self.proof.conflicts;
+        let allowance = match self.limits.conflict_budget {
+            Some(budget) => budget.saturating_sub(spent).min(OBLIGATION_CONFLICTS),
+            None => OBLIGATION_CONFLICTS,
+        };
+        let (holds, conflicts) = program.solve(self.limits, allowance);
+        self.proof.conflicts += conflicts;
+        holds
+    }
+}
+
+fn is_const(netlist: &Netlist, n: NetId) -> bool {
+    matches!(netlist.net(n).driver(), NetDriver::Const(_))
+}
+
+/// The base driver of net index `n`, if the base has such a net.
+fn base_driver(base: &Netlist, n: NetId) -> Option<NetDriver> {
+    (n.index() < base.num_nets()).then(|| base.net(n).driver())
+}
+
+#[derive(Debug, Default)]
+struct Cone {
+    variant_gates: Vec<GateId>,
+    base_gates: Vec<GateId>,
+    cut: BTreeSet<NetId>,
+    groups: Vec<usize>,
+}
+
+#[derive(Debug)]
+enum Op {
+    Const {
+        out: u32,
+        value: bool,
+    },
+    Gate {
+        f: PrimitiveFn,
+        ins: Vec<u32>,
+        out: u32,
+    },
+    /// `out = if sel { x } else { neutral }`.
+    Select {
+        x: u32,
+        sel: u32,
+        neutral: bool,
+        out: u32,
+    },
+}
+
+/// One obligation as straight-line code: slots `0..free` are free.
+#[derive(Debug, Default)]
+struct Program {
+    slots: u32,
+    free: usize,
+    ops: Vec<Op>,
+    variant_out: u32,
+    base_out: u32,
+}
+
+impl Program {
+    fn fresh(&mut self) -> u32 {
+        self.slots += 1;
+        self.slots - 1
+    }
+
+    /// Exhaustive word-parallel simulation over all `2^free` rows, a
+    /// [`Block`] of 256 rows at a time. Padding rows repeat the all-zeros
+    /// assignment, so comparing whole blocks is exact.
+    fn simulate(&self) -> bool {
+        let patterns = exhaustive_patterns(self.free);
+        let blocks = (1usize << self.free).div_ceil(64 * BLOCK_LANES);
+        let mut vals = vec![ZERO_BLOCK; self.slots as usize * blocks];
+        for (v, pattern) in patterns.iter().enumerate() {
+            for b in 0..blocks {
+                vals[v * blocks + b] = gather_block(pattern, b * BLOCK_LANES);
+            }
+        }
+        let mut scratch: Vec<Block> = Vec::new();
+        for op in &self.ops {
+            match op {
+                Op::Const { out, value } => {
+                    let o = *out as usize * blocks;
+                    vals[o..o + blocks].fill([if *value { u64::MAX } else { 0 }; BLOCK_LANES]);
+                }
+                Op::Gate { f, ins, out } => {
+                    let o = *out as usize * blocks;
+                    for b in 0..blocks {
+                        scratch.clear();
+                        scratch.extend(ins.iter().map(|&i| vals[i as usize * blocks + b]));
+                        vals[o + b] = f.eval_blocks(&scratch);
+                    }
+                }
+                Op::Select {
+                    x,
+                    sel,
+                    neutral,
+                    out,
+                } => {
+                    let (x, sel, o) = (
+                        *x as usize * blocks,
+                        *sel as usize * blocks,
+                        *out as usize * blocks,
+                    );
+                    let fill = if *neutral { u64::MAX } else { 0 };
+                    for b in 0..blocks {
+                        let (xv, sv) = (vals[x + b], vals[sel + b]);
+                        vals[o + b] = std::array::from_fn(|l| (xv[l] & sv[l]) | (fill & !sv[l]));
+                    }
+                }
+            }
+        }
+        let (a, b) = (
+            self.variant_out as usize * blocks,
+            self.base_out as usize * blocks,
+        );
+        vals[a..a + blocks] == vals[b..b + blocks]
+    }
+
+    /// A fresh miter over just this obligation: UNSAT within `allowance`
+    /// conflicts means the claim holds. Returns the conflicts spent.
+    fn solve(&self, limits: &LocalLimits, allowance: u64) -> (bool, u64) {
+        let mut solver = Solver::with_config(limits.solver);
+        let vars: Vec<Var> = (0..self.slots).map(|_| solver.new_var()).collect();
+        for op in &self.ops {
+            match op {
+                Op::Const { out, value } => {
+                    solver.add_clause([Lit::with_polarity(vars[*out as usize], *value)]);
+                }
+                Op::Gate { f, ins, out } => {
+                    let ins: Vec<Var> = ins.iter().map(|&i| vars[i as usize]).collect();
+                    encode_gate(&mut solver, *f, vars[*out as usize], &ins);
+                }
+                Op::Select {
+                    x,
+                    sel,
+                    neutral,
+                    out,
+                } => {
+                    let (x, sel, e) = (vars[*x as usize], vars[*sel as usize], vars[*out as usize]);
+                    if *neutral {
+                        // e <-> (x | !sel)
+                        solver.add_clause([Lit::neg(x), Lit::pos(e)]);
+                        solver.add_clause([Lit::pos(sel), Lit::pos(e)]);
+                        solver.add_clause([Lit::neg(e), Lit::pos(x), Lit::neg(sel)]);
+                    } else {
+                        // e <-> (x & sel)
+                        solver.add_clause([Lit::neg(e), Lit::pos(x)]);
+                        solver.add_clause([Lit::neg(e), Lit::pos(sel)]);
+                        solver.add_clause([Lit::pos(e), Lit::neg(x), Lit::neg(sel)]);
+                    }
+                }
+            }
+        }
+        let (a, b) = (
+            vars[self.variant_out as usize],
+            vars[self.base_out as usize],
+        );
+        solver.add_clause([Lit::pos(a), Lit::pos(b)]);
+        solver.add_clause([Lit::neg(a), Lit::neg(b)]);
+        solver.set_conflict_budget(allowance);
+        if let Some(d) = limits.deadline {
+            solver.set_deadline(d);
+        }
+        if let Some(flag) = &limits.interrupt {
+            solver.set_interrupt(Arc::clone(flag));
+        }
+        let holds = matches!(solver.solve(), SolveResult::Unsat);
+        (holds, solver.stats().conflicts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MiterOutcome, SharedMiter};
+    use odcfp_netlist::CellLibrary;
+
+    fn cell(n: &Netlist, f: PrimitiveFn, arity: usize) -> odcfp_netlist::CellId {
+        n.library().cell_for(f, arity).unwrap()
+    }
+
+    /// Fig. 1: F = AND(X, Y) with X = AND(A, B) in Y's ODC region, so
+    /// wiring Y into X (selectable, neutral 1) preserves F.
+    fn fig1(widened: bool) -> (Netlist, GateId) {
+        let mut n = Netlist::new("fig1", CellLibrary::standard());
+        let a = n.add_primary_input("A");
+        let b = n.add_primary_input("B");
+        let c = n.add_primary_input("C");
+        let d = n.add_primary_input("D");
+        let y = n.add_gate("gy", cell(&n, PrimitiveFn::Or, 2), &[c, d]);
+        let yo = n.gate_output(y);
+        let x = n.add_gate("gx", cell(&n, PrimitiveFn::And, 2), &[a, b]);
+        let f = n.add_gate("gf", cell(&n, PrimitiveFn::And, 2), &[n.gate_output(x), yo]);
+        n.set_primary_output(n.gate_output(f));
+        if widened {
+            n.replace_gate(x, cell(&n, PrimitiveFn::And, 3), &[a, b, yo]);
+        }
+        (n, x)
+    }
+
+    fn selectable(gate: GateId, position: usize, group: usize, neutral: bool) -> SelectableInput {
+        SelectableInput {
+            gate,
+            position,
+            group,
+            neutral,
+        }
+    }
+
+    fn monolithic(
+        base: &Netlist,
+        variant: &Netlist,
+        sel: &[SelectableInput],
+        groups: usize,
+    ) -> MiterOutcome {
+        let mut sm = SharedMiter::build(base);
+        let sv = sm.add_selectable_variant(variant, sel, groups).unwrap();
+        sm.check(sv.id(), None, None)
+    }
+
+    #[test]
+    fn identical_variant_settles_structurally() {
+        let (base, _) = fig1(false);
+        let proof = prove_locally(&base, &base.clone(), &[], 0, &LocalLimits::default());
+        assert!(proof.proven);
+        assert_eq!(proof.obligations, 0);
+    }
+
+    #[test]
+    fn odc_widening_settles_at_the_primary_gate() {
+        let (base, _) = fig1(false);
+        let (variant, gx) = fig1(true);
+        let sel = [selectable(gx, 2, 0, true)];
+        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        assert!(proof.proven, "{proof:?}");
+        // gx itself fails (its function changes when Y = 0); gf holds.
+        assert_eq!(proof.obligations, 2);
+        assert_eq!(proof.simulated, 2);
+        assert_eq!(proof.conflicts, 0);
+        // Cut {A, B, Y} plus one selector.
+        assert_eq!(proof.widest_cut, 4);
+    }
+
+    #[test]
+    fn functional_change_stays_unsettled_and_names_its_origin() {
+        // Wiring D into gx (neutral 1) is not ODC-justified.
+        let (base, _) = fig1(false);
+        let (mut variant, gx) = fig1(false);
+        let (a, b, d) = (
+            variant.primary_inputs()[0],
+            variant.primary_inputs()[1],
+            variant.primary_inputs()[3],
+        );
+        variant.replace_gate(gx, cell(&variant, PrimitiveFn::And, 3), &[a, b, d]);
+        let sel = [selectable(gx, 2, 0, true)];
+        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        assert!(!proof.proven);
+        assert_eq!(proof.unsettled, Some(gx));
+        assert!(matches!(
+            monolithic(&base, &variant, &sel, 1),
+            MiterOutcome::Counterexample(_)
+        ));
+    }
+
+    /// Fig. 5: the trigger T = AND(A, B) is non-controlling (1) only when
+    /// A = B = 1, so the OR-plane FFC gate X = OR(C, D) may take !A
+    /// instead of T. The claim at F only holds once the cut expands T
+    /// into its driver over A and B.
+    #[test]
+    fn fig5_reroute_needs_the_trigger_gate_in_the_cut() {
+        let build = |rerouted: bool| {
+            let mut n = Netlist::new("fig5", CellLibrary::standard());
+            let a = n.add_primary_input("A");
+            let b = n.add_primary_input("B");
+            let c = n.add_primary_input("C");
+            let d = n.add_primary_input("D");
+            let t = n.add_gate("gt", cell(&n, PrimitiveFn::And, 2), &[a, b]);
+            let x = n.add_gate("gx", cell(&n, PrimitiveFn::Or, 2), &[c, d]);
+            let f = n.add_gate(
+                "gf",
+                cell(&n, PrimitiveFn::And, 2),
+                &[n.gate_output(x), n.gate_output(t)],
+            );
+            n.set_primary_output(n.gate_output(f));
+            if rerouted {
+                let inv = n.add_gate("fp_inv", cell(&n, PrimitiveFn::Inv, 1), &[a]);
+                let na = n.gate_output(inv);
+                n.replace_gate(x, cell(&n, PrimitiveFn::Or, 3), &[c, d, na]);
+            }
+            (n, x)
+        };
+        let (base, _) = build(false);
+        let (variant, gx) = build(true);
+        let sel = [selectable(gx, 2, 0, false)];
+        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        assert!(proof.proven, "{proof:?}");
+        // gx fails (its cut {A, C, D} has nothing to expand); gf fails
+        // over {A, C, D, T}, then holds over {A, B, C, D}.
+        assert_eq!(proof.obligations, 3, "{proof:?}");
+        assert_eq!(
+            monolithic(&base, &variant, &sel, 1),
+            MiterOutcome::Equivalent
+        );
+    }
+
+    /// Equivalent only through a satisfiability don't-care: N1 = AND(A, B)
+    /// implies N2 = OR(A, B), so AND(N1, N2) = AND(N1, N1). A free cut
+    /// {N1, N2} cannot see that; the local pass must not claim it, and
+    /// the monolithic miter proves it.
+    #[test]
+    fn satisfiability_dont_care_is_left_to_the_fallback() {
+        let build = |sdc: bool| {
+            let mut n = Netlist::new("sdc", CellLibrary::standard());
+            let a = n.add_primary_input("A");
+            let b = n.add_primary_input("B");
+            let c = n.add_primary_input("C");
+            let n1 = n.add_gate("n1", cell(&n, PrimitiveFn::And, 2), &[a, b]);
+            let n2 = n.add_gate("n2", cell(&n, PrimitiveFn::Or, 2), &[a, b]);
+            let (o1, o2) = (n.gate_output(n1), n.gate_output(n2));
+            let g = n.add_gate(
+                "g",
+                cell(&n, PrimitiveFn::And, 2),
+                &[o1, if sdc { o1 } else { o2 }],
+            );
+            let h = n.add_gate("h", cell(&n, PrimitiveFn::Xor, 2), &[n.gate_output(g), c]);
+            n.set_primary_output(n.gate_output(h));
+            (n, g)
+        };
+        let (base, _) = build(false);
+        let (variant, g) = build(true);
+        let proof = prove_locally(&base, &variant, &[], 0, &LocalLimits::default());
+        assert!(!proof.proven);
+        assert_eq!(proof.unsettled, Some(g));
+        assert_eq!(
+            monolithic(&base, &variant, &[], 0),
+            MiterOutcome::Equivalent
+        );
+    }
+
+    #[test]
+    fn wide_obligations_go_to_the_solver() {
+        // An AND chain over 20 inputs, rebuilt in the variant to compute
+        // the complement at every link (NAND, then OR with fresh
+        // inverters) and restored by an inverter at the output: every
+        // link's claim fails, so the output's obligation spans all 20
+        // inputs — past SIM_VARS, into a SAT miter.
+        let mut base = Netlist::new("chain", CellLibrary::standard());
+        let pis: Vec<NetId> = (0..20)
+            .map(|i| base.add_primary_input(format!("i{i}")))
+            .collect();
+        let and2 = cell(&base, PrimitiveFn::And, 2);
+        let mut links = vec![base.add_gate("c1", and2, &[pis[0], pis[1]])];
+        for (k, &p) in pis.iter().enumerate().skip(2) {
+            let prev = base.gate_output(*links.last().unwrap());
+            links.push(base.add_gate(format!("c{k}"), and2, &[prev, p]));
+        }
+        let last = base.gate_output(*links.last().unwrap());
+        let out = base.add_gate("out", cell(&base, PrimitiveFn::Buf, 1), &[last]);
+        base.set_primary_output(base.gate_output(out));
+
+        let mut variant = base.clone();
+        variant.replace_gate(
+            links[0],
+            cell(&variant, PrimitiveFn::Nand, 2),
+            &[pis[0], pis[1]],
+        );
+        for (k, &p) in pis.iter().enumerate().skip(2) {
+            let inv = variant.add_gate(format!("n{k}"), cell(&variant, PrimitiveFn::Inv, 1), &[p]);
+            let ins = [variant.gate_output(links[k - 2]), variant.gate_output(inv)];
+            variant.replace_gate(links[k - 1], cell(&variant, PrimitiveFn::Or, 2), &ins);
+        }
+        variant.replace_gate(out, cell(&variant, PrimitiveFn::Inv, 1), &[last]);
+
+        let proof = prove_locally(&base, &variant, &[], 0, &LocalLimits::default());
+        assert!(proof.proven, "{proof:?}");
+        assert_eq!(proof.widest_cut, 20, "{proof:?}");
+        assert!(proof.solved >= 1, "{proof:?}");
+        assert_eq!(
+            monolithic(&base, &variant, &[], 0),
+            MiterOutcome::Equivalent
+        );
+        // The same variant with the output left uninverted differs; the
+        // solver must not claim it.
+        let mut wrong = variant.clone();
+        wrong.replace_gate(out, cell(&wrong, PrimitiveFn::Buf, 1), &[last]);
+        let proof = prove_locally(&base, &wrong, &[], 0, &LocalLimits::default());
+        assert!(!proof.proven);
+        assert_eq!(proof.unsettled, Some(links[0]));
+    }
+
+    #[test]
+    fn interrupted_pass_proves_nothing_and_blames_no_gate() {
+        let (base, _) = fig1(false);
+        let (variant, gx) = fig1(true);
+        let limits = LocalLimits {
+            interrupt: Some(Arc::new(AtomicBool::new(true))),
+            ..LocalLimits::default()
+        };
+        let proof = prove_locally(&base, &variant, &[selectable(gx, 2, 0, true)], 1, &limits);
+        assert!(!proof.proven);
+        assert_eq!(proof.unsettled, None);
+        assert_eq!(proof.obligations, 0);
+    }
+}

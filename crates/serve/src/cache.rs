@@ -41,10 +41,11 @@ pub struct CircuitState {
     pub fingerprinter: Arc<Fingerprinter>,
     /// Persistent strash + shared-miter session for the base netlist.
     pub session: VerifySession,
-    /// Lazily built code-space proof (PR 7's batched algebra): one
-    /// free-selector solve that afterwards decides any fingerprint code
-    /// by assumption. Built on the first `candidate_bits` verify against
-    /// this circuit and reused for the cache entry's lifetime.
+    /// Lazily built code-space proof: local per-location obligations (or
+    /// the free-selector solve they fall back to) that afterwards decide
+    /// any fingerprint code. Built on the first `candidate_bits` verify
+    /// against this circuit and reused for the cache entry's lifetime;
+    /// only a decisive proof is kept, so an undecided one is retried.
     pub codespace: Option<CodeSpaceProof>,
 }
 

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use odcfp_analysis::CancelToken;
 use odcfp_core::campaign::{self, CampaignOptions, ManifestCircuit};
-use odcfp_core::{CodeSpace, Fingerprinter, VerifyPolicy, VerifySession};
+use odcfp_core::{CodeSpace, CodeSpaceOutcome, Fingerprinter, VerifyPolicy, VerifySession};
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::{Digest, Netlist};
 use odcfp_verilog::write_verilog;
@@ -565,8 +565,9 @@ fn verify_op(
 
 /// Decides a fingerprint *code* against the golden circuit's cached
 /// code-space proof — no candidate netlist is ever materialized. The
-/// proof (one free-selector solve) is built on first use and amortizes
-/// across every later code check on the warm entry.
+/// proof (local per-location obligations, or the free-selector solve
+/// they fall back to) is built on first use and amortizes across every
+/// later code check on the warm entry.
 fn verify_code_op(
     shared: &Shared,
     id: &str,
@@ -592,6 +593,10 @@ fn verify_code_op(
         session,
         codespace,
     } = &mut *state;
+    // A proof cut short (this request's cancel token or conflict cap)
+    // serves this request only: cached, it would pin every later check
+    // on the entry to a shared-miter solve under assumptions.
+    let mut transient = None;
     if codespace.is_none() {
         let space = CodeSpace::build(fingerprinter)
             .map_err(|e| bad(format!("code-space verification unavailable: {e}")))?;
@@ -601,19 +606,34 @@ fn verify_code_op(
         odcfp_obs::point("serve.codespace")
             .field("outcome", proof.outcome.name())
             .field("groups", proof.num_groups())
+            .field("obligations", proof.obligations)
+            .field("fell_back", proof.fell_back)
             .nondet()
             .emit();
-        *codespace = Some(proof);
+        if proof.outcome == CodeSpaceOutcome::Undecided {
+            transient = Some(proof);
+        } else {
+            *codespace = Some(proof);
+        }
     }
-    let proof = codespace.as_ref().expect("just ensured");
-    if code.len() != proof.num_groups() {
-        return Err(bad(format!(
+    let proof = transient
+        .as_ref()
+        .or(codespace.as_ref())
+        .expect("just ensured");
+    let code_space = proof.outcome.name();
+    let verdict = if code.len() == proof.num_groups() {
+        Ok(session.check_code(proof, &code, policy.sat_conflict_cap, token))
+    } else {
+        Err(bad(format!(
             "candidate_bits has {} bits; design has {} locations",
             code.len(),
             proof.num_groups()
-        )));
+        )))
+    };
+    if let Some(proof) = transient {
+        session.retire_code_space(proof);
     }
-    let verdict = session.check_code(proof, &code, policy.sat_conflict_cap, token);
+    let verdict = verdict?;
     if token.is_cancelled() {
         let (code, why) = cancel_code(shared);
         return Err((code, format!("{why}; code verification undecided")));
@@ -621,7 +641,7 @@ fn verify_code_op(
     Ok(Reply::ok(id, "verify")
         .field("verdict", verdict.name())
         .field("mode", "code")
-        .field("code_space", proof.outcome.name())
+        .field("code_space", code_space)
         .field("cache", disp.as_str()))
 }
 

@@ -250,6 +250,40 @@ fn cache_budget_below_working_set_degrades_to_cold_rebuilds() {
     srv.shutdown();
 }
 
+/// A code verify whose deadline has already passed cuts the code-space
+/// proof short. That undecided proof must not stay on the warm entry:
+/// the next code verify on the same entry proves the space afresh.
+#[test]
+fn cancelled_code_verify_does_not_pin_an_undecided_proof() {
+    let srv = start(ServerConfig::default());
+    let mut c = srv.connect();
+    let golden = circuit_text(31);
+    let design: Vec<(&str, FieldValue)> = vec![
+        ("design_text", golden.as_str().into()),
+        ("design_format", "v".into()),
+    ];
+    let warm = c.roundtrip(&request_line("l", "t", None, "locations", &design));
+    assert!(warm.ok, "{warm:?}");
+    let locations = warm.field_u64("locations").expect("locations") as usize;
+    assert!(locations > 0, "{warm:?}");
+    let code_args: Vec<(&str, FieldValue)> = vec![
+        ("golden_text", golden.as_str().into()),
+        ("golden_format", "v".into()),
+        ("candidate_bits", "1".repeat(locations).into()),
+    ];
+
+    let cancelled = c.roundtrip(&request_line("c1", "t", Some(0), "verify", &code_args));
+    assert!(!cancelled.ok, "{cancelled:?}");
+    assert_eq!(cancelled.error.as_deref(), Some("deadline"), "{cancelled:?}");
+
+    let next = c.roundtrip(&request_line("c2", "t", None, "verify", &code_args));
+    assert!(next.ok, "{next:?}");
+    assert_eq!(next.field_str("cache"), Some("hit"), "same warm entry: {next:?}");
+    assert_eq!(next.field_str("code_space"), Some("proven_all"), "{next:?}");
+    assert_eq!(next.field_str("verdict"), Some("proven"), "{next:?}");
+    srv.shutdown();
+}
+
 #[test]
 fn deadline_cancels_spin_probe_with_structured_reply() {
     let srv = start(ServerConfig::default());
