@@ -1177,13 +1177,15 @@ fn write_verify_stats(
     )?;
     if stats.used_fast_path {
         // The sweep layer's own accounting: structural merges and the
-        // fate of every cut point (refutations are simulation
-        // counterexamples at interior cut points).
+        // fate of every cut point (`simulated` counts the proven ones a
+        // local truth table settled without SAT; refutations are
+        // simulation counterexamples at interior cut points).
         writeln!(
             out,
-            "sweep: strash-proven={} cut-points proven={} refuted={} skipped={}",
+            "sweep: strash-proven={} cut-points proven={} simulated={} refuted={} skipped={}",
             stats.strash_proven_outputs,
             stats.cut_points_proven,
+            stats.cut_points_simulated,
             stats.cut_points_refuted,
             stats.cut_points_skipped,
         )?;

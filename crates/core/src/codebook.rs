@@ -148,7 +148,8 @@ impl CodeSpace {
     }
 
     /// Proves the whole code space through `session`; see
-    /// [`VerifySession::prove_code_space`].
+    /// [`VerifySession::prove_code_space`]. The superposition was
+    /// validated by [`CodeSpace::build`], so it is not validated again.
     ///
     /// # Errors
     ///
@@ -159,7 +160,13 @@ impl CodeSpace {
         budget: Option<u64>,
         token: &CancelToken,
     ) -> Result<CodeSpaceProof, FingerprintError> {
-        session.prove_code_space(&self.superposed, &self.selectable, self.groups, budget, token)
+        session.prove_validated_code_space(
+            &self.superposed,
+            &self.selectable,
+            self.groups,
+            budget,
+            token,
+        )
     }
 }
 

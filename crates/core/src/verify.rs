@@ -232,6 +232,9 @@ pub struct VerifyStats {
     pub strash_proven_outputs: usize,
     /// Interior cut-point pairs proven equal and merged (fast path only).
     pub cut_points_proven: usize,
+    /// Of `cut_points_proven`, the pairs settled by a local truth table
+    /// with no SAT call (fast path only).
+    pub cut_points_simulated: usize,
     /// Candidate cut-point pairs refuted by a simulation-fed SAT model
     /// (fast path only).
     pub cut_points_refuted: usize,
@@ -248,6 +251,20 @@ pub struct VerifyStats {
     pub used_fast_path: bool,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
+}
+
+impl VerifyStats {
+    /// Takes over what one sweep check did.
+    fn record_sweep(&mut self, report: &odcfp_sat::SweepReport, engine: &SweepEngine) {
+        self.used_fast_path = true;
+        self.strash_proven_outputs = report.strash_proven;
+        self.cut_points_proven = report.cut_points_proven;
+        self.cut_points_simulated = report.cut_points_simulated;
+        self.cut_points_refuted = report.cut_points_refuted;
+        self.cut_points_skipped = report.cut_points_skipped;
+        self.sat_conflicts = report.conflicts;
+        self.solver = Some(engine.solver_stats());
+    }
 }
 
 /// A [`Verdict`] paired with the [`VerifyStats`] effort accounting.
@@ -507,13 +524,7 @@ fn sat_stage_sweep(
     let report = engine
         .check(candidate, total_sat_budget(policy), token.deadline())
         .map_err(FingerprintError::Verification)?;
-    stats.used_fast_path = true;
-    stats.strash_proven_outputs = report.strash_proven;
-    stats.cut_points_proven = report.cut_points_proven;
-    stats.cut_points_refuted = report.cut_points_refuted;
-    stats.cut_points_skipped = report.cut_points_skipped;
-    stats.sat_conflicts = report.conflicts;
-    stats.solver = Some(engine.solver_stats());
+    stats.record_sweep(&report, &engine);
     trace_fastpath(&report);
     Ok(match report.outcome {
         MiterOutcome::Equivalent => Verdict::Proven,
@@ -905,13 +916,7 @@ impl VerifySession {
         let report = engine
             .check(candidate, budget, token.deadline())
             .map_err(FingerprintError::Verification)?;
-        stats.used_fast_path = true;
-        stats.strash_proven_outputs = report.strash_proven;
-        stats.cut_points_proven = report.cut_points_proven;
-        stats.cut_points_refuted = report.cut_points_refuted;
-        stats.cut_points_skipped = report.cut_points_skipped;
-        stats.sat_conflicts = report.conflicts;
-        stats.solver = Some(engine.solver_stats());
+        stats.record_sweep(&report, engine);
 
         if matches!(report.outcome, MiterOutcome::Undecided) {
             odcfp_obs::point("verify.fastpath")
@@ -954,6 +959,9 @@ impl VerifySession {
     /// [`VerifySession::retire_code_space`]. `budget` bounds the conflicts
     /// of both steps together.
     ///
+    /// A token that has fired by the time the local pass ends answers
+    /// [`CodeSpaceOutcome::Undecided`] without building the fallback.
+    ///
     /// # Errors
     ///
     /// Returns an error if `superposed` fails validation or its interface
@@ -967,6 +975,19 @@ impl VerifySession {
         token: &CancelToken,
     ) -> Result<CodeSpaceProof, FingerprintError> {
         superposed.validate()?;
+        self.prove_validated_code_space(superposed, selectable, groups, budget, token)
+    }
+
+    /// [`VerifySession::prove_code_space`] for a `superposed` netlist
+    /// that has already passed [`Netlist::validate`].
+    pub(crate) fn prove_validated_code_space(
+        &mut self,
+        superposed: &Netlist,
+        selectable: &[SelectableInput],
+        groups: usize,
+        budget: Option<u64>,
+        token: &CancelToken,
+    ) -> Result<CodeSpaceProof, FingerprintError> {
         check_interfaces(&self.golden, superposed)?;
         let mut span = odcfp_obs::span("verify.codespace");
         span.field("groups", groups);
@@ -998,7 +1019,10 @@ impl VerifySession {
                 .unsettled
                 .map(|g| superposed.gate(g).name().to_owned()),
         };
-        if proof.fell_back {
+        if proof.fell_back && token.is_cancelled() {
+            // Cancelled: an encoded fallback would only be retired unused.
+            proof.outcome = CodeSpaceOutcome::Undecided;
+        } else if proof.fell_back {
             let golden = &self.golden;
             let shared = match &mut self.shared {
                 Some(shared) => shared,
@@ -1010,11 +1034,7 @@ impl VerifySession {
                 .add_selectable_variant(superposed, selectable, groups)
                 .map_err(FingerprintError::Verification)?;
             let remaining = budget.map(|b| b.saturating_sub(proof.conflicts));
-            let outcome = if token.is_cancelled() {
-                MiterOutcome::Undecided
-            } else {
-                shared.check(handle.id(), remaining, token.deadline())
-            };
+            let outcome = shared.check(handle.id(), remaining, token.deadline());
             proof.conflicts += shared.stats().conflicts.saturating_sub(before);
             proof.outcome = match outcome {
                 MiterOutcome::Equivalent => CodeSpaceOutcome::ProvenAll,
@@ -1047,7 +1067,9 @@ impl VerifySession {
     ///
     /// After [`CodeSpaceOutcome::ProvenAll`] this is a pure consistency
     /// check and returns [`Verdict::Proven`] without touching the solver;
-    /// otherwise it solves under the code's assumption literals.
+    /// otherwise it solves under the code's assumption literals. A proof
+    /// cancelled before its fallback was built holds no variant, and
+    /// every code checked against it is [`Verdict::Undecided`].
     ///
     /// # Panics
     ///
@@ -1069,8 +1091,14 @@ impl VerifySession {
         if matches!(proof.outcome, CodeSpaceOutcome::ProvenAll) {
             return Verdict::Proven;
         }
-        let (Some(handle), Some(shared)) = (&proof.handle, self.shared.as_mut()) else {
-            panic!("a proof short of ProvenAll holds a variant of this session's shared miter")
+        let Some(handle) = &proof.handle else {
+            return Verdict::Undecided {
+                conflicts_spent: 0,
+                elapsed: start.elapsed(),
+            };
+        };
+        let Some(shared) = self.shared.as_mut() else {
+            panic!("a proof holding a variant belongs to this session's shared miter")
         };
         shared.set_interrupt(token.flag());
         let before = shared.stats().conflicts;

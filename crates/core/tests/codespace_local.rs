@@ -8,7 +8,9 @@
 //! single-threaded, so the verdicts must not move.
 
 use odcfp_core::faults::substitute_cell;
-use odcfp_core::{CancelToken, CodeSpace, CodeSpaceOutcome, Fingerprinter, VerifySession};
+use odcfp_core::{
+    CancelToken, CodeSpace, CodeSpaceOutcome, Fingerprinter, Verdict, VerifySession,
+};
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::{sim, PrimitiveFn};
 use odcfp_netlist::{CellLibrary, GateId, NetDriver, Netlist};
@@ -255,13 +257,9 @@ fn wrong_cell_tampers_get_the_same_outcome_on_both_paths() {
     assert!(refuted > 0, "the battery never broke a proof");
 }
 
-/// A superposition equivalent only through a satisfiability don't-care:
-/// `g = AND(n1, n2)` with `n1 = AND(a, b)` and `n2 = OR(a, b)` becomes
-/// `AND(n1, n1)` — equal because `n1` implies `n2`, which no free cut
-/// over `{n1, n2}` can see. The local pass must fall back, and the
-/// monolithic verdict stands.
-#[test]
-fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
+/// The golden netlist, its superposition and selectable map for the
+/// satisfiability don't-care case described on the test below.
+fn sdc_superposition() -> (Netlist, Netlist, [SelectableInput; 1]) {
     let build = |sdc: bool| {
         let mut n = Netlist::new("sdc", CellLibrary::standard());
         let a = n.add_primary_input("a");
@@ -297,7 +295,17 @@ fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
         group: 0,
         neutral: false,
     }];
+    (golden, superposed, selectable)
+}
 
+/// A superposition equivalent only through a satisfiability don't-care:
+/// `g = AND(n1, n2)` with `n1 = AND(a, b)` and `n2 = OR(a, b)` becomes
+/// `AND(n1, n1)` — equal because `n1` implies `n2`, which no free cut
+/// over `{n1, n2}` can see. The local pass must fall back, and the
+/// monolithic verdict stands.
+#[test]
+fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
+    let (golden, superposed, selectable) = sdc_superposition();
     let mut session = VerifySession::new(&golden).expect("session");
     let token = CancelToken::new();
     let proof = session
@@ -321,4 +329,38 @@ fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
         assert!(session.check_code(&proof, &code, None, &token).is_pass());
     }
     session.retire_code_space(proof);
+}
+
+/// A token that has fired by the end of the local pass leaves the proof
+/// Undecided without building the monolithic fallback: no variant is
+/// encoded, so every code checked against the proof is Undecided too
+/// (with a fallback built, a live token would have decided them). The
+/// same session still proves the space once asked with a live token.
+#[test]
+fn cancelled_proof_is_undecided_and_builds_no_fallback() {
+    let (golden, superposed, selectable) = sdc_superposition();
+    let mut session = VerifySession::new(&golden).expect("session");
+    let fired = CancelToken::new();
+    fired.cancel();
+    let proof = session
+        .prove_code_space(&superposed, &selectable, 1, None, &fired)
+        .expect("a cancelled proof is an outcome, not an error");
+    assert_eq!(proof.outcome, CodeSpaceOutcome::Undecided);
+    assert!(proof.fell_back);
+    assert_eq!(proof.conflicts, 0);
+    let live = CancelToken::new();
+    for code in [[false], [true]] {
+        assert!(
+            matches!(
+                session.check_code(&proof, &code, None, &live),
+                Verdict::Undecided { .. }
+            ),
+            "a proof with no fallback variant decides no code"
+        );
+    }
+    session.retire_code_space(proof);
+    let proof = session
+        .prove_code_space(&superposed, &selectable, 1, None, &live)
+        .expect("proof");
+    assert_eq!(proof.outcome, CodeSpaceOutcome::ProvenAll);
 }

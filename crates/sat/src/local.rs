@@ -71,6 +71,18 @@ const OBLIGATION_CONFLICTS: u64 = 10_000;
 /// Rounds of cut expansion a failed claim gets before it stays failed.
 const MAX_EXPANSIONS: usize = 4;
 
+/// Node expansions one sweep cut-point window may take
+/// (see [`SweepEngine`](crate::SweepEngine)).
+pub(crate) const WINDOW_EXPANSIONS: usize = 32;
+
+/// Leaves past [`SIM_VARS`] a sweep window's frontier may hold while it
+/// is still expanding; reconvergence can shrink it back.
+pub(crate) const WINDOW_SLACK: usize = 8;
+
+/// A sweep window with at most this many leaves fits one 64-row word,
+/// so it is checked after every expansion.
+pub(crate) const WINDOW_CHEAP_LEAVES: usize = 6;
+
 /// Limits for [`prove_locally`]. The default is unlimited, on the
 /// default [`SolverConfig`].
 #[derive(Debug, Clone, Default)]
@@ -486,8 +498,8 @@ impl Pass<'_> {
             });
             variant_slot.insert(variant.gate_output(v), out);
         }
-        program.variant_out = variant_slot[&variant.gate_output(g)];
-        program.base_out = base_slot[&base.gate_output(twin)];
+        program.left = variant_slot[&variant.gate_output(g)];
+        program.right = base_slot[&base.gate_output(twin)];
         program
     }
 
@@ -527,8 +539,9 @@ struct Cone {
     groups: Vec<usize>,
 }
 
+/// One instruction of a [`Program`].
 #[derive(Debug)]
-enum Op {
+pub(crate) enum Op {
     Const {
         out: u32,
         value: bool,
@@ -547,18 +560,21 @@ enum Op {
     },
 }
 
-/// One obligation as straight-line code: slots `0..free` are free.
+/// One obligation as straight-line code: slots `0..free` are free. The
+/// truth-table kernel shared by the code-space proof and the sweep's
+/// cut-point windows.
 #[derive(Debug, Default)]
-struct Program {
-    slots: u32,
-    free: usize,
-    ops: Vec<Op>,
-    variant_out: u32,
-    base_out: u32,
+pub(crate) struct Program {
+    pub(crate) slots: u32,
+    pub(crate) free: usize,
+    pub(crate) ops: Vec<Op>,
+    /// The two slots whose functions are compared.
+    pub(crate) left: u32,
+    pub(crate) right: u32,
 }
 
 impl Program {
-    fn fresh(&mut self) -> u32 {
+    pub(crate) fn fresh(&mut self) -> u32 {
         self.slots += 1;
         self.slots - 1
     }
@@ -566,7 +582,7 @@ impl Program {
     /// Exhaustive word-parallel simulation over all `2^free` rows, a
     /// [`Block`] of 256 rows at a time. Padding rows repeat the all-zeros
     /// assignment, so comparing whole blocks is exact.
-    fn simulate(&self) -> bool {
+    pub(crate) fn simulate(&self) -> bool {
         let patterns = exhaustive_patterns(self.free);
         let blocks = (1usize << self.free).div_ceil(64 * BLOCK_LANES);
         let mut vals = vec![ZERO_BLOCK; self.slots as usize * blocks];
@@ -609,10 +625,7 @@ impl Program {
                 }
             }
         }
-        let (a, b) = (
-            self.variant_out as usize * blocks,
-            self.base_out as usize * blocks,
-        );
+        let (a, b) = (self.left as usize * blocks, self.right as usize * blocks);
         vals[a..a + blocks] == vals[b..b + blocks]
     }
 
@@ -651,10 +664,7 @@ impl Program {
                 }
             }
         }
-        let (a, b) = (
-            vars[self.variant_out as usize],
-            vars[self.base_out as usize],
-        );
+        let (a, b) = (vars[self.left as usize], vars[self.right as usize]);
         solver.add_clause([Lit::pos(a), Lit::pos(b)]);
         solver.add_clause([Lit::neg(a), Lit::neg(b)]);
         solver.set_conflict_budget(allowance);

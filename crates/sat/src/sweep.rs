@@ -12,18 +12,41 @@
 //!    the very nodes of the base circuit. A primary-output pair whose
 //!    cones hash to the same node is proven equivalent with **no SAT call**.
 //! 2. **Cut-point sweeping** — interior node pairs with equal
-//!    64-word simulation signatures are equivalence candidates. They are
-//!    SAT-validated **innermost-first** (ascending logic depth) on a
-//!    persistent incremental solver; each proven pair is merged in a
-//!    congruence-closed union-find, which re-hashes the fanout and usually
-//!    collapses the remaining output pairs structurally. Only the changed
-//!    region and its transitive fanout are ever Tseitin-encoded
-//!    (cone-of-influence reduction), and merged classes share one CNF
-//!    variable, so the miter the solver sees is tiny.
+//!    64-word simulation signatures are equivalence candidates, validated
+//!    **innermost-first** (ascending logic depth). Each pair is first
+//!    tried on a **local window**: starting from the frontier `{a, b}`,
+//!    the frontier node with the highest id (node ids are topological)
+//!    is repeatedly replaced by its children's class representatives, so
+//!    the window grows downward until the two cones reconverge — a
+//!    fingerprint's trigger is masked a few gates above its location.
+//!    Once neither root is left on the frontier, the window is compiled
+//!    to the code-space proof's straight-line truth-table kernel and
+//!    simulated over every assignment of its frontier leaves: after each
+//!    expansion while it has at most 6 leaves, and once more at the end
+//!    when it has at most 16. Agreement on every row merges the pair
+//!    with nothing Tseitin-encoded. Only a pair the window cannot settle
+//!    goes to a persistent incremental SAT solver. Each proven pair is
+//!    merged in a congruence-closed union-find, which re-hashes the
+//!    fanout and usually collapses the remaining output pairs
+//!    structurally. Only the changed region and its transitive fanout
+//!    are ever Tseitin-encoded (cone-of-influence reduction), and merged
+//!    classes share one CNF variable, so the miter the solver sees is
+//!    tiny.
 //! 3. **Counterexample feedback** — a SAT model from a failed candidate is
 //!    replayed through the whole node store and appended to the signature
 //!    pool, so one counterexample falsifies every other candidate pair it
 //!    distinguishes.
+//!
+//! **Soundness of the local window.** Every path from a root to a
+//! primary input passes through the frontier — that is what expanding a
+//! node into *all* its children preserves — so both roots are exact
+//! functions of the frontier leaves, and merged classes are computed by
+//! their representative. If the two functions agree under every leaf
+//! assignment, they agree in particular under the assignments the leaves
+//! can actually take together, so the pair is equal. The converse does
+//! not hold: free leaves over-approximate what they can reach jointly
+//! (a satisfiability don't-care), so a window mismatch is **never** a
+//! refutation — the pair just falls through to the SAT query.
 //!
 //! The engine is built once per golden netlist and checked against many
 //! candidates; node merges, learnt clauses, and counterexample patterns
@@ -41,6 +64,7 @@ use odcfp_logic::PrimitiveFn;
 use odcfp_netlist::{NetDriver, Netlist};
 
 use crate::equiv::{EquivError, MiterOutcome};
+use crate::local::{Op, Program, SIM_VARS, WINDOW_CHEAP_LEAVES, WINDOW_EXPANSIONS, WINDOW_SLACK};
 use crate::tseitin::encode_gate;
 use crate::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
@@ -110,8 +134,12 @@ pub struct SweepReport {
     /// Primary-output pairs proven by structural hashing alone (same node
     /// class before any SAT query of this check).
     pub strash_proven: usize,
-    /// Interior cut-point pairs proven equal and merged by SAT this check.
+    /// Interior cut-point pairs proven equal and merged this check, by a
+    /// local truth table or by SAT.
     pub cut_points_proven: usize,
+    /// Of `cut_points_proven`, the pairs settled by a local window's
+    /// truth table, with no SAT call.
+    pub cut_points_simulated: usize,
     /// Candidate pairs refuted by a SAT model (each fed back into the
     /// signature pool).
     pub cut_points_refuted: usize,
@@ -293,9 +321,14 @@ impl SweepEngine {
             );
             span.field("strash_proven", report.strash_proven);
             span.field("cut_points_proven", report.cut_points_proven);
+            span.field("cut_points_simulated", report.cut_points_simulated);
             span.field("conflicts", report.conflicts);
             odcfp_obs::count("sweep.strash_proven", report.strash_proven as u64);
             odcfp_obs::count("sweep.cutpoints_proven", report.cut_points_proven as u64);
+            odcfp_obs::count(
+                "sweep.cutpoints_simulated",
+                report.cut_points_simulated as u64,
+            );
             odcfp_obs::count("sweep.cutpoints_refuted", report.cut_points_refuted as u64);
             odcfp_obs::count("sweep.cutpoints_skipped", report.cut_points_skipped as u64);
         }
@@ -333,6 +366,7 @@ impl SweepEngine {
             outcome: MiterOutcome::Equivalent,
             strash_proven: self.num_pos - unproven.len(),
             cut_points_proven: 0,
+            cut_points_simulated: 0,
             cut_points_refuted: 0,
             cut_points_skipped: 0,
             conflicts: 0,
@@ -357,6 +391,12 @@ impl SweepEngine {
                 Some(total) => self.opts.cut_conflicts.min(total - spent),
                 None => self.opts.cut_conflicts,
             };
+            if self.settle_locally(ra, rb) {
+                self.union(ra, rb);
+                report.cut_points_proven += 1;
+                report.cut_points_simulated += 1;
+                continue;
+            }
             match self.prove_distinct(ra, rb, Some(pair_budget), deadline) {
                 Query::Equal => {
                     self.union(ra, rb);
@@ -844,6 +884,112 @@ impl SweepEngine {
         pairs
     }
 
+    // ------------------------------------------------------------------
+    // Local windows
+    // ------------------------------------------------------------------
+
+    /// Tries to prove classes `a` and `b` equal from a truth table over a
+    /// small window below them; see the module docs for the expansion
+    /// order and the soundness argument. `false` means "not settled
+    /// here", never "distinct".
+    fn settle_locally(&self, a: u32, b: u32) -> bool {
+        // Sorted ascending; holds gates and inputs, never constants.
+        let mut frontier: Vec<u32> = Vec::new();
+        // Expanded gates, in descending id order.
+        let mut expanded: Vec<u32> = Vec::new();
+        self.add_leaf(&mut frontier, a);
+        self.add_leaf(&mut frontier, b);
+        // The latest window too wide for the cheap check but within
+        // `SIM_VARS`: its leaves and how many gates it had expanded.
+        let mut last_wide: Option<(Vec<u32>, usize)> = None;
+        for _ in 0..WINDOW_EXPANSIONS {
+            match frontier.last() {
+                Some(&top) if self.is_gate(top) => {
+                    frontier.pop();
+                    expanded.push(top);
+                    for &c in self.children(top) {
+                        self.add_leaf(&mut frontier, self.find(c));
+                    }
+                }
+                _ => break, // only primary inputs left
+            }
+            if frontier.len() > SIM_VARS + WINDOW_SLACK {
+                break;
+            }
+            if frontier.binary_search(&a).is_ok() && self.is_gate(a)
+                || frontier.binary_search(&b).is_ok() && self.is_gate(b)
+            {
+                continue; // a root is still a free leaf
+            }
+            if frontier.len() <= WINDOW_CHEAP_LEAVES {
+                if self.window_agrees(a, b, &frontier, &expanded) {
+                    return true;
+                }
+                last_wide = None;
+            } else if frontier.len() <= SIM_VARS {
+                last_wide = Some((frontier.clone(), expanded.len()));
+            }
+        }
+        last_wide.is_some_and(|(leaves, k)| self.window_agrees(a, b, &leaves, &expanded[..k]))
+    }
+
+    fn is_gate(&self, n: u32) -> bool {
+        matches!(self.kind[n as usize], NodeKind::Gate(_))
+    }
+
+    /// Adds class representative `n` to a sorted frontier; constants
+    /// are compiled in place and never become leaves.
+    fn add_leaf(&self, frontier: &mut Vec<u32>, n: u32) {
+        if let NodeKind::Const(_) = self.kind[n as usize] {
+            return;
+        }
+        if let Err(at) = frontier.binary_search(&n) {
+            frontier.insert(at, n);
+        }
+    }
+
+    /// Compiles a window (free `leaves`, gates `expanded` in descending
+    /// id order) and checks that `a` and `b` agree on every row.
+    fn window_agrees(&self, a: u32, b: u32, leaves: &[u32], expanded: &[u32]) -> bool {
+        let mut program = Program {
+            slots: leaves.len() as u32,
+            free: leaves.len(),
+            ..Program::default()
+        };
+        // Slot of each expanded gate, parallel to `expanded`.
+        let mut gate_slot = vec![0u32; expanded.len()];
+        let slot_of = |program: &mut Program, gate_slot: &[u32], n: u32| -> u32 {
+            if let Ok(i) = leaves.binary_search(&n) {
+                return i as u32;
+            }
+            if let Some(i) = expanded.iter().position(|&e| e == n) {
+                return gate_slot[i];
+            }
+            let NodeKind::Const(value) = self.kind[n as usize] else {
+                unreachable!("node {n} outside its window")
+            };
+            let out = program.fresh();
+            program.ops.push(Op::Const { out, value });
+            out
+        };
+        for (i, &g) in expanded.iter().enumerate().rev() {
+            let NodeKind::Gate(f) = self.kind[g as usize] else {
+                unreachable!("only gates are expanded")
+            };
+            let ins = self
+                .children(g)
+                .iter()
+                .map(|&c| slot_of(&mut program, &gate_slot, self.find(c)))
+                .collect();
+            let out = program.fresh();
+            program.ops.push(Op::Gate { f, ins, out });
+            gate_slot[i] = out;
+        }
+        program.left = slot_of(&mut program, &gate_slot, a);
+        program.right = slot_of(&mut program, &gate_slot, b);
+        program.simulate()
+    }
+
     /// Lazily Tseitin-encodes a node class (and its cone) into the
     /// persistent solver, returning the class variable.
     fn encode(&mut self, node: u32) -> Var {
@@ -944,7 +1090,7 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odcfp_netlist::CellLibrary;
+    use odcfp_netlist::{CellLibrary, NetId};
 
     /// Fig. 1 of the paper: base circuit and its ODC-fingerprinted copy
     /// (`X = A·B` widened to `X' = A·B·Y` where `Y = C+D` masks the cone).
@@ -1052,34 +1198,61 @@ mod tests {
         }
     }
 
+    /// A chain of two-input XORs over `width` inputs, associated left to
+    /// right or, `reversed`, right to left.
+    fn xor_chain(width: usize, reversed: bool) -> Netlist {
+        let lib = CellLibrary::standard();
+        let mut n = Netlist::new("xors", lib);
+        let mut pis: Vec<_> = (0..width)
+            .map(|i| n.add_primary_input(format!("i{i}")))
+            .collect();
+        if reversed {
+            pis.reverse();
+        }
+        let out = gate_chain(&mut n, &pis, PrimitiveFn::Xor);
+        n.set_primary_output(out);
+        n
+    }
+
+    /// A chain of two-input `f` gates over `inputs`, left to right;
+    /// returns the chain's output net.
+    fn gate_chain(n: &mut Netlist, inputs: &[NetId], f: PrimitiveFn) -> NetId {
+        let cell = n.library().cell_for(f, 2).unwrap();
+        let mut acc = inputs[0];
+        for (k, &pi) in inputs.iter().enumerate().skip(1) {
+            let g = n.add_gate(format!("{f:?}{k}"), cell, &[acc, pi]);
+            acc = n.gate_output(g);
+        }
+        acc
+    }
+
+    #[test]
+    fn fig1_pair_settles_by_truth_table() {
+        let golden = fig1(false);
+        let marked = fig1(true);
+        let mut eng = SweepEngine::new(&golden, SweepOptions::default());
+        let report = eng.check(&marked, None, None).unwrap();
+        assert_eq!(report.outcome, MiterOutcome::Equivalent);
+        // F and F' reconverge two gates above the widened X': a window
+        // over {A, B, C, D} settles them without the solver.
+        assert!(report.cut_points_simulated >= 1, "{report:?}");
+        assert_eq!(report.cut_points_simulated, report.cut_points_proven);
+        assert_eq!(report.conflicts, 0, "{report:?}");
+        assert_eq!(eng.solver_stats().conflicts, 0);
+    }
+
     #[test]
     fn structurally_different_but_equal_uses_output_query() {
-        // XOR chains associated in opposite orders: no strash match, no
-        // interior signature-equal pairs, so the proof lands on the final
-        // output query of the shared incremental solver.
-        let build = |reversed: bool| {
-            let lib = CellLibrary::standard();
-            let mut n = Netlist::new("xors", lib);
-            let mut pis: Vec<_> = (0..8)
-                .map(|i| n.add_primary_input(format!("i{i}")))
-                .collect();
-            if reversed {
-                pis.reverse();
-            }
-            let xor2 = n.library().cell_for(PrimitiveFn::Xor, 2).unwrap();
-            let mut acc = pis[0];
-            for (k, &pi) in pis.iter().enumerate().skip(1) {
-                let g = n.add_gate(format!("x{k}"), xor2, &[acc, pi]);
-                acc = n.gate_output(g);
-            }
-            n.set_primary_output(acc);
-            n
-        };
-        let golden = build(false);
-        let cand = build(true);
+        // XOR chains associated in opposite orders: no strash match and
+        // no interior signature-equal pairs. The two cones meet only at
+        // the 20 primary inputs, past what a local window simulates, so
+        // the proof lands on a query of the shared incremental solver.
+        let golden = xor_chain(20, false);
+        let cand = xor_chain(20, true);
         let mut eng = SweepEngine::new(&golden, SweepOptions::default());
         let report = eng.check(&cand, None, None).unwrap();
         assert_eq!(report.outcome, MiterOutcome::Equivalent);
+        assert_eq!(report.cut_points_simulated, 0, "{report:?}");
         assert!(report.conflicts > 0, "a real proof was required");
         // Once proven, the classes stay merged for the next check.
         let again = eng.check(&cand, None, None).unwrap();
@@ -1087,28 +1260,81 @@ mod tests {
         assert_eq!(again.conflicts, 0);
     }
 
+    /// Equal only through a satisfiability don't-care: N1 = AND(x0..x19)
+    /// implies N2 = OR(x19..x0), so AND(N1, N2) = N1, and the outputs
+    /// (AND(N1, N2) ^ c) ^ d and (N1 ^ c) ^ d are a cut-point pair. The
+    /// chains run in opposite orders, so a window sees the implication
+    /// only once both chains are expanded far enough to share inputs:
+    /// by then all 20 inputs are on its frontier, past what a window
+    /// simulates. The pair must go to the solver.
     #[test]
-    fn budget_exhaustion_is_honest_undecided() {
-        let build = |reversed: bool| {
-            let lib = CellLibrary::standard();
-            let mut n = Netlist::new("xors", lib);
-            let mut pis: Vec<_> = (0..12)
-                .map(|i| n.add_primary_input(format!("i{i}")))
+    fn satisfiability_dont_care_is_proven_by_the_solver() {
+        let build = |sdc: bool| {
+            let mut n = Netlist::new("sdc", CellLibrary::standard());
+            let xs: Vec<_> = (0..20)
+                .map(|i| n.add_primary_input(format!("x{i}")))
                 .collect();
-            if reversed {
-                pis.reverse();
-            }
+            let c = n.add_primary_input("c");
+            let d = n.add_primary_input("d");
+            let n1 = gate_chain(&mut n, &xs, PrimitiveFn::And);
+            let g = if sdc {
+                n1
+            } else {
+                let reversed: Vec<_> = xs.iter().rev().copied().collect();
+                let n2 = gate_chain(&mut n, &reversed, PrimitiveFn::Or);
+                let and2 = n.library().cell_for(PrimitiveFn::And, 2).unwrap();
+                let g = n.add_gate("g", and2, &[n1, n2]);
+                n.gate_output(g)
+            };
             let xor2 = n.library().cell_for(PrimitiveFn::Xor, 2).unwrap();
-            let mut acc = pis[0];
-            for (k, &pi) in pis.iter().enumerate().skip(1) {
-                let g = n.add_gate(format!("x{k}"), xor2, &[acc, pi]);
-                acc = n.gate_output(g);
-            }
-            n.set_primary_output(acc);
+            let gc = n.add_gate("gc", xor2, &[g, c]);
+            let h = n.add_gate("h", xor2, &[n.gate_output(gc), d]);
+            n.set_primary_output(n.gate_output(h));
             n
         };
         let golden = build(false);
         let cand = build(true);
+        let mut eng = SweepEngine::new(&golden, SweepOptions::default());
+        let report = eng.check(&cand, None, None).unwrap();
+        assert_eq!(report.outcome, MiterOutcome::Equivalent);
+        assert_eq!(report.cut_points_simulated, 0, "{report:?}");
+        assert!(report.cut_points_proven >= 1, "{report:?}");
+        assert!(report.conflicts > 0, "{report:?}");
+    }
+
+    /// AND(x0..x15) against AND(x0..x14): they differ on one row of
+    /// 65,536, which the random signatures miss, so the pair is a cut
+    /// point. Its windows disagree (one row is enough), the solver
+    /// refutes it, and the counterexample is a real one.
+    #[test]
+    fn signature_equal_false_candidate_is_refuted() {
+        let build = |width: usize| {
+            let mut n = Netlist::new("ands", CellLibrary::standard());
+            let xs: Vec<_> = (0..16)
+                .map(|i| n.add_primary_input(format!("x{i}")))
+                .collect();
+            let out = gate_chain(&mut n, &xs[..width], PrimitiveFn::And);
+            n.set_primary_output(out);
+            n
+        };
+        let golden = build(16);
+        let cand = build(15);
+        let mut eng = SweepEngine::new(&golden, SweepOptions::default());
+        let report = eng.check(&cand, None, None).unwrap();
+        assert!(report.cut_points_refuted >= 1, "{report:?}");
+        assert_eq!(report.cut_points_simulated, 0, "{report:?}");
+        match report.outcome {
+            MiterOutcome::Counterexample(inputs) => {
+                assert_ne!(golden.eval(&inputs), cand.eval(&inputs));
+            }
+            other => panic!("expected counterexample, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_exhaustion_is_honest_undecided() {
+        let golden = xor_chain(12, false);
+        let cand = xor_chain(12, true);
         let mut eng = SweepEngine::new(&golden, SweepOptions::default());
         let starved = eng.check(&cand, Some(0), None).unwrap();
         assert_eq!(starved.outcome, MiterOutcome::Undecided);
