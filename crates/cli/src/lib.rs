@@ -29,7 +29,7 @@
 //! odcfp report     <trace.jsonl>                 summarize an observability trace
 //! odcfp serve      [--listen ADDR] [--root DIR]  resident multi-tenant engine
 //!                  [--workers N] [--queue-depth N] [--cache-budget-mb N]
-//!                  [--drain-secs S] [--threaded] [--max-conns N]
+//!                  [--drain-secs S] [--max-conns N]
 //!                  [--stream-threshold BYTES]
 //!                  (protocol: docs/PROTOCOL.md; operations: docs/SERVING.md)
 //! odcfp client     <addr> <op> [args]            one request against a server
@@ -195,7 +195,6 @@ struct Options {
     tenant: Option<String>,
     deadline_ms: Option<u64>,
     policy: Option<String>,
-    threaded: bool,
     max_conns: Option<usize>,
     stream_threshold: Option<usize>,
     rps: Option<f64>,
@@ -278,7 +277,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         tenant: None,
         deadline_ms: None,
         policy: None,
-        threaded: false,
         max_conns: None,
         stream_threshold: None,
         rps: None,
@@ -404,7 +402,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 )
             }
             "--policy" => o.policy = Some(take("--policy")?),
-            "--threaded" => o.threaded = true,
             "--max-conns" => {
                 let n: usize = take("--max-conns")?
                     .parse()
@@ -1240,7 +1237,7 @@ commands:
   report    <trace.jsonl>                       summarize an observability trace
   serve     [--listen ADDR] [--workers N]       resident multi-tenant engine
             [--queue-depth N] [--cache-budget-mb N] [--drain-secs S] [--root DIR]
-            [--threaded] [--max-conns N] [--stream-threshold BYTES]
+            [--max-conns N] [--stream-threshold BYTES]
             (event-driven multiplexing with streaming replies; protocol
              spec in docs/PROTOCOL.md, operations guide in docs/SERVING.md)
   client    <addr> <op> [args]                  one request against a server
@@ -1836,6 +1833,13 @@ mod tests {
                 assert_eq!(e.exit_code(), 2, "{command} {flag:?}: {}", e.0);
             }
         }
+    }
+
+    #[test]
+    fn removed_serve_threaded_flag_is_a_usage_error() {
+        let e = run("serve", &["--threaded".to_owned()], &mut Vec::new())
+            .expect_err("removed flag must be rejected");
+        assert_eq!(e.exit_code(), 2, "{}", e.0);
     }
 
     #[test]

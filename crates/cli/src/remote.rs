@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::CellLibrary;
 use odcfp_serve::proto::{payload_digest, request_line, FieldValue, Frame};
-use odcfp_serve::{signal, ConnMode, Reply, Server, ServerConfig};
+use odcfp_serve::{signal, Reply, Server, ServerConfig};
 use odcfp_synth::benchmarks::random::{random_dag, DagParams};
 use odcfp_verilog::write_verilog;
 
@@ -41,11 +41,6 @@ pub fn run_serve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliE
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         listen: o.listen.clone().unwrap_or_else(|| "127.0.0.1:7333".into()),
-        mode: if o.threaded {
-            ConnMode::Threaded
-        } else {
-            ConnMode::Reactor
-        },
         workers: o.workers.unwrap_or(2),
         queue_depth: o.queue_depth.unwrap_or(64),
         max_conns: o.max_conns.unwrap_or(defaults.max_conns),

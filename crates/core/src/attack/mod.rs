@@ -40,7 +40,7 @@ use odcfp_netlist::Netlist;
 use odcfp_synth::{ResynthError, ResynthLevel};
 
 use crate::collusion::{TraceParams, TracerIndex};
-use crate::verify::VerifyPolicy;
+use crate::verify::{VerifyPolicy, VerifySession};
 use crate::{FingerprintError, Fingerprinter};
 
 pub use collude::{CollusionAttackReport, MixStrategy};
@@ -453,17 +453,19 @@ pub fn run_battery(
         index.push(code);
     }
 
-    // Mint the netlist-level copies (victim first). Verification is the
-    // caller's chosen policy; an Undecided verdict is tolerated here —
-    // the battery grades robustness, not equivalence (the verify ladder
-    // and its tests own that guarantee).
+    // Mint the netlist-level copies (victim first) through one verify
+    // session. Verification is the caller's chosen policy; an Undecided
+    // verdict is tolerated here — the battery grades robustness, not
+    // equivalence (the verify ladder and its tests own that guarantee).
     let minted = opts.minted_copies.min(opts.buyers).max(1);
+    let mut session = VerifySession::new(fp.base())?;
     let mut copies = Vec::with_capacity(minted);
     for code in codes.iter().take(minted) {
         if token.is_cancelled() {
             return Err(AttackError::Cancelled);
         }
-        let (copy, _verdict) = fp.embed_with_policy_cancellable(code, &opts.verify, token)?;
+        let (copy, _verdict) =
+            fp.embed_with_session_cancellable(&mut session, code, &opts.verify, token)?;
         copies.push(copy);
     }
 

@@ -4,7 +4,8 @@
 //!
 //! A **campaign** executes the job list a [`Manifest`] expands to —
 //! every (circuit, buyer) pair — minting one fingerprinted copy per job
-//! through [`Fingerprinter::embed_with_policy_cancellable`]. The runner
+//! through [`Fingerprinter::embed_with_session_cancellable`] on one
+//! [`VerifySession`] per circuit. The runner
 //! is built for unattended fleets, so three defenses are always on:
 //!
 //! * **Write-ahead journal** — every job transition is appended to

@@ -254,35 +254,8 @@ impl Fingerprinter {
         bits: &[bool],
         policy: &VerifyPolicy,
     ) -> Result<(FingerprintedCopy, Verdict), FingerprintError> {
-        self.embed_with_policy_cancellable(bits, policy, &CancelToken::new())
-    }
-
-    /// [`Fingerprinter::embed_with_policy`] under a cooperative
-    /// [`CancelToken`] — the minting entry point batch runners use, so a
-    /// per-job deadline or an operator abort stops the verification
-    /// workers instead of merely being noticed afterwards.
-    ///
-    /// A fired token surfaces as [`Verdict::Undecided`]; the copy is
-    /// still returned (it passed structural validation), and the caller
-    /// decides whether an unverified copy is usable.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fingerprinter::embed_with_policy`].
-    pub fn embed_with_policy_cancellable(
-        &self,
-        bits: &[bool],
-        policy: &VerifyPolicy,
-        token: &CancelToken,
-    ) -> Result<(FingerprintedCopy, Verdict), FingerprintError> {
         let netlist = self.apply_bits(bits)?;
-        let verdict =
-            crate::verify::verify_equivalent_cancellable(&self.base, &netlist, policy, token)?;
-        if let Verdict::Refuted { counterexample } = verdict {
-            return Err(FingerprintError::NotEquivalent {
-                counterexample: Some(counterexample),
-            });
-        }
+        let verdict = reject_refuted(verify_equivalent(&self.base, &netlist, policy)?)?;
         Ok((
             FingerprintedCopy {
                 netlist,
@@ -292,13 +265,19 @@ impl Fingerprinter {
         ))
     }
 
-    /// [`Fingerprinter::embed_with_policy_cancellable`] through a
-    /// persistent [`VerifySession`] — the campaign fast path.
+    /// [`Fingerprinter::embed_with_policy`] through a persistent
+    /// [`VerifySession`] under a cooperative [`CancelToken`] — the
+    /// minting entry point batch runners use.
     ///
     /// The session must have been built from this engine's base netlist
     /// (e.g. `VerifySession::new(fp.base())`); reusing it across copies
     /// lets the sweep engine's strash store, learnt clauses, and
-    /// counterexample-enriched signatures amortize over every buyer.
+    /// counterexample-enriched signatures amortize over every buyer. A
+    /// per-job deadline or an operator abort stops the verification
+    /// instead of merely being noticed afterwards: a fired token
+    /// surfaces as [`Verdict::Undecided`], the copy is still returned
+    /// (it passed structural validation), and the caller decides whether
+    /// an unverified copy is usable.
     ///
     /// # Errors
     ///
@@ -311,18 +290,13 @@ impl Fingerprinter {
         token: &CancelToken,
     ) -> Result<(FingerprintedCopy, Verdict), FingerprintError> {
         let netlist = self.apply_bits(bits)?;
-        let report = session.verify_cancellable(&netlist, policy, token)?;
-        if let Verdict::Refuted { counterexample } = report.verdict {
-            return Err(FingerprintError::NotEquivalent {
-                counterexample: Some(counterexample),
-            });
-        }
+        let verdict = reject_refuted(session.verify_cancellable(&netlist, policy, token)?.verdict)?;
         Ok((
             FingerprintedCopy {
                 netlist,
                 bits: bits.to_vec(),
             },
-            report.verdict,
+            verdict,
         ))
     }
 
@@ -494,18 +468,26 @@ impl Fingerprinter {
     }
 }
 
+/// Promotes [`Verdict::Refuted`] to [`FingerprintError::NotEquivalent`]:
+/// a copy that changes the function must never ship.
+fn reject_refuted(verdict: Verdict) -> Result<Verdict, FingerprintError> {
+    match verdict {
+        Verdict::Refuted { counterexample } => Err(FingerprintError::NotEquivalent {
+            counterexample: Some(counterexample),
+        }),
+        verdict => Ok(verdict),
+    }
+}
+
 /// Maps a verdict onto the pass/fail contract of the [`VerifyLevel`] API:
 /// refuted and undecided verdicts become errors (the built-in levels use
 /// unbounded policies, so undecided is defensive only).
 pub(crate) fn check_verdict(verdict: Verdict) -> Result<(), FingerprintError> {
-    match verdict {
-        Verdict::Proven | Verdict::ProbablyEquivalent { .. } => Ok(()),
-        Verdict::Refuted { counterexample } => Err(FingerprintError::NotEquivalent {
-            counterexample: Some(counterexample),
-        }),
+    match reject_refuted(verdict)? {
         Verdict::Undecided { .. } => Err(FingerprintError::Verification(
             odcfp_sat::EquivError::BudgetExhausted,
         )),
+        _ => Ok(()),
     }
 }
 

@@ -32,7 +32,7 @@ use odcfp_netlist::{GateId, NetDriver, Netlist};
 use crate::embed::{check_verdict, Fingerprinter, FingerprintedCopy, VerifyLevel};
 use crate::location::{FingerprintLocation, LocationProbe};
 use crate::modify::{apply_modification, Modification};
-use crate::verify::{verify_equivalent, Verdict, VerifyPolicy, VerifySession};
+use crate::verify::verify_equivalent;
 use crate::FingerprintError;
 
 /// A netlist under modification with a per-gate cache of location entries,
@@ -258,38 +258,6 @@ impl EmbedSession<'_> {
             check_verdict(verify_equivalent(self.fp.base(), &netlist, &policy)?)?;
         }
         Ok(FingerprintedCopy::from_parts(netlist, self.bits))
-    }
-
-    /// Like [`EmbedSession::finish`], but verifies through a persistent
-    /// [`VerifySession`] so the proof machinery (strash store, learnt
-    /// clauses, shared base encoding) carries over to the next copy.
-    ///
-    /// The session must have been built from the same base netlist. The
-    /// verdict the policy's budget earned is returned alongside the copy;
-    /// [`Verdict::Refuted`] is promoted to an error, exactly as in
-    /// [`Fingerprinter::embed_with_policy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on failed validation or a refuted equivalence
-    /// check.
-    pub fn finish_with_session(
-        self,
-        session: &mut VerifySession,
-        policy: &VerifyPolicy,
-    ) -> Result<(FingerprintedCopy, Verdict), FingerprintError> {
-        let netlist = self.inc.into_netlist();
-        netlist.validate()?;
-        let report = session.verify(&netlist, policy)?;
-        if let Verdict::Refuted { counterexample } = report.verdict {
-            return Err(FingerprintError::NotEquivalent {
-                counterexample: Some(counterexample),
-            });
-        }
-        Ok((
-            FingerprintedCopy::from_parts(netlist, self.bits),
-            report.verdict,
-        ))
     }
 }
 

@@ -93,7 +93,6 @@ pub use location::{
 pub use silicon::FlexibleDesign;
 pub use modify::{apply_modification, Modification};
 pub use verify::{
-    verify_equivalent, verify_equivalent_cancellable, verify_equivalent_report,
-    verify_equivalent_report_cancellable, CodeSpaceOutcome, CodeSpaceProof, Verdict, VerifyPolicy,
-    VerifyReport, VerifySession, VerifyStats,
+    verify_equivalent, verify_equivalent_report, CodeSpaceOutcome, CodeSpaceProof, Verdict,
+    VerifyPolicy, VerifyReport, VerifySession, VerifyStats,
 };

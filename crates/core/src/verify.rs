@@ -32,9 +32,9 @@
 //! structurally, SAT effort).
 //!
 //! For campaigns checking many copies of one base design,
-//! [`VerifySession`] keeps the sweep engine and a [`SharedMiter`] (base
-//! encoded once, per-variant activation literals) alive across checks,
-//! so each buyer pays only the marginal cost of its own delta.
+//! [`VerifySession`] runs the same ladder but keeps its sweep engine
+//! alive across checks, so each buyer pays only the marginal cost of its
+//! own delta.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -87,9 +87,10 @@ pub struct VerifyPolicy {
     /// either way — the flag exists so benchmarks and differential tests
     /// can pin the cold baseline.
     pub use_fast_path: bool,
-    /// Solver configuration for every SAT engine the ladder builds (cold
-    /// miter, sweep engine, session shared miter). Verdicts are identical
-    /// for every configuration; the knob only trades search heuristics.
+    /// Solver configuration for every SAT engine the one-shot ladder
+    /// builds (cold miter, sweep engine); a [`VerifySession`] fixes its
+    /// own at construction. Verdicts are identical for every
+    /// configuration; the knob only trades search heuristics.
     pub solver: SolverConfig,
 }
 
@@ -194,6 +195,19 @@ impl Verdict {
             Verdict::Undecided { .. } => "undecided",
         }
     }
+
+    /// The verdict a SAT engine's outcome earns; `conflicts_spent` and the
+    /// time since `start` account for an undecided one.
+    fn from_outcome(outcome: MiterOutcome, conflicts_spent: u64, start: Instant) -> Verdict {
+        match outcome {
+            MiterOutcome::Equivalent => Verdict::Proven,
+            MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
+            MiterOutcome::Undecided => Verdict::Undecided {
+                conflicts_spent,
+                elapsed: start.elapsed(),
+            },
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
@@ -293,7 +307,7 @@ pub fn verify_equivalent(
     candidate: &Netlist,
     policy: &VerifyPolicy,
 ) -> Result<Verdict, FingerprintError> {
-    verify_equivalent_cancellable(golden, candidate, policy, &CancelToken::new())
+    Ok(verify_equivalent_report(golden, candidate, policy)?.verdict)
 }
 
 /// [`verify_equivalent`] returning the full [`VerifyReport`] (verdict plus
@@ -307,69 +321,69 @@ pub fn verify_equivalent_report(
     candidate: &Netlist,
     policy: &VerifyPolicy,
 ) -> Result<VerifyReport, FingerprintError> {
-    verify_equivalent_report_cancellable(golden, candidate, policy, &CancelToken::new())
-}
-
-/// [`verify_equivalent`] under a cooperative [`CancelToken`].
-///
-/// Every rung of the ladder observes the token *and* the policy's
-/// `time_limit` (composed via [`CancelToken::bounded_by`]): the random
-/// and exhaustive simulation stages poll between bounded pattern
-/// batches, and the SAT stage arms the solver's conflict-point interrupt
-/// in addition to its deadline. A fired token yields
-/// [`Verdict::Undecided`] with whatever accounting was accrued — exactly
-/// the degradation contract budget exhaustion already follows — so
-/// callers cannot tell cancellation apart from a slow proof by verdict
-/// alone; batch runners check the token they handed in.
-///
-/// # Errors
-///
-/// As [`verify_equivalent`].
-pub fn verify_equivalent_cancellable(
-    golden: &Netlist,
-    candidate: &Netlist,
-    policy: &VerifyPolicy,
-    token: &CancelToken,
-) -> Result<Verdict, FingerprintError> {
-    Ok(verify_equivalent_report_cancellable(golden, candidate, policy, token)?.verdict)
-}
-
-/// [`verify_equivalent_report`] under a cooperative [`CancelToken`] —
-/// the full-fidelity entry point the other three delegate to.
-///
-/// # Errors
-///
-/// As [`verify_equivalent`].
-pub fn verify_equivalent_report_cancellable(
-    golden: &Netlist,
-    candidate: &Netlist,
-    policy: &VerifyPolicy,
-    token: &CancelToken,
-) -> Result<VerifyReport, FingerprintError> {
-    let start = Instant::now();
     golden.validate()?;
     candidate.validate()?;
-    check_interfaces(golden, candidate)?;
+    run_ladder(
+        golden,
+        candidate,
+        policy,
+        &CancelToken::new(),
+        &mut None,
+        policy.solver,
+    )
+}
 
-    // Compose the caller's token with the policy's wall-clock limit; all
-    // three stages observe the combined handle.
+/// The ladder behind every entry point, for an already validated pair:
+/// interface check, the simulation rungs, then the SAT rung.
+///
+/// Every rung observes `token` *and* the policy's `time_limit` (composed
+/// via [`CancelToken::bounded_by`]): the simulation stages poll between
+/// bounded pattern batches, and the SAT rung arms the solver's
+/// conflict-point interrupt in addition to its deadline.
+///
+/// The fast path runs on `sweep`, which is built on first use and kept:
+/// a [`VerifySession`] passes its own engine, a one-shot caller a fresh
+/// `None`. `solver` configures whichever SAT engine this call builds.
+fn run_ladder(
+    golden: &Netlist,
+    candidate: &Netlist,
+    policy: &VerifyPolicy,
+    token: &CancelToken,
+    sweep: &mut Option<SweepEngine>,
+    solver: SolverConfig,
+) -> Result<VerifyReport, FingerprintError> {
+    let start = Instant::now();
+    check_interfaces(golden, candidate)?;
     let token = token.bounded_by(policy.time_limit.map(|limit| start + limit));
     let mut stats = VerifyStats::default();
-    if let Some(verdict) = sim_stages(golden, candidate, policy, &token, &mut stats, start) {
-        stats.elapsed = start.elapsed();
-        trace_verdict(&verdict, &stats);
-        return Ok(VerifyReport { verdict, stats });
-    }
-    let verdict = {
-        let mut span = odcfp_obs::span("verify.sat");
-        span.field("fast_path", policy.use_fast_path);
-        let verdict = if policy.use_fast_path {
-            sat_stage_sweep(golden, candidate, policy, &token, &mut stats, start)?
-        } else {
-            sat_stage_cold(golden, candidate, policy, &token, &mut stats, start)?
-        };
-        span.field("verdict", verdict.name());
-        verdict
+    let verdict = match sim_stages(golden, candidate, policy, &token, &mut stats, start) {
+        Some(verdict) => verdict,
+        None => {
+            let mut span = odcfp_obs::span("verify.sat");
+            span.field("fast_path", policy.use_fast_path);
+            let verdict = if policy.use_fast_path {
+                let engine = sweep.get_or_insert_with(|| {
+                    SweepEngine::new(
+                        golden,
+                        SweepOptions {
+                            solver,
+                            ..SweepOptions::default()
+                        },
+                    )
+                });
+                engine.set_interrupt(token.flag());
+                let report = engine
+                    .check(candidate, total_sat_budget(policy), token.deadline())
+                    .map_err(FingerprintError::Verification)?;
+                stats.record_sweep(&report, engine);
+                trace_fastpath(&report);
+                Verdict::from_outcome(report.outcome, report.conflicts, start)
+            } else {
+                sat_stage_cold(golden, candidate, policy, solver, &token, &mut stats, start)?
+            };
+            span.field("verdict", verdict.name());
+            verdict
+        }
     };
     stats.elapsed = start.elapsed();
     trace_verdict(&verdict, &stats);
@@ -502,46 +516,10 @@ fn total_sat_budget(policy: &VerifyPolicy) -> Option<u64> {
     Some(total)
 }
 
-/// Stage 3, fast path: one-shot SAT sweeping (strash + cone-local cut
-/// points) on a fresh engine. Campaigns reuse the engine across copies
-/// through [`VerifySession`] instead.
-fn sat_stage_sweep(
-    golden: &Netlist,
-    candidate: &Netlist,
-    policy: &VerifyPolicy,
-    token: &CancelToken,
-    stats: &mut VerifyStats,
-    start: Instant,
-) -> Result<Verdict, FingerprintError> {
-    let mut engine = SweepEngine::new(
-        golden,
-        SweepOptions {
-            solver: policy.solver,
-            ..SweepOptions::default()
-        },
-    );
-    engine.set_interrupt(token.flag());
-    let report = engine
-        .check(candidate, total_sat_budget(policy), token.deadline())
-        .map_err(FingerprintError::Verification)?;
-    stats.record_sweep(&report, &engine);
-    trace_fastpath(&report);
-    Ok(match report.outcome {
-        MiterOutcome::Equivalent => Verdict::Proven,
-        MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
-        MiterOutcome::Undecided => Verdict::Undecided {
-            conflicts_spent: report.conflicts,
-            elapsed: start.elapsed(),
-        },
-    })
-}
-
 /// Deterministic payload event classifying how the sweep settled (or
 /// failed to settle) a candidate: `strash` = structurally identical with
 /// zero SAT, `cutpoint` = interior merges collapsed the outputs, `sat` =
 /// a direct output query decided it, `refuted` / `undecided` as named.
-/// Sessions emit `shared_fallback` instead of `undecided` when the
-/// leftover budget is handed to the [`SharedMiter`].
 fn trace_fastpath(report: &odcfp_sat::SweepReport) {
     if !odcfp_obs::enabled() {
         return;
@@ -569,19 +547,20 @@ fn sat_stage_cold(
     golden: &Netlist,
     candidate: &Netlist,
     policy: &VerifyPolicy,
+    solver: SolverConfig,
     token: &CancelToken,
     stats: &mut VerifyStats,
     start: Instant,
 ) -> Result<Verdict, FingerprintError> {
     let deadline = token.deadline();
     let mut miter =
-        Miter::build_with(golden, candidate, policy.solver).map_err(FingerprintError::Verification)?;
+        Miter::build_with(golden, candidate, solver).map_err(FingerprintError::Verification)?;
     // An explicit cancel() must stop the solver at its next conflict
     // point, not only between attempts.
     miter.set_interrupt(token.flag());
     let escalation = u64::from(policy.sat_escalation.max(2));
     let mut attempt_budget = policy.sat_initial_conflicts;
-    let mut verdict = None;
+    let mut outcome = MiterOutcome::Undecided;
     for _ in 0..policy.sat_max_attempts {
         if token.is_cancelled() {
             break;
@@ -594,32 +573,19 @@ fn sat_stage_cold(
                 Some(b.map_or(left, |b| b.min(left)))
             }
         };
-        match miter.solve(effective, deadline) {
-            MiterOutcome::Equivalent => {
-                verdict = Some(Verdict::Proven);
-                break;
-            }
-            MiterOutcome::Counterexample(counterexample) => {
-                verdict = Some(Verdict::Refuted { counterexample });
-                break;
-            }
-            MiterOutcome::Undecided => {
-                if policy
-                    .sat_conflict_cap
-                    .is_some_and(|cap| miter.conflicts_spent() >= cap)
-                {
-                    break;
-                }
-                attempt_budget = attempt_budget.map(|b| b.saturating_mul(escalation).max(1));
-            }
+        outcome = miter.solve(effective, deadline);
+        if !matches!(outcome, MiterOutcome::Undecided)
+            || policy
+                .sat_conflict_cap
+                .is_some_and(|cap| miter.conflicts_spent() >= cap)
+        {
+            break;
         }
+        attempt_budget = attempt_budget.map(|b| b.saturating_mul(escalation).max(1));
     }
     stats.sat_conflicts = miter.conflicts_spent();
     stats.solver = Some(miter.stats());
-    Ok(verdict.unwrap_or(Verdict::Undecided {
-        conflicts_spent: miter.conflicts_spent(),
-        elapsed: start.elapsed(),
-    }))
+    Ok(Verdict::from_outcome(outcome, miter.conflicts_spent(), start))
 }
 
 /// The outcome of one cancellable simulation sweep.
@@ -708,26 +674,23 @@ fn sim_scan(
 ///
 /// A campaign verifies dozens of buyer copies of the *same* base
 /// circuit; building the proof machinery from scratch per copy throws
-/// away everything the previous copy taught the solver. A session keeps
-/// two incremental engines alive across calls:
+/// away everything the previous copy taught the solver. A session runs
+/// the same ladder as [`verify_equivalent`] but keeps its
+/// [`SweepEngine`] alive across calls: the strash store, the signature
+/// pool (including counterexample patterns learned from earlier copies),
+/// the proven equivalence classes and the learnt clauses all persist, so
+/// a second copy touching the same region usually proves structurally
+/// with zero SAT. Code-space proofs
+/// ([`VerifySession::prove_code_space`]) that fall back to a monolithic
+/// solve keep a [`SharedMiter`] here as well. Both engines are built
+/// lazily on first use, so a session whose copies all fall to
+/// simulation costs nothing extra.
 ///
-/// * a [`SweepEngine`] whose strash store, signature pool (including
-///   counterexample patterns learned from earlier copies), proven
-///   equivalence classes, and learnt clauses all persist — a second
-///   copy touching the same region usually proves structurally with
-///   zero SAT;
-/// * a [`SharedMiter`] fallback that Tseitin-encodes the base once and
-///   checks each copy's delta under a per-variant activation literal,
-///   used when the sweep leaves outputs undecided within budget.
-///
-/// Both engines are built lazily on first use, so a session whose
-/// copies all fall to simulation costs nothing extra.
-///
-/// Sessions always take the fast path; the cold baseline for benchmarks
-/// is the free function with [`VerifyPolicy::use_fast_path`] unset.
-/// Verdict-wise the two agree: definitive outcomes (`Proven`/`Refuted`)
-/// are canonical, and reuse only changes how fast they are reached (see
-/// DESIGN.md §11 for the determinism argument).
+/// Verdict-wise a session agrees with the one-shot functions: definitive
+/// outcomes (`Proven`/`Refuted`) are canonical, and reuse only changes
+/// how fast they are reached (see DESIGN.md §11 for the determinism
+/// argument). A policy with [`VerifyPolicy::use_fast_path`] unset takes
+/// the cold miter here too and leaves the session's engine untouched.
 ///
 /// `stats.solver` in returned reports is cumulative over the session's
 /// sweep engine, not per-call.
@@ -876,6 +839,12 @@ impl VerifySession {
 
     /// [`VerifySession::verify`] under a cooperative [`CancelToken`].
     ///
+    /// Every rung observes the token and the policy's `time_limit`; a
+    /// fired token yields [`Verdict::Undecided`] with whatever accounting
+    /// was accrued, exactly as budget exhaustion does, so callers cannot
+    /// tell cancellation apart from a slow proof by verdict alone — batch
+    /// runners check the token they handed in.
+    ///
     /// # Errors
     ///
     /// As [`verify_equivalent`].
@@ -885,62 +854,15 @@ impl VerifySession {
         policy: &VerifyPolicy,
         token: &CancelToken,
     ) -> Result<VerifyReport, FingerprintError> {
-        let start = Instant::now();
         candidate.validate()?;
-        check_interfaces(&self.golden, candidate)?;
-        let token = token.bounded_by(policy.time_limit.map(|limit| start + limit));
-        let mut stats = VerifyStats::default();
-        if let Some(verdict) =
-            sim_stages(&self.golden, candidate, policy, &token, &mut stats, start)
-        {
-            stats.elapsed = start.elapsed();
-            trace_verdict(&verdict, &stats);
-            return Ok(VerifyReport { verdict, stats });
-        }
-
-        let mut sat_span = odcfp_obs::span("verify.sat");
-        sat_span.field("fast_path", true);
-        let budget = total_sat_budget(policy);
-        let golden = &self.golden;
-        let solver = self.solver;
-        let engine = self.sweep.get_or_insert_with(|| {
-            SweepEngine::new(
-                golden,
-                SweepOptions {
-                    solver,
-                    ..SweepOptions::default()
-                },
-            )
-        });
-        engine.set_interrupt(token.flag());
-        let report = engine
-            .check(candidate, budget, token.deadline())
-            .map_err(FingerprintError::Verification)?;
-        stats.record_sweep(&report, engine);
-
-        if matches!(report.outcome, MiterOutcome::Undecided) {
-            odcfp_obs::point("verify.fastpath")
-                .field("reason", "shared_fallback")
-                .emit();
-        } else {
-            trace_fastpath(&report);
-        }
-        let verdict = match report.outcome {
-            MiterOutcome::Equivalent => Verdict::Proven,
-            MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
-            MiterOutcome::Undecided => {
-                // The sweep ran out of budget (or cut points); hand the
-                // leftover conflict allowance to the shared miter, which
-                // attacks the whole circuit rather than cone-by-cone.
-                let remaining = budget.map(|b| b.saturating_sub(report.conflicts));
-                self.shared_fallback(candidate, remaining, &token, &mut stats, start)?
-            }
-        };
-        sat_span.field("verdict", verdict.name());
-        drop(sat_span);
-        stats.elapsed = start.elapsed();
-        trace_verdict(&verdict, &stats);
-        Ok(VerifyReport { verdict, stats })
+        run_ladder(
+            &self.golden,
+            candidate,
+            policy,
+            token,
+            &mut self.sweep,
+            self.solver,
+        )
     }
 
     /// Proves the *code space* of a fingerprinter: given the superposed
@@ -1102,54 +1024,12 @@ impl VerifySession {
         };
         shared.set_interrupt(token.flag());
         let before = shared.stats().conflicts;
-        match shared.check_code(handle, code, budget, token.deadline()) {
-            MiterOutcome::Equivalent => Verdict::Proven,
-            MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
-            MiterOutcome::Undecided => Verdict::Undecided {
-                conflicts_spent: shared.stats().conflicts.saturating_sub(before),
-                elapsed: start.elapsed(),
-            },
-        }
-    }
-
-    /// Checks `candidate` as a retired-on-exit variant of the session's
-    /// persistent [`SharedMiter`].
-    fn shared_fallback(
-        &mut self,
-        candidate: &Netlist,
-        remaining: Option<u64>,
-        token: &CancelToken,
-        stats: &mut VerifyStats,
-        start: Instant,
-    ) -> Result<Verdict, FingerprintError> {
-        let undecided = |stats: &VerifyStats| Verdict::Undecided {
-            conflicts_spent: stats.sat_conflicts,
-            elapsed: start.elapsed(),
-        };
-        if token.is_cancelled() || remaining == Some(0) {
-            return Ok(undecided(stats));
-        }
-        let golden = &self.golden;
-        let shared = match &mut self.shared {
-            Some(shared) => shared,
-            None => self.shared.insert(SharedMiter::build_with(golden, self.solver)),
-        };
-        shared.set_interrupt(token.flag());
-        let before = shared.stats().conflicts;
-        let id = shared
-            .add_variant(candidate)
-            .map_err(FingerprintError::Verification)?;
-        let outcome = shared.check(id, remaining, token.deadline());
-        // Retire unconditionally: a variant is checked exactly once per
-        // call, and keeping refuted/undecided deltas active would slow
-        // every later query.
-        shared.retire(id);
-        stats.sat_conflicts += shared.stats().conflicts.saturating_sub(before);
-        Ok(match outcome {
-            MiterOutcome::Equivalent => Verdict::Proven,
-            MiterOutcome::Counterexample(counterexample) => Verdict::Refuted { counterexample },
-            MiterOutcome::Undecided => undecided(stats),
-        })
+        let outcome = shared.check_code(handle, code, budget, token.deadline());
+        Verdict::from_outcome(
+            outcome,
+            shared.stats().conflicts.saturating_sub(before),
+            start,
+        )
     }
 }
 
@@ -1342,23 +1222,23 @@ mod tests {
     fn fired_token_short_circuits_the_whole_ladder() {
         let left = xor_chain(20, false);
         let right = xor_chain(20, true);
+        let mut session = VerifySession::new(&left).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        match verify_equivalent_cancellable(&left, &right, &VerifyPolicy::strict(), &token)
+        match session
+            .verify_cancellable(&right, &VerifyPolicy::strict(), &token)
             .unwrap()
+            .verdict
         {
             Verdict::Undecided { .. } => {}
             other => panic!("expected undecided after cancel, got {other}"),
         }
         // A quiet token changes nothing.
         assert_eq!(
-            verify_equivalent_cancellable(
-                &left,
-                &right,
-                &VerifyPolicy::strict(),
-                &CancelToken::new()
-            )
-            .unwrap(),
+            session
+                .verify_cancellable(&right, &VerifyPolicy::strict(), &CancelToken::new())
+                .unwrap()
+                .verdict,
             Verdict::Proven
         );
     }

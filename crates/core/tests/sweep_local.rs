@@ -14,8 +14,18 @@
 //! candidates; a window that wrongly settled one would merge two
 //! different functions and hide a fault from the ground truth.
 //!
+//! A third engine checks every pair under limits: a seeded small
+//! conflict budget, an expired deadline and a fired interrupt. It pins
+//! the sweep's contract that only those limits leave a check undecided:
+//! an `Undecided` report must have spent its whole budget or seen its
+//! deadline or interrupt fire.
+//!
 //! CI runs this file at `ODCFP_THREADS=1` and `8`; the sweep is
 //! single-threaded, so the verdicts must not move.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use odcfp_core::faults::FaultInjector;
 use odcfp_core::{
@@ -192,10 +202,56 @@ fn check(
     )
 }
 
+/// Checks `candidate` on `limited` under a seeded conflict budget below
+/// 16, an expired deadline and a fired `interrupt` (which must be armed
+/// on the engine). A decided outcome must match ground truth; an
+/// undecided one must have exhausted its budget or seen a limit fire.
+/// Returns how many checks ran out of budget with no limit fired.
+fn check_limited(
+    limited: &mut SweepEngine,
+    interrupt: &AtomicBool,
+    rng: &mut Xoshiro256,
+    golden: &Netlist,
+    candidate: &Netlist,
+    label: &str,
+) -> usize {
+    let truth = ground_truth_equal(golden, candidate);
+    let budget = rng.next_below(16) as u64;
+    let mut exhausted = 0;
+    for (budget, deadline, fire) in [
+        (Some(budget), None, false),
+        (None, Some(Instant::now()), false),
+        (None, None, true),
+    ] {
+        interrupt.store(fire, Ordering::Release);
+        let report = limited.check(candidate, budget, deadline).expect("valid pair");
+        let fired = fire || deadline.is_some_and(|d| Instant::now() >= d);
+        let label = format!("{label} limited to {budget:?} conflicts, fired {fired}");
+        match report.outcome {
+            MiterOutcome::Equivalent => assert!(truth, "{label}: proved a changed copy"),
+            MiterOutcome::Counterexample(inputs) => {
+                assert!(!truth, "{label}: refuted an equivalent copy");
+                assert_ne!(golden.eval(&inputs), candidate.eval(&inputs), "{label}");
+            }
+            MiterOutcome::Undecided => {
+                let spent = budget.is_some_and(|b| report.conflicts >= b);
+                assert!(
+                    spent || fired,
+                    "{label}: undecided after {} conflicts with no limit reached",
+                    report.conflicts
+                );
+                exhausted += usize::from(!fired);
+            }
+        }
+    }
+    interrupt.store(false, Ordering::Release);
+    exhausted
+}
+
 #[test]
 fn sweep_verdicts_match_exhaustive_ground_truth() {
     let mut kinds_seen = [0usize; 3];
-    let (mut proven, mut refuted, mut simulated) = (0, 0, 0);
+    let (mut proven, mut refuted, mut simulated, mut exhausted) = (0, 0, 0, 0);
     for seed in 0..SEEDS {
         let Ok(fp) = Fingerprinter::new(dag(seed)) else {
             continue;
@@ -214,10 +270,15 @@ fn sweep_verdicts_match_exhaustive_ground_truth() {
                 ..SweepOptions::default()
             },
         );
+        let mut limited = SweepEngine::new(&golden, SweepOptions::default());
+        let interrupt = Arc::new(AtomicBool::new(false));
+        limited.set_interrupt(Arc::clone(&interrupt));
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x00B0_D6E7);
         let mut injector = FaultInjector::new(seed);
         for (label, copy) in copies(&fp, seed, &mut kinds_seen) {
             let label = format!("seed {seed} {label}");
             let (equal, settled) = check(&mut session, &mut starved, &golden, &copy, &label);
+            exhausted += check_limited(&mut limited, &interrupt, &mut rng, &golden, &copy, &label);
             assert!(equal, "{label}: an ODC fingerprint is equivalent");
             proven += 1;
             simulated += settled;
@@ -227,6 +288,8 @@ fn sweep_verdicts_match_exhaustive_ground_truth() {
                 };
                 let label = format!("{label} wrong cell #{f} at {gate:?}");
                 let (equal, settled) = check(&mut session, &mut starved, &golden, &faulty, &label);
+                exhausted +=
+                    check_limited(&mut limited, &interrupt, &mut rng, &golden, &faulty, &label);
                 simulated += settled;
                 if equal {
                     proven += 1;
@@ -244,4 +307,5 @@ fn sweep_verdicts_match_exhaustive_ground_truth() {
     }
     assert!(proven > 0 && refuted > 0, "proven {proven}, refuted {refuted}");
     assert!(simulated > 0, "no cut point was settled by a window");
+    assert!(exhausted > 0, "no budgeted check ran out of conflicts");
 }

@@ -531,7 +531,7 @@ mod tests {
             e
         };
         let data = TraceData {
-            events: vec![mk("strash"), mk("strash"), mk("cutpoint"), mk("shared_fallback")],
+            events: vec![mk("strash"), mk("strash"), mk("cutpoint"), mk("undecided")],
             skipped_lines: 0,
         };
         let s = summarize(&data);

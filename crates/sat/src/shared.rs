@@ -37,7 +37,8 @@ use crate::equiv::{EquivError, MiterOutcome};
 use crate::tseitin::{encode_gate, encode_netlist, ClauseSink};
 use crate::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
-/// Handle to a variant registered with [`SharedMiter::add_variant`].
+/// Handle to a variant registered with
+/// [`SharedMiter::add_selectable_variant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VariantId(usize);
 
@@ -139,8 +140,8 @@ impl ClauseSink for GuardedSink<'_> {
 /// };
 /// let base = build(PrimitiveFn::Nand);
 /// let mut shared = SharedMiter::build(&base);
-/// let same = shared.add_variant(&build(PrimitiveFn::Nand))?;
-/// let diff = shared.add_variant(&build(PrimitiveFn::Nor))?;
+/// let same = shared.add_selectable_variant(&build(PrimitiveFn::Nand), &[], 0)?.id();
+/// let diff = shared.add_selectable_variant(&build(PrimitiveFn::Nor), &[], 0)?.id();
 /// assert_eq!(shared.check(same, None, None), MiterOutcome::Equivalent);
 /// assert!(matches!(
 ///     shared.check(diff, None, None),
@@ -216,21 +217,6 @@ impl SharedMiter {
         }
     }
 
-    /// Encodes `variant`'s delta against the base under a fresh activation
-    /// literal and returns its handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the variant's interface doesn't match the base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variant` has undriven nets or a combinational cycle
-    /// (validate first).
-    pub fn add_variant(&mut self, variant: &Netlist) -> Result<VariantId, EquivError> {
-        self.add_variant_inner(variant, &[], 0).map(|sv| sv.id)
-    }
-
     /// Encodes a *superposed* variant — the base with every fingerprint
     /// modification applied at once — where each widened input is guarded
     /// by a per-group selector variable that defaults the input to its
@@ -258,15 +244,6 @@ impl SharedMiter {
     /// the same input twice — the caller builds the list programmatically
     /// from the modifications it just applied, so these are logic errors.
     pub fn add_selectable_variant(
-        &mut self,
-        variant: &Netlist,
-        selectable: &[SelectableInput],
-        groups: usize,
-    ) -> Result<SelectableVariant, EquivError> {
-        self.add_variant_inner(variant, selectable, groups)
-    }
-
-    fn add_variant_inner(
         &mut self,
         variant: &Netlist,
         selectable: &[SelectableInput],
@@ -610,7 +587,7 @@ mod tests {
         let clone = fig1(false);
         let mut sm = SharedMiter::build(&base);
         let vars_before = sm.num_vars();
-        let id = sm.add_variant(&clone).unwrap();
+        let id = sm.add_selectable_variant(&clone, &[], 0).unwrap().id();
         assert_eq!(sm.check(id, None, None), MiterOutcome::Equivalent);
         // Every net shared: only the activation literal was allocated.
         assert_eq!(sm.num_vars(), vars_before + 1);
@@ -623,7 +600,7 @@ mod tests {
         let marked = fig1(true);
         let mut sm = SharedMiter::build(&base);
         let vars_before = sm.num_vars();
-        let id = sm.add_variant(&marked).unwrap();
+        let id = sm.add_selectable_variant(&marked, &[], 0).unwrap().id();
         assert_eq!(sm.check(id, None, None), MiterOutcome::Equivalent);
         // Only gx's cone changed: act + new gx var + new gf var + diff var.
         let delta_vars = sm.num_vars() - vars_before;
@@ -634,7 +611,7 @@ mod tests {
     fn many_variants_one_solver_with_counterexamples() {
         let base = fig1(false);
         let mut sm = SharedMiter::build(&base);
-        let good = sm.add_variant(&fig1(true)).unwrap();
+        let good = sm.add_selectable_variant(&fig1(true), &[], 0).unwrap().id();
 
         let lib = base.library().clone();
         let mut wrong = Netlist::new("wrong", lib);
@@ -647,7 +624,7 @@ mod tests {
         let x = wrong.add_gate("gx", and2, &[a, b]);
         let f = wrong.add_gate("gf", or2, &[wrong.gate_output(x), d]);
         wrong.set_primary_output(wrong.gate_output(f));
-        let bad = sm.add_variant(&wrong).unwrap();
+        let bad = sm.add_selectable_variant(&wrong, &[], 0).unwrap().id();
 
         assert_eq!(sm.check(good, None, None), MiterOutcome::Equivalent);
         match sm.check(bad, None, None) {
@@ -686,7 +663,7 @@ mod tests {
         };
         let base = build(false);
         let mut sm = SharedMiter::build(&base);
-        let id = sm.add_variant(&build(true)).unwrap();
+        let id = sm.add_selectable_variant(&build(true), &[], 0).unwrap().id();
         assert_eq!(sm.check(id, Some(0), None), MiterOutcome::Undecided);
         assert_eq!(sm.check(id, None, None), MiterOutcome::Equivalent);
     }
@@ -849,7 +826,7 @@ mod tests {
         tiny.set_primary_output(a);
         let mut sm = SharedMiter::build(&base);
         assert!(matches!(
-            sm.add_variant(&tiny),
+            sm.add_selectable_variant(&tiny, &[], 0),
             Err(EquivError::InputCountMismatch { .. })
         ));
     }

@@ -4,18 +4,14 @@
 //! Workers are connection-agnostic. They pop [`Job`]s from the
 //! tenant-fair queue, execute under `catch_unwind` with a composed
 //! drain + deadline [`CancelToken`], and hand the finished
-//! [`Response`] back through the job's [`ReplyTo`] — a direct socket
-//! write in the legacy threaded mode, or a mailbox handoff to the
-//! reactor in event-driven mode. A worker never blocks on a client
-//! socket: large payloads leave the worker as a whole `Response::Stream`
-//! and are chunked out by the reactor under socket-writability
-//! backpressure.
+//! [`Response`] to the reactor's mailbox through the job's [`ReplyTo`].
+//! A worker never blocks on a client socket: large payloads leave the
+//! worker as a whole `Response::Stream` and are chunked out by the
+//! reactor under socket-writability backpressure.
 //!
 //! Every request, verify included, runs alone on the worker that popped
 //! it: a verify's latency is its queue wait plus its own execution.
 
-use std::io::Write as _;
-use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -45,18 +41,12 @@ pub(crate) struct Job {
     pub(crate) enqueued: Instant,
 }
 
-/// Where a finished response goes.
-pub(crate) enum ReplyTo {
-    /// Legacy threaded mode: write on the connection's stream now,
-    /// serialized by the per-connection lock. Blocks the worker on a
-    /// slow client — the documented weakness of this mode.
-    Direct(Arc<Mutex<TcpStream>>),
-    /// Event-driven mode: hand off to the reactor's mailbox; the
-    /// reactor owns all socket writes.
-    Reactor {
-        conn: u64,
-        mailbox: Arc<Mailbox>,
-    },
+/// Where a finished response goes: the reactor's mailbox, addressed to
+/// the connection that sent the request. The reactor owns all socket
+/// writes.
+pub(crate) struct ReplyTo {
+    pub(crate) conn: u64,
+    pub(crate) mailbox: Arc<Mailbox>,
 }
 
 /// A finished request: either one reply line or a reply whose large
@@ -71,15 +61,6 @@ pub(crate) enum Response {
 }
 
 impl Response {
-    /// Collapses a stream into its single-line equivalent (legacy mode
-    /// and v1 clients).
-    pub(crate) fn into_line(self) -> Reply {
-        match self {
-            Response::Line(reply) => reply,
-            Response::Stream { reply, field, payload } => reply.field(field, payload),
-        }
-    }
-
     /// Converts into the reactor's outbound representation.
     pub(crate) fn into_sender(self, chunk: usize) -> Result<Vec<u8>, Box<StreamSender>> {
         match self {
@@ -213,34 +194,15 @@ fn finish(shared: &Arc<Shared>, job: Job, reply: Reply) {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
     }
     let response = maybe_stream(shared, &job, reply);
-    match job.reply_to {
-        ReplyTo::Direct(writer) => {
-            // Legacy mode: single-line replies, written by the worker.
-            let mut line = response.into_line().to_line();
-            line.push('\n');
-            if let Ok(mut stream) = writer.lock() {
-                // A vanished client is its own problem; the server
-                // presses on.
-                let _ = stream.write_all(line.as_bytes());
-                let _ = stream.flush();
-            }
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-        ReplyTo::Reactor { conn, mailbox } => {
-            // The reactor decrements in-flight once it routes the
-            // response to (or discards it for) the connection.
-            mailbox.deliver(conn, response);
-        }
-    }
+    // The reactor decrements in-flight once it routes the response to
+    // (or discards it for) the connection.
+    job.reply_to.mailbox.deliver(job.reply_to.conn, response);
 }
 
 /// Splits a large payload field out of `reply` for chunked emission.
-/// Only v2 requests on reactor connections stream; everyone else gets
-/// the payload inline.
+/// Only v2 requests stream; v1 clients get the payload inline.
 fn maybe_stream(shared: &Arc<Shared>, job: &Job, mut reply: Reply) -> Response {
-    let streamable = job.request.version >= 2
-        && matches!(job.reply_to, ReplyTo::Reactor { .. })
-        && shared.config.stream_threshold != usize::MAX;
+    let streamable = job.request.version >= 2 && shared.config.stream_threshold != usize::MAX;
     if streamable {
         for field in STREAMED_FIELDS {
             let big = reply.fields.iter().position(|(k, v)| {

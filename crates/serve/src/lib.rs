@@ -15,9 +15,7 @@
 //! admission into the tenant-fair queue ([`queue`]); a fixed worker
 //! pool (`executor`) runs each one alone under its own deadline.
 //! Large replies stream back as `chunk`/`done` frames
-//! ([`stream`]) paced by each connection's own socket. The pre-v2
-//! thread-per-connection layer survives as
-//! [`server::ConnMode::Threaded`] for comparison benchmarks.
+//! ([`stream`]) paced by each connection's own socket.
 //!
 //! The design center is *robustness under production conditions*, per
 //! docs/SERVING.md and DESIGN.md §13/§17:
@@ -62,5 +60,5 @@ pub use proto::{
     payload_digest, ErrorCode, Frame, Op, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 pub use queue::FairQueue;
-pub use server::{ConnMode, ServeSummary, Server, ServerConfig};
+pub use server::{ServeSummary, Server, ServerConfig};
 pub use stream::{DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD};

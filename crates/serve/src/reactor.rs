@@ -1,10 +1,9 @@
 //! The event-driven connection layer: one reactor thread owns every
 //! socket, multiplexed with `poll(2)` over nonblocking fds.
 //!
-//! The thread-per-connection layer (still available as
-//! `ConnMode::Threaded`) spends one OS thread — stack, scheduler slot,
-//! context switches — per idle socket. The reactor replaces that with a
-//! single thread that:
+//! A thread-per-connection layer would spend one OS thread — stack,
+//! scheduler slot, context switches — per idle socket. The reactor
+//! spends a single thread that:
 //!
 //! 1. polls the listener, a wake pipe, and every connection for
 //!    readiness;
@@ -512,7 +511,7 @@ fn handle_line(
             return;
         }
     };
-    let reply_to = ReplyTo::Reactor {
+    let reply_to = ReplyTo {
         conn: id,
         mailbox: Arc::clone(mailbox),
     };

@@ -1,14 +1,11 @@
-//! Server lifecycle: configuration, shared state, the two connection
-//! modes, and graceful drain.
+//! Server lifecycle: configuration, shared state, and graceful drain.
 //!
 //! # Life of a request
 //!
 //! 1. The connection layer assembles newline-delimited request lines
 //!    through the [`crate::frame::FrameDecoder`] — see the
-//!    framing grammar in docs/PROTOCOL.md §2. In the
-//!    default [`ConnMode::Reactor`] a single event-loop thread owns
-//!    every socket (see the `reactor` module); in the legacy
-//!    [`ConnMode::Threaded`] each connection gets a reader thread.
+//!    framing grammar in docs/PROTOCOL.md §2. A single event-loop
+//!    thread owns every socket (see the `reactor` module).
 //!    Malformed lines get a structured error reply — never a
 //!    disconnect. `ping` and `shutdown` are answered inline.
 //! 2. Admission (the `executor` module's `admit`): the request enters the
@@ -21,9 +18,8 @@
 //!    A panic answers `panic`, poisons
 //!    the circuit's warm-cache entry, and leaves the process (and every
 //!    other request) untouched.
-//! 4. The reply is routed back to the connection layer: written
-//!    directly in threaded mode, mailed to the reactor otherwise.
-//!    Replies whose payload crosses the stream threshold leave as
+//! 4. The reply is mailed back to the reactor, which owns every socket
+//!    write. Replies whose payload crosses the stream threshold leave as
 //!    `chunk`/`done` frame sequences under per-connection backpressure.
 //!
 //! # Drain
@@ -36,39 +32,21 @@
 //! observe the same token between jobs and stop with their journal
 //! fsync'd, so a drained campaign resumes exactly like a SIGKILLed one.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use odcfp_analysis::CancelToken;
 use odcfp_netlist::CellLibrary;
 
 use crate::cache::WarmCache;
-use crate::executor::{admit, worker_loop, Admit, Job, ReplyTo};
-use crate::frame::{FrameDecoder, FrameEvent};
-use crate::proto::{ErrorCode, Reply, Request};
+use crate::executor::{worker_loop, Job};
 use crate::queue::FairQueue;
 use crate::signal;
 use crate::stream::{DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD};
-
-/// How often blocking loops poll their stop conditions.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnMode {
-    /// One event-loop thread owns all sockets (`poll(2)` readiness).
-    /// Scales to thousands of idle connections; replies may stream.
-    Reactor,
-    /// One OS thread per connection (the pre-v2 architecture). Kept for
-    /// comparison benchmarks and as a fallback; replies are always
-    /// single lines and a slow reader blocks its worker mid-write.
-    Threaded,
-}
 
 /// Server construction knobs. [`ServerConfig::default`] is sized for
 /// tests and local use; production deployments tune every field (see
@@ -77,13 +55,11 @@ pub enum ConnMode {
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests).
     pub listen: String,
-    /// Connection multiplexing mode.
-    pub mode: ConnMode,
     /// Worker threads executing requests.
     pub workers: usize,
     /// Bounded admission queue depth across all tenants.
     pub queue_depth: usize,
-    /// Maximum simultaneous connections (reactor mode). Beyond it, new
+    /// Maximum simultaneous connections. Beyond it, new
     /// connections get one `overloaded` line and are closed.
     pub max_conns: usize,
     /// Warm-cache byte budget (estimated bytes, see
@@ -95,7 +71,7 @@ pub struct ServerConfig {
     /// `bad_request` instead of buffering without bound.
     pub max_line: usize,
     /// Reply payload size (bytes) at which v2 replies switch to
-    /// `chunk`/`done` streaming (reactor mode only). `usize::MAX`
+    /// `chunk`/`done` streaming. `usize::MAX`
     /// disables streaming.
     pub stream_threshold: usize,
     /// Payload bytes per `chunk` frame.
@@ -109,7 +85,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".to_owned(),
-            mode: ConnMode::Reactor,
             workers: 2,
             queue_depth: 64,
             max_conns: 1024,
@@ -143,14 +118,11 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     /// Cancels in-flight work when the drain deadline fires.
     pub(crate) drain_token: CancelToken,
-    /// Threaded-mode readers exit once set (after workers finish).
-    pub(crate) stop: AtomicBool,
     pub(crate) served: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) panics: AtomicU64,
     /// Requests admitted to the queue whose responses have not yet been
-    /// handed back to the connection layer. Drives drain completion in
-    /// reactor mode.
+    /// handed back to the connection layer. Drives drain completion.
     pub(crate) in_flight: AtomicU64,
     pub(crate) library: Arc<CellLibrary>,
 }
@@ -197,13 +169,11 @@ impl Server {
     /// failures are answered in-protocol.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         let Server { listener, config } = self;
-        let mode = config.mode;
         let shared = Arc::new(Shared {
             queue: FairQueue::new(config.queue_depth),
             cache: WarmCache::new(config.cache_budget),
             draining: AtomicBool::new(false),
             drain_token: CancelToken::new(),
-            stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             panics: AtomicU64::new(0),
@@ -219,18 +189,11 @@ impl Server {
             })
             .collect();
 
-        match mode {
-            ConnMode::Reactor => {
-                // The reactor owns accept, framing, drain sequencing,
-                // and outbound flush; it returns once drained.
-                crate::reactor::run_reactor(listener, &shared)?;
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            ConnMode::Threaded => {
-                run_threaded(listener, &shared, workers)?;
-            }
+        // The reactor owns accept, framing, drain sequencing, and
+        // outbound flush; it returns once drained.
+        crate::reactor::run_reactor(listener, &shared)?;
+        for w in workers {
+            let _ = w.join();
         }
 
         let summary = ServeSummary {
@@ -249,153 +212,5 @@ impl Server {
             .emit();
         odcfp_obs::flush();
         Ok(summary)
-    }
-}
-
-/// The legacy thread-per-connection accept loop and drain sequence.
-fn run_threaded(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-) -> std::io::Result<()> {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    listener.set_nonblocking(true)?;
-    while !shared.draining() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                readers.push(std::thread::spawn(move || reader_loop(&shared, stream)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            // Transient per-connection accept failures must not take
-            // the daemon down.
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-
-    // Drain: no new admissions; queued work still runs. The watchdog
-    // cancels the shared token at the deadline so wedged work unwinds
-    // as cancelled.
-    odcfp_obs::point("serve.drain")
-        .field("queued", shared.queue.len())
-        .nondet()
-        .emit();
-    shared.queue.close();
-    let workers_done = Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let shared = Arc::clone(shared);
-        let workers_done = Arc::clone(&workers_done);
-        std::thread::spawn(move || {
-            let armed = Instant::now();
-            while !workers_done.load(Ordering::SeqCst) {
-                if armed.elapsed() >= shared.config.drain_deadline {
-                    shared.drain_token.cancel();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        })
-    };
-    for w in workers {
-        let _ = w.join();
-    }
-    workers_done.store(true, Ordering::SeqCst);
-    let _ = watchdog.join();
-    shared.stop.store(true, Ordering::SeqCst);
-    for r in readers {
-        let _ = r.join();
-    }
-    Ok(())
-}
-
-/// Threaded-mode per-connection thread: assemble frames, answer control
-/// ops inline, admit the rest.
-fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut stream = stream;
-    let mut decoder = FrameDecoder::new(shared.config.max_line);
-    let mut events = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF: a final unterminated line still counts.
-                if let Some(tail) = decoder.finish() {
-                    handle_threaded_line(shared, &writer, &tail);
-                }
-                return;
-            }
-            Ok(n) => {
-                decoder.push(&chunk[..n], &mut events);
-                for event in events.drain(..) {
-                    match event {
-                        FrameEvent::Frame(line) => {
-                            handle_threaded_line(shared, &writer, &line);
-                        }
-                        FrameEvent::Oversized => {
-                            shared.rejected.fetch_add(1, Ordering::SeqCst);
-                            write_line(
-                                &writer,
-                                &Reply::err(
-                                    "",
-                                    ErrorCode::BadRequest,
-                                    format!(
-                                        "request line exceeds {} bytes",
-                                        shared.config.max_line
-                                    ),
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_threaded_line(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, line: &str) {
-    if line.trim().is_empty() {
-        return;
-    }
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
-            write_line(writer, &Reply::err(&e.id, e.code, e.message).versioned(e.version));
-            return;
-        }
-    };
-    match admit(shared, request, ReplyTo::Direct(Arc::clone(writer))) {
-        Admit::Immediate(reply) => write_line(writer, &reply),
-        Admit::Queued => {}
-    }
-}
-
-fn write_line(writer: &Arc<Mutex<TcpStream>>, reply: &Reply) {
-    use std::io::Write as _;
-    let mut line = reply.to_line();
-    line.push('\n');
-    if let Ok(mut stream) = writer.lock() {
-        // A vanished client is its own problem; the server presses on.
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.flush();
     }
 }

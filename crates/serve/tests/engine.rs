@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use odcfp_netlist::CellLibrary;
 use odcfp_serve::proto::{payload_digest, request_line, FieldValue, Frame};
-use odcfp_serve::{ConnMode, Reply, ServeSummary, Server, ServerConfig};
+use odcfp_serve::{Reply, ServeSummary, Server, ServerConfig};
 use odcfp_synth::benchmarks::random::{random_dag, DagParams};
 use odcfp_verilog::write_verilog;
 
@@ -532,26 +532,23 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
 
 #[test]
 fn oversized_frame_rejected_and_connection_survives() {
-    for mode in [ConnMode::Reactor, ConnMode::Threaded] {
-        let srv = start(ServerConfig {
-            mode,
-            max_line: 1024,
-            ..ServerConfig::default()
-        });
-        let mut c = srv.connect();
-        let huge = "x".repeat(4 * 1024);
-        let e = c.roundtrip(&huge);
-        assert!(!e.ok);
-        assert_eq!(e.error.as_deref(), Some("bad_request"), "{mode:?}");
-        assert!(
-            e.message.as_deref().unwrap().contains("exceeds 1024 bytes"),
-            "{mode:?}: {e:?}"
-        );
-        // Framing resynchronized at the newline: the connection lives.
-        let pong = c.roundtrip(&request_line("p", "t", None, "ping", &[]));
-        assert!(pong.ok, "{mode:?}: {pong:?}");
-        srv.shutdown();
-    }
+    let srv = start(ServerConfig {
+        max_line: 1024,
+        ..ServerConfig::default()
+    });
+    let mut c = srv.connect();
+    let huge = "x".repeat(4 * 1024);
+    let e = c.roundtrip(&huge);
+    assert!(!e.ok);
+    assert_eq!(e.error.as_deref(), Some("bad_request"));
+    assert!(
+        e.message.as_deref().unwrap().contains("exceeds 1024 bytes"),
+        "{e:?}"
+    );
+    // Framing resynchronized at the newline: the connection lives.
+    let pong = c.roundtrip(&request_line("p", "t", None, "ping", &[]));
+    assert!(pong.ok, "{pong:?}");
+    srv.shutdown();
 }
 
 #[test]
