@@ -55,6 +55,20 @@ pub fn random_words(rng: &mut Xoshiro256, num_words: usize) -> Vec<u64> {
 /// practical sizes).
 pub fn exhaustive_patterns(num_vars: usize) -> Vec<Vec<u64>> {
     assert!(num_vars <= 16, "exhaustive simulation limited to 16 inputs");
+    let num_words = (1usize << num_vars).div_ceil(64);
+    (0..num_vars)
+        .map(|v| {
+            (0..num_words)
+                .map(|w| exhaustive_word(num_vars, v, w))
+                .collect()
+        })
+        .collect()
+}
+
+/// Word `w` of signal `v` in [`exhaustive_patterns`]`(num_vars)`, without
+/// building the pattern set. Rows past `2^num_vars`, in the last word or
+/// in any word beyond it, read 0: the all-zeros assignment.
+pub fn exhaustive_word(num_vars: usize, v: usize, w: usize) -> u64 {
     // Signal v < 6 toggles within a word; signal v >= 6 is constant over
     // runs of 2^(v-6) words.
     const LOW: [u64; 6] = [
@@ -66,19 +80,19 @@ pub fn exhaustive_patterns(num_vars: usize) -> Vec<Vec<u64>> {
         0xFFFF_FFFF_0000_0000,
     ];
     let rows = 1usize << num_vars;
-    let num_words = rows.div_ceil(64);
-    let valid = if rows >= 64 { u64::MAX } else { (1u64 << rows) - 1 };
-    (0..num_vars)
-        .map(|v| {
-            (0..num_words)
-                .map(|w| match v {
-                    0..=5 => LOW[v] & valid,
-                    _ if (w >> (v - 6)) & 1 == 1 => u64::MAX,
-                    _ => 0,
-                })
-                .collect()
-        })
-        .collect()
+    if w >= rows.div_ceil(64) {
+        return 0;
+    }
+    let valid = if rows >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << rows) - 1
+    };
+    match v {
+        0..=5 => LOW[v] & valid,
+        _ if (w >> (v - 6)) & 1 == 1 => u64::MAX,
+        _ => 0,
+    }
 }
 
 /// Number of bit positions that differ between two equally-long pattern
@@ -167,6 +181,17 @@ mod tests {
                     expected[row >> 6] |= 1 << (row & 63);
                 }
                 assert_eq!(*pat, expected, "{num_vars} vars, signal {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_words_past_the_last_row_read_zero() {
+        for num_vars in [0, 3, 6, 8] {
+            let words = (1usize << num_vars).div_ceil(64);
+            for v in 0..num_vars {
+                assert_eq!(exhaustive_word(num_vars, v, words), 0);
+                assert_eq!(exhaustive_word(num_vars, v, words + 5), 0);
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The netlist arena itself.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use odcfp_logic::sim::{gather_block, Block, BLOCK_LANES};
@@ -478,23 +477,37 @@ impl Netlist {
             }
         }
         // Sink bookkeeping: each gate input pin appears exactly once in its
-        // net's sink list, and nothing else does.
-        let mut expected: HashMap<NetId, Vec<PinRef>> = HashMap::new();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for (pin, &net) in g.inputs.iter().enumerate() {
-                expected.entry(net).or_default().push(PinRef {
-                    gate: GateId::from_index(gi),
-                    pin,
-                });
+        // net's sink list, and nothing else does. A sink list that holds
+        // only valid, distinct pins pointing back at its net, as many as
+        // the gate inputs name the net, is that multiset.
+        let mut expected = vec![0usize; self.nets.len()];
+        // Pin slot of gate `g` pin `p` is `first_slot[g] + p`.
+        let mut first_slot = Vec::with_capacity(self.gates.len());
+        let mut slots = 0usize;
+        for g in &self.gates {
+            first_slot.push(slots);
+            slots += g.inputs.len();
+            for &net in &g.inputs {
+                expected[net.index()] += 1;
             }
         }
+        // A slot can only pass the points-back test for its own net, so
+        // one flag per slot catches every repeat.
+        let mut seen = vec![false; slots];
         for (ni, net) in self.nets.iter().enumerate() {
             let id = NetId::from_index(ni);
-            let mut want = expected.remove(&id).unwrap_or_default();
-            let mut have = net.sinks.clone();
-            want.sort_unstable();
-            have.sort_unstable();
-            if want != have {
+            let consistent = net.sinks.len() == expected[ni]
+                && net.sinks.iter().all(|p| {
+                    let Some(g) = self.gates.get(p.gate.index()) else {
+                        return false;
+                    };
+                    if g.inputs.get(p.pin) != Some(&id) {
+                        return false;
+                    }
+                    let slot = &mut seen[first_slot[p.gate.index()] + p.pin];
+                    !std::mem::replace(slot, true)
+                });
+            if !consistent {
                 return Err(NetlistError::InconsistentSinks { net: id });
             }
         }
@@ -601,6 +614,7 @@ impl Netlist {
 mod tests {
     use super::*;
     use odcfp_logic::sim::exhaustive_patterns;
+    use std::collections::HashMap;
 
     fn fig1_left() -> Netlist {
         let lib = CellLibrary::standard();
@@ -720,6 +734,41 @@ mod tests {
         n.validate().unwrap();
         assert_eq!(n.eval(&[true]), vec![true]);
         assert_eq!(n.eval(&[false]), vec![false]);
+    }
+
+    #[test]
+    fn inconsistent_sinks_report_the_lowest_net() {
+        let mut n = fig1_left();
+        let a = n.net_by_name("A").unwrap();
+        let c = n.net_by_name("C").unwrap();
+        let gx = n.gate_by_name("gx").unwrap();
+        let gy = n.gate_by_name("gy").unwrap();
+        // C loses its sink; A gains a duplicate of its own.
+        n.nets[c.index()].sinks.clear();
+        n.nets[a.index()].sinks.push(PinRef { gate: gx, pin: 0 });
+        assert_eq!(
+            n.validate(),
+            Err(NetlistError::InconsistentSinks { net: a })
+        );
+        // A sink naming another net's pin, with the count still right.
+        let mut n = fig1_left();
+        n.nets[a.index()].sinks[0] = PinRef { gate: gy, pin: 0 };
+        n.nets[c.index()].sinks.push(PinRef { gate: gx, pin: 7 });
+        assert_eq!(
+            n.validate(),
+            Err(NetlistError::InconsistentSinks { net: a })
+        );
+        // A repeated pin in place of a missing one, with the count right.
+        let mut n = fig1_left();
+        let gf = n.gate_by_name("gf").unwrap();
+        let x = n.gate_output(gx);
+        n.replace_gate(gf, n.gate(gf).cell(), &[x, x]);
+        n.validate().unwrap();
+        n.nets[x.index()].sinks = vec![PinRef { gate: gf, pin: 1 }; 2];
+        assert_eq!(
+            n.validate(),
+            Err(NetlistError::InconsistentSinks { net: x })
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use odcfp_logic::sim::{exhaustive_patterns, gather_block, Block, BLOCK_LANES, ZERO_BLOCK};
+use odcfp_logic::sim::{exhaustive_word, Block, BLOCK_LANES, ZERO_BLOCK};
 use odcfp_logic::PrimitiveFn;
 use odcfp_netlist::{GateId, NetDriver, NetId, Netlist};
 
@@ -583,12 +583,13 @@ impl Program {
     /// [`Block`] of 256 rows at a time. Padding rows repeat the all-zeros
     /// assignment, so comparing whole blocks is exact.
     pub(crate) fn simulate(&self) -> bool {
-        let patterns = exhaustive_patterns(self.free);
         let blocks = (1usize << self.free).div_ceil(64 * BLOCK_LANES);
         let mut vals = vec![ZERO_BLOCK; self.slots as usize * blocks];
-        for (v, pattern) in patterns.iter().enumerate() {
+        for v in 0..self.free {
             for b in 0..blocks {
-                vals[v * blocks + b] = gather_block(pattern, b * BLOCK_LANES);
+                vals[v * blocks + b] = std::array::from_fn(|lane| {
+                    exhaustive_word(self.free, v, b * BLOCK_LANES + lane)
+                });
             }
         }
         let mut scratch: Vec<Block> = Vec::new();

@@ -1,7 +1,8 @@
 //! Writer for the structural Verilog subset.
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use odcfp_netlist::{NetDriver, NetId, Netlist};
 
@@ -15,7 +16,7 @@ use crate::input_pin_name;
 /// ones built from BLIF files with bracketed names — round-trips through
 /// [`crate::parse_verilog`] functionally (names may differ textually).
 pub fn write_verilog(netlist: &Netlist) -> String {
-    let mut namer = Namer::default();
+    let mut namer = Namer::with_capacity(netlist.num_nets() + netlist.num_gates());
     // Reserve language keywords and cell names up front.
     for kw in [
         "module",
@@ -31,100 +32,149 @@ pub fn write_verilog(netlist: &Netlist) -> String {
         namer.reserve(cell.name());
     }
 
-    let mut net_names: HashMap<NetId, String> = HashMap::new();
-    for (id, net) in netlist.nets() {
-        net_names.insert(id, namer.fresh(net.name()));
-    }
-
-    let mut out = String::new();
-    let module = sanitize(netlist.name());
-    let ports: Vec<String> = netlist
-        .primary_inputs()
-        .iter()
-        .chain(netlist.primary_outputs())
-        .map(|n| net_names[n].clone())
-        .collect();
-    let _ = writeln!(out, "module {module} ({});", ports.join(", "));
-
-    let list = |ids: &[NetId]| -> String {
-        ids.iter()
-            .map(|n| net_names[n].as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    if !netlist.primary_inputs().is_empty() {
-        let _ = writeln!(out, "  input {};", list(netlist.primary_inputs()));
-    }
-    if !netlist.primary_outputs().is_empty() {
-        let _ = writeln!(out, "  output {};", list(netlist.primary_outputs()));
-    }
-    let wires: Vec<NetId> = netlist
+    // Each net's name, resolved once; indexed by `NetId::index`.
+    let net_names: Vec<Cow<'_, str>> = netlist
         .nets()
-        .filter(|(_, n)| {
-            matches!(n.driver(), NetDriver::Gate(_)) && !n.is_primary_output()
-        })
-        .map(|(id, _)| id)
+        .map(|(_, net)| namer.fresh(net.name()))
         .collect();
-    if !wires.is_empty() {
-        let _ = writeln!(out, "  wire {};", list(&wires));
+
+    // Size the text up front: a net's name is written once where it is
+    // declared, once where it is driven and once per sink, an instance
+    // name is about as long, and each pin adds `.A(` and `), `.
+    let pins: usize = netlist.gates().map(|(_, g)| g.inputs().len() + 1).sum();
+    let name_bytes: usize = net_names.iter().map(|n| n.len()).sum();
+    let mean_name = name_bytes / net_names.len().max(1) + 1;
+    let mut out = String::with_capacity(
+        64 + mean_name * (2 * net_names.len() + pins + netlist.num_gates())
+            + 16 * netlist.num_gates()
+            + 6 * pins,
+    );
+    let pis = netlist.primary_inputs();
+    let pos = netlist.primary_outputs();
+    out.push_str("module ");
+    out.push_str(&sanitize(netlist.name()));
+    out.push_str(" (");
+    push_list(&mut out, &net_names, pis.iter().chain(pos).copied());
+    out.push_str(");\n");
+    if !pis.is_empty() {
+        out.push_str("  input ");
+        push_list(&mut out, &net_names, pis.iter().copied());
+        out.push_str(";\n");
+    }
+    if !pos.is_empty() {
+        out.push_str("  output ");
+        push_list(&mut out, &net_names, pos.iter().copied());
+        out.push_str(";\n");
+    }
+    let mut wires = netlist
+        .nets()
+        .filter(|(_, n)| matches!(n.driver(), NetDriver::Gate(_)) && !n.is_primary_output())
+        .map(|(id, _)| id)
+        .peekable();
+    if wires.peek().is_some() {
+        out.push_str("  wire ");
+        push_list(&mut out, &net_names, wires);
+        out.push_str(";\n");
     }
     for (id, net) in netlist.nets() {
         if let NetDriver::Const(v) = net.driver() {
-            let _ = writeln!(out, "  assign {} = 1'b{};", net_names[&id], u8::from(v));
+            out.push_str("  assign ");
+            out.push_str(&net_names[id.index()]);
+            out.push_str(if v { " = 1'b1;\n" } else { " = 1'b0;\n" });
         }
     }
     out.push('\n');
 
     for (_, gate) in netlist.gates() {
-        let cell = netlist.library().cell(gate.cell());
-        let inst = namer.fresh(gate.name());
-        let mut conns: Vec<String> = gate
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(pin, n)| format!(".{}({})", input_pin_name(pin), net_names[n]))
-            .collect();
-        conns.push(format!(".Y({})", net_names[&gate.output()]));
-        let _ = writeln!(out, "  {} {} ({});", cell.name(), inst, conns.join(", "));
+        out.push_str("  ");
+        out.push_str(netlist.library().cell(gate.cell()).name());
+        out.push(' ');
+        out.push_str(&namer.fresh(gate.name()));
+        out.push_str(" (");
+        for (pin, n) in gate.inputs().iter().enumerate() {
+            out.push('.');
+            out.push(input_pin_name(pin));
+            out.push('(');
+            out.push_str(&net_names[n.index()]);
+            out.push_str("), ");
+        }
+        out.push_str(".Y(");
+        out.push_str(&net_names[gate.output().index()]);
+        out.push_str("));\n");
     }
     out.push_str("endmodule\n");
     out
 }
 
-fn sanitize(name: &str) -> String {
+/// Writes the names of `ids` separated by `", "`.
+fn push_list(out: &mut String, names: &[Cow<'_, str>], ids: impl Iterator<Item = NetId>) {
+    for (k, id) in ids.enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&names[id.index()]);
+    }
+}
+
+/// Whether `name` is already a legal simple identifier under [`sanitize`].
+fn is_simple_identifier(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    bytes.first().is_some_and(|b| !b.is_ascii_digit())
+        && bytes
+            .iter()
+            .all(|&b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
+/// `name` as a legal simple identifier: every other character becomes `_`,
+/// and a leading digit or empty name gets an `n` prefix. Borrows `name`
+/// when it is already legal.
+fn sanitize(name: &str) -> Cow<'_, str> {
+    if is_simple_identifier(name) {
+        return Cow::Borrowed(name);
+    }
     let mut s: String = name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
         .collect();
-    if s.is_empty() || s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+    if s.is_empty() || s.starts_with(|c: char| c.is_ascii_digit()) {
         s.insert(0, 'n');
     }
-    s
+    Cow::Owned(s)
 }
 
+/// Hands out unique sanitized names; a name that is already legal and
+/// unused is borrowed, not copied.
 #[derive(Default)]
-struct Namer {
-    used: HashMap<String, usize>,
+struct Namer<'n> {
+    /// Every name handed out or reserved, with the last numeric suffix
+    /// tried for it.
+    used: HashMap<Cow<'n, str>, usize>,
 }
 
-impl Namer {
-    fn reserve(&mut self, name: &str) {
-        self.used.insert(name.to_owned(), 0);
+impl<'n> Namer<'n> {
+    fn with_capacity(capacity: usize) -> Self {
+        Namer {
+            used: HashMap::with_capacity(capacity),
+        }
     }
 
-    fn fresh(&mut self, want: &str) -> String {
+    fn reserve(&mut self, name: &'n str) {
+        self.used.insert(Cow::Borrowed(name), 0);
+    }
+
+    fn fresh(&mut self, want: &'n str) -> Cow<'n, str> {
         let base = sanitize(want);
-        if !self.used.contains_key(&base) {
-            self.used.insert(base.clone(), 0);
+        if let Entry::Vacant(slot) = self.used.entry(base.clone()) {
+            slot.insert(0);
             return base;
         }
         loop {
-            let counter = self.used.get_mut(&base).expect("base present");
+            let counter = self.used.get_mut(base.as_ref()).expect("base present");
             *counter += 1;
             let candidate = format!("{base}_{counter}");
-            if !self.used.contains_key(&candidate) {
-                self.used.insert(candidate.clone(), 0);
-                return candidate;
+            if !self.used.contains_key(candidate.as_str()) {
+                self.used.insert(Cow::Owned(candidate.clone()), 0);
+                return Cow::Owned(candidate);
             }
         }
     }
