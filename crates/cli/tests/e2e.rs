@@ -270,6 +270,51 @@ fn verify_exit_codes_by_verdict() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("undecided"));
 }
 
+/// The work the sweep does on a fingerprinted copy, pinned: the `--stats`
+/// counter lines of `verify` on the des and c6288 copies (`bench` +
+/// `embed --seed 3`). Any change to node creation order, canonical keys,
+/// use-list order or window compilation moves at least one of them. The
+/// counters are sequential, so they hold at every `ODCFP_THREADS`.
+#[test]
+fn verify_stats_pin_sweep_and_solver_work_counters() {
+    let pinned: [(&str, [&str; 3]); 2] = [
+        (
+            "des",
+            [
+                "sweep: strash-proven=0 cut-points proven=481 simulated=462 refuted=0 skipped=0",
+                "solver: conflicts=93 decisions=1099 propagations=11606 restarts=0 learnt=6252",
+                "heuristics: avg-lbd=2.30 db-reductions=0 learnt-deleted=0 rephases=0 \
+                 chrono-backtracks=0",
+            ],
+        ),
+        (
+            "c6288",
+            [
+                "sweep: strash-proven=2 cut-points proven=368 simulated=336 refuted=1 skipped=0",
+                "solver: conflicts=607 decisions=3156 propagations=198560 restarts=3 learnt=7611",
+                "heuristics: avg-lbd=7.98 db-reductions=3 learnt-deleted=204 rephases=0 \
+                 chrono-backtracks=0",
+            ],
+        ),
+    ];
+    let dir = workdir();
+    for (circuit, lines) in pinned {
+        let golden = dir.join(format!("pinned_{circuit}.v"));
+        let copy = dir.join(format!("pinned_{circuit}_fp.v"));
+        let (golden, copy) = (golden.to_str().unwrap(), copy.to_str().unwrap());
+        stdout_of(&odcfp(&["bench", circuit, "-o", golden]));
+        stdout_of(&odcfp(&["embed", golden, "--seed", "3", "-o", copy]));
+        let text = stdout_of(&odcfp(&["verify", golden, copy, "--stats"]));
+        assert!(text.contains("proven equivalent"), "{circuit}: {text}");
+        for line in lines {
+            assert!(
+                text.lines().any(|l| l == line),
+                "{circuit}: expected line\n  {line}\nin\n{text}"
+            );
+        }
+    }
+}
+
 #[test]
 fn broken_stdout_pipe_exits_cleanly() {
     use std::io::Read;

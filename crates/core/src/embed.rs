@@ -451,18 +451,25 @@ impl Fingerprinter {
     /// whose target gate or trigger net is missing from the suspect
     /// (renamed or stripped netlists cannot be compared this way).
     pub fn extract_by_name(&self, suspect: &Netlist) -> Result<Vec<bool>, FingerprintError> {
+        let base = &self.base;
+        let names = crate::modify::NameIndex::new(
+            suspect,
+            self.selected.iter().map(|m| base.gate(m.target()).name()),
+            self.selected
+                .iter()
+                .flat_map(|m| m.added_nets().iter().map(|&n| base.net(n).name())),
+        );
         self.selected
             .iter()
             .map(|m| {
-                crate::modify::modification_present_by_name(&self.base, suspect, m).ok_or_else(
-                    || FingerprintError::CannotApply {
+                crate::modify::modification_present_by_name(&self.base, suspect, &names, m)
+                    .ok_or_else(|| FingerprintError::CannotApply {
                         gate: m.target(),
                         reason: format!(
                             "suspect lacks gate {:?} or its trigger nets",
                             self.base.gate(m.target()).name()
                         ),
-                    },
-                )
+                    })
             })
             .collect()
     }

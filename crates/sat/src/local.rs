@@ -165,6 +165,7 @@ pub fn prove_locally(
         limits,
         proof: LocalProof::default(),
         work: 0,
+        program: Program::default(),
     };
     pass.run();
     pass.proof
@@ -195,6 +196,8 @@ struct Pass<'a> {
     proof: LocalProof,
     /// Gates visited by obligations so far, against a total cap.
     work: usize,
+    /// The current obligation, compiled; reused across obligations.
+    program: Program,
 }
 
 /// Why the pass stopped before the last gate.
@@ -318,10 +321,10 @@ impl Pass<'_> {
                 return (round > 0).then_some(false);
             };
             self.work += cone.base_gates.len() + cone.variant_gates.len();
-            let program = self.compile(&cone, g, twin);
+            self.compile(&cone, g, twin);
             self.proof.obligations += 1;
-            self.proof.widest_cut = self.proof.widest_cut.max(program.free);
-            if self.discharge(&program) {
+            self.proof.widest_cut = self.proof.widest_cut.max(self.program.free);
+            if self.discharge() {
                 return Some(true);
             }
             // Reconvergence through the cut: expand every cut net whose
@@ -414,11 +417,13 @@ impl Pass<'_> {
         self.settled.get(n.index()).copied().unwrap_or(false)
     }
 
-    /// Lowers a cone to straight-line code over slots: the free cut nets
-    /// first, then the selectors, then one slot per gate output.
-    fn compile(&self, cone: &Cone, g: GateId, twin: GateId) -> Program {
+    /// Lowers a cone into `self.program`, straight-line code over slots:
+    /// the free cut nets first, then the selectors, then one slot per
+    /// gate output.
+    fn compile(&mut self, cone: &Cone, g: GateId, twin: GateId) {
         let (base, variant) = (self.base, self.variant);
-        let mut program = Program::default();
+        let program = &mut self.program;
+        program.reset(0);
         let mut shared: HashMap<NetId, u32> = HashMap::new();
         for &n in &cone.cut {
             shared.insert(n, program.fresh());
@@ -430,41 +435,31 @@ impl Pass<'_> {
         program.free = program.slots as usize;
         let mut consts: [Option<u32>; 2] = [None; 2];
         let mut constant = |program: &mut Program, value: bool| {
-            *consts[value as usize].get_or_insert_with(|| {
-                let out = program.fresh();
-                program.ops.push(Op::Const { out, value });
-                out
-            })
+            *consts[value as usize].get_or_insert_with(|| program.constant(value))
         };
         // Base side (expanded settled nets included): a net resolves to a
         // cut slot, a base gate slot, or a constant.
         let mut base_slot: HashMap<NetId, u32> = HashMap::new();
         for &b in &cone.base_gates {
-            let ins = base
-                .gate(b)
-                .inputs()
-                .iter()
-                .map(|&n| match shared.get(&n).or(base_slot.get(&n)) {
+            let start = program.args.len();
+            for &n in base.gate(b).inputs() {
+                let x = match shared.get(&n).or(base_slot.get(&n)) {
                     Some(&s) => s,
                     None => match base.net(n).driver() {
-                        NetDriver::Const(v) => constant(&mut program, v),
+                        NetDriver::Const(v) => constant(program, v),
                         other => unreachable!("base net {n:?} ({other:?}) outside the cone"),
                     },
-                })
-                .collect();
-            let out = program.fresh();
-            program.ops.push(Op::Gate {
-                f: base.gate_fn(b),
-                ins,
-                out,
-            });
+                };
+                program.args.push(x);
+            }
+            let out = program.gate(base.gate_fn(b), start);
             base_slot.insert(base.gate_output(b), out);
         }
         // Variant side: settled nets read the cut (or, expanded, the base
         // slot); delta nets read variant gate slots.
         let mut variant_slot: HashMap<NetId, u32> = HashMap::new();
         for &v in &cone.variant_gates {
-            let mut ins = Vec::with_capacity(variant.gate(v).inputs().len());
+            let start = program.args.len();
             for (p, &n) in variant.gate(v).inputs().iter().enumerate() {
                 let x = if self.settled[n.index()] {
                     shared.get(&n).or(base_slot.get(&n)).copied()
@@ -472,7 +467,7 @@ impl Pass<'_> {
                     variant_slot.get(&n).copied()
                 };
                 let x = x.unwrap_or_else(|| match variant.net(n).driver() {
-                    NetDriver::Const(value) => constant(&mut program, value),
+                    NetDriver::Const(value) => constant(program, value),
                     other => unreachable!("variant net {n:?} ({other:?}) outside the cone"),
                 });
                 let x = match self.gated.get(&(v.index(), p)) {
@@ -488,27 +483,21 @@ impl Pass<'_> {
                     }
                     None => x,
                 };
-                ins.push(x);
+                program.args.push(x);
             }
-            let out = program.fresh();
-            program.ops.push(Op::Gate {
-                f: variant.gate_fn(v),
-                ins,
-                out,
-            });
+            let out = program.gate(variant.gate_fn(v), start);
             variant_slot.insert(variant.gate_output(v), out);
         }
         program.left = variant_slot[&variant.gate_output(g)];
         program.right = base_slot[&base.gate_output(twin)];
-        program
     }
 
-    /// Decides one obligation: `true` when the two outputs agree for
-    /// every value of the free slots.
-    fn discharge(&mut self, program: &Program) -> bool {
-        if program.free <= SIM_VARS {
+    /// Decides the compiled obligation: `true` when the two outputs
+    /// agree for every value of the free slots.
+    fn discharge(&mut self) -> bool {
+        if self.program.free <= SIM_VARS {
             self.proof.simulated += 1;
-            return program.simulate();
+            return self.program.simulate();
         }
         self.proof.solved += 1;
         let spent = self.proof.conflicts;
@@ -516,7 +505,7 @@ impl Pass<'_> {
             Some(budget) => budget.saturating_sub(spent).min(OBLIGATION_CONFLICTS),
             None => OBLIGATION_CONFLICTS,
         };
-        let (holds, conflicts) = program.solve(self.limits, allowance);
+        let (holds, conflicts) = self.program.solve(self.limits, allowance);
         self.proof.conflicts += conflicts;
         holds
     }
@@ -540,15 +529,17 @@ struct Cone {
 }
 
 /// One instruction of a [`Program`].
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     Const {
         out: u32,
         value: bool,
     },
+    /// `out = f(args[start..start + len])`.
     Gate {
         f: PrimitiveFn,
-        ins: Vec<u32>,
+        start: u32,
+        len: u32,
         out: u32,
     },
     /// `out = if sel { x } else { neutral }`.
@@ -562,72 +553,105 @@ pub(crate) enum Op {
 
 /// One obligation as straight-line code: slots `0..free` are free. The
 /// truth-table kernel shared by the code-space proof and the sweep's
-/// cut-point windows.
+/// cut-point windows. Both keep one program and [`Program::reset`] it
+/// per obligation or window, so its buffers are allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct Program {
     pub(crate) slots: u32,
     pub(crate) free: usize,
     pub(crate) ops: Vec<Op>,
+    /// Input slots of every [`Op::Gate`], each gate's a contiguous run.
+    pub(crate) args: Vec<u32>,
     /// The two slots whose functions are compared.
     pub(crate) left: u32,
     pub(crate) right: u32,
+    /// [`Program::simulate`]'s values (one block per slot) and gate-input
+    /// scratch.
+    vals: Vec<Block>,
+    scratch: Vec<Block>,
 }
 
 impl Program {
+    /// Empties the program for reuse, keeping its buffers; the next
+    /// `free` slots are its free ones.
+    pub(crate) fn reset(&mut self, free: usize) {
+        self.slots = free as u32;
+        self.free = free;
+        self.ops.clear();
+        self.args.clear();
+        self.left = 0;
+        self.right = 0;
+    }
+
     pub(crate) fn fresh(&mut self) -> u32 {
         self.slots += 1;
         self.slots - 1
     }
 
+    /// Appends a constant; returns its slot.
+    pub(crate) fn constant(&mut self, value: bool) -> u32 {
+        let out = self.fresh();
+        self.ops.push(Op::Const { out, value });
+        out
+    }
+
+    /// Appends gate `f` over the input slots pushed to `args` since
+    /// `start`; returns its output slot.
+    pub(crate) fn gate(&mut self, f: PrimitiveFn, start: usize) -> u32 {
+        let out = self.fresh();
+        self.ops.push(Op::Gate {
+            f,
+            start: start as u32,
+            len: (self.args.len() - start) as u32,
+            out,
+        });
+        out
+    }
+
     /// Exhaustive word-parallel simulation over all `2^free` rows, a
-    /// [`Block`] of 256 rows at a time. Padding rows repeat the all-zeros
+    /// [`Block`] of 256 rows at a time, stopping at the first block where
+    /// the two outputs differ. Padding rows repeat the all-zeros
     /// assignment, so comparing whole blocks is exact.
-    pub(crate) fn simulate(&self) -> bool {
+    pub(crate) fn simulate(&mut self) -> bool {
         let blocks = (1usize << self.free).div_ceil(64 * BLOCK_LANES);
-        let mut vals = vec![ZERO_BLOCK; self.slots as usize * blocks];
-        for v in 0..self.free {
-            for b in 0..blocks {
-                vals[v * blocks + b] = std::array::from_fn(|lane| {
+        let vals = &mut self.vals;
+        vals.clear();
+        vals.resize(self.slots as usize, ZERO_BLOCK);
+        for b in 0..blocks {
+            for (v, val) in vals[..self.free].iter_mut().enumerate() {
+                *val = std::array::from_fn(|lane| {
                     exhaustive_word(self.free, v, b * BLOCK_LANES + lane)
                 });
             }
-        }
-        let mut scratch: Vec<Block> = Vec::new();
-        for op in &self.ops {
-            match op {
-                Op::Const { out, value } => {
-                    let o = *out as usize * blocks;
-                    vals[o..o + blocks].fill([if *value { u64::MAX } else { 0 }; BLOCK_LANES]);
-                }
-                Op::Gate { f, ins, out } => {
-                    let o = *out as usize * blocks;
-                    for b in 0..blocks {
-                        scratch.clear();
-                        scratch.extend(ins.iter().map(|&i| vals[i as usize * blocks + b]));
-                        vals[o + b] = f.eval_blocks(&scratch);
+            for op in &self.ops {
+                match *op {
+                    Op::Const { out, value } => {
+                        vals[out as usize] = [if value { u64::MAX } else { 0 }; BLOCK_LANES];
                     }
-                }
-                Op::Select {
-                    x,
-                    sel,
-                    neutral,
-                    out,
-                } => {
-                    let (x, sel, o) = (
-                        *x as usize * blocks,
-                        *sel as usize * blocks,
-                        *out as usize * blocks,
-                    );
-                    let fill = if *neutral { u64::MAX } else { 0 };
-                    for b in 0..blocks {
-                        let (xv, sv) = (vals[x + b], vals[sel + b]);
-                        vals[o + b] = std::array::from_fn(|l| (xv[l] & sv[l]) | (fill & !sv[l]));
+                    Op::Gate { f, start, len, out } => {
+                        let ins = &self.args[start as usize..(start + len) as usize];
+                        self.scratch.clear();
+                        self.scratch.extend(ins.iter().map(|&i| vals[i as usize]));
+                        vals[out as usize] = f.eval_blocks(&self.scratch);
+                    }
+                    Op::Select {
+                        x,
+                        sel,
+                        neutral,
+                        out,
+                    } => {
+                        let fill = if neutral { u64::MAX } else { 0 };
+                        let (xv, sv) = (vals[x as usize], vals[sel as usize]);
+                        vals[out as usize] =
+                            std::array::from_fn(|l| (xv[l] & sv[l]) | (fill & !sv[l]));
                     }
                 }
             }
+            if vals[self.left as usize] != vals[self.right as usize] {
+                return false;
+            }
         }
-        let (a, b) = (self.left as usize * blocks, self.right as usize * blocks);
-        vals[a..a + blocks] == vals[b..b + blocks]
+        true
     }
 
     /// A fresh miter over just this obligation: UNSAT within `allowance`
@@ -640,8 +664,11 @@ impl Program {
                 Op::Const { out, value } => {
                     solver.add_clause([Lit::with_polarity(vars[*out as usize], *value)]);
                 }
-                Op::Gate { f, ins, out } => {
-                    let ins: Vec<Var> = ins.iter().map(|&i| vars[i as usize]).collect();
+                Op::Gate { f, start, len, out } => {
+                    let ins: Vec<Var> = self.args[*start as usize..(*start + *len) as usize]
+                        .iter()
+                        .map(|&i| vars[i as usize])
+                        .collect();
                     encode_gate(&mut solver, *f, vars[*out as usize], &ins);
                 }
                 Op::Select {

@@ -53,18 +53,18 @@
 //! all persist across checks, so per-buyer marginal cost in a campaign
 //! shrinks as the solver learns the base circuit.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use odcfp_logic::rng::Xoshiro256;
-use odcfp_logic::sim::{gather_block, Block, BLOCK_LANES};
 use odcfp_logic::PrimitiveFn;
 use odcfp_netlist::{NetDriver, Netlist};
 
 use crate::equiv::{EquivError, MiterOutcome};
-use crate::local::{Op, Program, SIM_VARS, WINDOW_CHEAP_LEAVES, WINDOW_EXPANSIONS, WINDOW_SLACK};
+use crate::local::{Program, SIM_VARS, WINDOW_CHEAP_LEAVES, WINDOW_EXPANSIONS, WINDOW_SLACK};
 use crate::tseitin::encode_gate;
 use crate::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
@@ -85,8 +85,269 @@ enum Canon {
     Existing(u32),
     /// Collapsed to a constant (e.g. `Xor(x, x)` → `false`).
     ConstVal(bool),
-    /// A genuine new shape: canonical kind + canonical child classes.
-    Key(NodeKind, Vec<u32>),
+    /// A genuine new shape: the canonical kind, with the canonical child
+    /// classes left in the caller's key buffer.
+    Key(NodeKind),
+}
+
+/// Marks an empty [`CanonTable`] slot and the end of a use list.
+const NIL: u32 = u32::MAX;
+
+/// Hash-cons table from canonical shape `(kind, children)` to node id.
+///
+/// Open addressing with linear probing over a power-of-two slot array,
+/// at most half full. Each key is copied once into an append-only `u32`
+/// arena and hashed and compared in place, so a lookup allocates nothing
+/// and an insert only when the arena or slot array grows. Keys are
+/// hashed with a per-table [`RandomState`]: netlists come from buyers
+/// and clients, so the table must stay keyed against crafted
+/// collisions. Entries are never removed.
+#[derive(Debug)]
+struct CanonTable {
+    hasher: RandomState,
+    slots: Vec<CanonSlot>,
+    len: usize,
+    keys: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct CanonSlot {
+    /// Low 32 bits of the key's hash: its home slot and a cheap filter.
+    hash: u32,
+    kind: NodeKind,
+    /// The key is `keys[off..off + len]`.
+    off: u32,
+    len: u32,
+    /// `NIL` when the slot is empty.
+    node: u32,
+}
+
+const EMPTY_SLOT: CanonSlot = CanonSlot {
+    hash: 0,
+    kind: NodeKind::Const(false),
+    off: 0,
+    len: 0,
+    node: NIL,
+};
+
+/// Where [`CanonTable::lookup`] found a key missing; valid until the next
+/// insert.
+struct Vacant {
+    slot: usize,
+    hash: u32,
+}
+
+impl CanonTable {
+    /// A table sized for about `entries` keys before its first growth.
+    fn with_capacity(entries: usize) -> CanonTable {
+        CanonTable {
+            hasher: RandomState::new(),
+            slots: vec![EMPTY_SLOT; (2 * entries).next_power_of_two().max(16)],
+            len: 0,
+            keys: Vec::with_capacity(2 * entries),
+        }
+    }
+
+    /// The node interned under `(kind, key)`, or where to insert it.
+    fn lookup(&self, kind: NodeKind, key: &[u32]) -> Result<u32, Vacant> {
+        let hash = self.hasher.hash_one((kind, key)) as u32;
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = &self.slots[i];
+            if s.node == NIL {
+                return Err(Vacant { slot: i, hash });
+            }
+            if s.hash == hash
+                && s.kind == kind
+                && self.keys[s.off as usize..(s.off + s.len) as usize] == *key
+            {
+                return Ok(s.node);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Interns `(kind, key)` → `node` where [`CanonTable::lookup`] just
+    /// found it missing.
+    fn insert(&mut self, at: Vacant, kind: NodeKind, key: &[u32], node: u32) {
+        debug_assert_eq!(self.slots[at.slot].node, NIL, "stale vacant slot");
+        let off = u32::try_from(self.keys.len()).expect("strash key arena exceeds u32");
+        self.keys.extend_from_slice(key);
+        self.slots[at.slot] = CanonSlot {
+            hash: at.hash,
+            kind,
+            off,
+            len: key.len() as u32,
+            node,
+        };
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the slot array, re-placing every entry by its stored hash.
+    fn grow(&mut self) {
+        let grown = vec![EMPTY_SLOT; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, grown);
+        let mask = self.slots.len() - 1;
+        for s in old.into_iter().filter(|s| s.node != NIL) {
+            let mut i = s.hash as usize & mask;
+            while self.slots[i].node != NIL {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = s;
+        }
+    }
+}
+
+/// Congruence uses — for each node, the nodes that list it among their
+/// children — as linked lists through one append-only link arena, so
+/// retiring a class splices its list onto the survivor's in O(1).
+#[derive(Debug, Default)]
+struct UseLists {
+    /// First and last link of each node's list (`NIL` when empty).
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// `(user, next link)`.
+    links: Vec<(u32, u32)>,
+}
+
+impl UseLists {
+    fn add_node(&mut self) {
+        self.head.push(NIL);
+        self.tail.push(NIL);
+    }
+
+    /// Appends `user` to `node`'s list.
+    fn push(&mut self, node: u32, user: u32) {
+        let link = self.links.len() as u32;
+        self.links.push((user, NIL));
+        match self.tail[node as usize] {
+            NIL => self.head[node as usize] = link,
+            t => self.links[t as usize].1 = link,
+        }
+        self.tail[node as usize] = link;
+    }
+
+    /// Moves `from`'s list onto the end of `to`'s.
+    fn splice(&mut self, to: u32, from: u32) {
+        let (h, t) = (self.head[from as usize], self.tail[from as usize]);
+        if h == NIL {
+            return;
+        }
+        match self.tail[to as usize] {
+            NIL => self.head[to as usize] = h,
+            tt => self.links[tt as usize].1 = h,
+        }
+        self.tail[to as usize] = t;
+        self.head[from as usize] = NIL;
+        self.tail[from as usize] = NIL;
+    }
+}
+
+/// Rows per chunk of [`SigRows`]: 64 KiB at the default 64-word stride.
+/// Fixed-size chunks let the store grow without copying, and a dropped
+/// engine's chunks are reused by the next engine instead of lingering
+/// as one large freed block.
+const SIG_CHUNK_ROWS: usize = 128;
+
+/// Simulation signatures as fixed-stride rows, [`SIG_CHUNK_ROWS`] to a
+/// chunk. A row is handed to each new node; a retired node's row is
+/// released for the next one.
+#[derive(Debug)]
+struct SigRows {
+    /// Words per row: random words, then one word per 64
+    /// counterexamples.
+    stride: usize,
+    chunks: Vec<Vec<u64>>,
+    /// Rows handed out so far, live or released.
+    rows: usize,
+    released: Vec<u32>,
+}
+
+impl SigRows {
+    fn new(stride: usize) -> SigRows {
+        SigRows {
+            stride,
+            chunks: Vec::new(),
+            rows: 0,
+            released: Vec::new(),
+        }
+    }
+
+    fn row(&self, r: u32) -> &[u64] {
+        let at = r as usize % SIG_CHUNK_ROWS * self.stride;
+        &self.chunks[r as usize / SIG_CHUNK_ROWS][at..at + self.stride]
+    }
+
+    fn row_mut(&mut self, r: u32) -> &mut [u64] {
+        let at = r as usize % SIG_CHUNK_ROWS * self.stride;
+        &mut self.chunks[r as usize / SIG_CHUNK_ROWS][at..at + self.stride]
+    }
+
+    /// A row for a new node, with stale contents.
+    fn alloc(&mut self) -> u32 {
+        if let Some(r) = self.released.pop() {
+            return r;
+        }
+        if self.rows.is_multiple_of(SIG_CHUNK_ROWS) {
+            self.chunks.push(vec![0; SIG_CHUNK_ROWS * self.stride]);
+        }
+        self.rows += 1;
+        u32::try_from(self.rows - 1).expect("signature rows exceed u32")
+    }
+
+    fn release(&mut self, r: u32) {
+        self.released.push(r);
+    }
+
+    /// Widens every row by one zeroed word, in place, chunk by chunk.
+    fn widen(&mut self) {
+        let old = self.stride;
+        for chunk in &mut self.chunks {
+            chunk.resize(SIG_CHUNK_ROWS * (old + 1), 0);
+            // Back to front, so no row is overwritten before it moves.
+            for r in (0..SIG_CHUNK_ROWS).rev() {
+                chunk.copy_within(r * old..(r + 1) * old, r * (old + 1));
+                chunk[r * (old + 1) + old] = 0;
+            }
+        }
+        self.stride += 1;
+    }
+}
+
+/// Reusable buffers, so interning, merging and windows allocate nothing
+/// once they have grown. Their contents mean nothing between calls.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Canonical child classes of the shape being interned or re-keyed.
+    key: Vec<u32>,
+    /// Signature row of each child of the gate being created, and the
+    /// signature it is evaluated in.
+    child_rows: Vec<u32>,
+    sig: Vec<u64>,
+    /// One counterexample word per child (see `append_cex`).
+    word_ins: Vec<u64>,
+    /// Pending class pairs of a congruence closure.
+    merges: Vec<(u32, u32)>,
+    window: Window,
+}
+
+/// Cut-point window state (see [`Window::settle`]).
+#[derive(Debug, Default)]
+struct Window {
+    /// Sorted ascending; holds gates and inputs, never constants.
+    frontier: Vec<u32>,
+    /// Expanded gates, in descending id order.
+    expanded: Vec<u32>,
+    /// Leaves of the latest window too wide for the cheap check but
+    /// within `SIM_VARS`.
+    wide: Vec<u32>,
+    /// Slot of each compiled gate, parallel to `expanded`.
+    gate_slot: Vec<u32>,
+    program: Program,
 }
 
 /// Outcome of a single SAT query on a node pair.
@@ -156,6 +417,28 @@ pub struct SweepReport {
 /// candidate. All state — strash nodes, proven merges, learnt clauses,
 /// counterexample patterns — persists across checks.
 ///
+/// # Node store
+///
+/// Nodes live in flat struct-of-arrays storage indexed by node id, so
+/// interning a gate, congruence closure and a cut-point window allocate
+/// nothing once the arrays have grown:
+///
+/// * children sit in one child arena, sliced per node;
+/// * signatures are rows of one `u64` array, `sim_words` plus one word
+///   per 64 counterexamples wide; the stride widens in place when a new
+///   counterexample word starts, and a retired node's row is recycled;
+/// * congruence uses are linked lists through one append-only link
+///   arena, so a merge splices the retired class's list onto the
+///   survivor's;
+/// * the hash-cons table is open-addressed, keyed by a per-engine
+///   `RandomState`, with its keys in an append-only arena of its own.
+///   Keys cannot point into the child arena: a merge re-keys each parent
+///   of the retired class under its children's *new* representatives,
+///   which are no node's stored children.
+///
+/// Node ids follow creation order, which depends only on the netlists
+/// and the proof order, never on a hash seed.
+///
 /// # Example
 ///
 /// ```
@@ -192,17 +475,18 @@ pub struct SweepEngine {
     child_arena: Vec<u32>,
     /// Logic depth at creation (0 for inputs and constants).
     depth: Vec<u32>,
-    /// Simulation signature (random words then counterexample words);
-    /// freed when a node is retired into another class.
-    sig: Vec<Vec<u64>>,
+    /// Simulation signatures: node `n`'s is row `sig_row[n]` of `sigs`.
+    /// Only class representatives' rows are live.
+    sigs: SigRows,
+    sig_row: Vec<u32>,
     /// CNF variable of the node's class, allocated lazily on first encode.
     var: Vec<Option<Var>>,
     /// Union-find parent (class representative = smallest node id).
     parent: Vec<u32>,
     /// Nodes that list this node among their children (congruence uses).
-    uses: Vec<Vec<u32>>,
-    /// Hash-consing map from canonical shape to node id.
-    canon: HashMap<(NodeKind, Vec<u32>), u32>,
+    uses: UseLists,
+    /// Hash-consing table from canonical shape to node id.
+    canon: CanonTable,
     /// Counterexample patterns appended to every signature so far.
     cex_count: usize,
     // ---- golden interface ----
@@ -216,6 +500,7 @@ pub struct SweepEngine {
     solver: Solver,
     interrupt: Option<Arc<AtomicBool>>,
     rng: Xoshiro256,
+    scratch: Scratch,
 }
 
 impl SweepEngine {
@@ -228,18 +513,21 @@ impl SweepEngine {
     pub fn new(golden: &Netlist, opts: SweepOptions) -> SweepEngine {
         assert!(opts.sim_words > 0, "signatures need at least one word");
         let solver = Solver::with_config(opts.solver);
+        // The golden's inputs, constants and gates bound its node count.
+        let nodes = golden.primary_inputs().len() + golden.num_gates() + 2;
         let mut eng = SweepEngine {
             rng: Xoshiro256::seed_from_u64(opts.seed),
-            opts,
-            kind: Vec::new(),
-            child_off: vec![0],
+            kind: Vec::with_capacity(nodes),
+            child_off: Vec::with_capacity(nodes + 1),
             child_arena: Vec::new(),
-            depth: Vec::new(),
-            sig: Vec::new(),
-            var: Vec::new(),
-            parent: Vec::new(),
-            uses: Vec::new(),
-            canon: HashMap::new(),
+            depth: Vec::with_capacity(nodes),
+            sigs: SigRows::new(opts.sim_words),
+            sig_row: Vec::with_capacity(nodes),
+            var: Vec::with_capacity(nodes),
+            parent: Vec::with_capacity(nodes),
+            uses: UseLists::default(),
+            canon: CanonTable::with_capacity(nodes),
+            opts,
             cex_count: 0,
             num_pis: golden.primary_inputs().len(),
             num_pos: golden.primary_outputs().len(),
@@ -247,7 +535,9 @@ impl SweepEngine {
             golden_pos: Vec::new(),
             solver,
             interrupt: None,
+            scratch: Scratch::default(),
         };
+        eng.child_off.push(0);
         eng.input_nodes = (0..eng.num_pis)
             .map(|k| eng.intern_leaf(NodeKind::Input(k as u32)))
             .collect();
@@ -382,7 +672,7 @@ impl SweepEngine {
                 break;
             }
             let (ra, rb) = (self.find(a), self.find(b));
-            if ra == rb || self.sig[ra as usize] != self.sig[rb as usize] {
+            if ra == rb || self.sig(ra) != self.sig(rb) {
                 continue; // merged or falsified since pairing
             }
             let spent = self.solver.stats().conflicts - start_conflicts;
@@ -532,133 +822,143 @@ impl SweepEngine {
 
     /// Interns a childless node (constant or primary input).
     fn intern_leaf(&mut self, kind: NodeKind) -> u32 {
-        let key = (kind, Vec::new());
-        if let Some(&q) = self.canon.get(&key) {
-            return self.find(q);
-        }
-        let id = self.create_node(kind, Vec::new());
-        self.canon.insert(key, id);
-        id
+        self.intern_key(kind, &[])
     }
 
     /// Interns a gate node over existing children, canonicalizing first.
     fn intern_gate(&mut self, f: PrimitiveFn, children: &[u32]) -> u32 {
-        let mapped: Vec<u32> = children.iter().map(|&c| self.find(c)).collect();
-        match self.canonicalize(f, mapped) {
+        let mut key = std::mem::take(&mut self.scratch.key);
+        key.clear();
+        key.extend(children.iter().map(|&c| self.find(c)));
+        let id = match self.canonicalize(f, &mut key) {
             Canon::Existing(t) => self.find(t),
             Canon::ConstVal(v) => self.intern_leaf(NodeKind::Const(v)),
-            Canon::Key(kind, ch) => {
-                let key = (kind, ch);
-                if let Some(&q) = self.canon.get(&key) {
-                    return self.find(q);
-                }
-                let id = self.create_node(key.0, key.1.clone());
-                self.canon.insert(key, id);
+            Canon::Key(kind) => self.intern_key(kind, &key),
+        };
+        self.scratch.key = key;
+        id
+    }
+
+    /// The class of canonical shape `(kind, children)`, created on a miss.
+    fn intern_key(&mut self, kind: NodeKind, children: &[u32]) -> u32 {
+        match self.canon.lookup(kind, children) {
+            Ok(q) => self.find(q),
+            Err(vacant) => {
+                let id = self.create_node(kind, children);
+                self.canon.insert(vacant, kind, children, id);
                 id
             }
         }
     }
 
-    /// Reduces `(f, children)` to canonical shape. `children` must already
-    /// be class representatives. Rules: `Buf` collapses; `Inv(Inv(x))`
+    /// Reduces `(f, ch)` to canonical shape in place. `ch` must already
+    /// hold class representatives; on [`Canon::Key`] it holds the
+    /// canonical children. Rules: `Buf` collapses; `Inv(Inv(x))`
     /// collapses to `x`; commutative children are sorted; idempotent
     /// functions are deduplicated; parity pairs cancel. Deeper semantic
     /// simplification (e.g. constant folding) is deliberately left to the
     /// signature + SAT stages.
-    fn canonicalize(&self, f: PrimitiveFn, mut ch: Vec<u32>) -> Canon {
+    fn canonicalize(&self, f: PrimitiveFn, ch: &mut Vec<u32>) -> Canon {
         use PrimitiveFn::{And, Buf, Inv, Nand, Nor, Or, Xnor, Xor};
         match f {
             Buf => Canon::Existing(ch[0]),
-            Inv => self.make_inv(ch[0]),
+            Inv => self.make_inv(ch[0], ch),
             And | Or | Nand | Nor => {
                 ch.sort_unstable();
                 ch.dedup();
                 if ch.len() == 1 {
                     match f {
                         And | Or => Canon::Existing(ch[0]),
-                        _ => self.make_inv(ch[0]),
+                        _ => self.make_inv(ch[0], ch),
                     }
                 } else {
-                    Canon::Key(NodeKind::Gate(f), ch)
+                    Canon::Key(NodeKind::Gate(f))
                 }
             }
             Xor | Xnor => {
                 ch.sort_unstable();
                 // x ^ x = 0: equal pairs cancel without flipping parity.
-                let mut out: Vec<u32> = Vec::with_capacity(ch.len());
-                let mut i = 0;
+                let (mut kept, mut i) = (0, 0);
                 while i < ch.len() {
                     if i + 1 < ch.len() && ch[i] == ch[i + 1] {
                         i += 2;
                     } else {
-                        out.push(ch[i]);
+                        ch[kept] = ch[i];
+                        kept += 1;
                         i += 1;
                     }
                 }
-                match (out.len(), f) {
+                ch.truncate(kept);
+                match (ch.len(), f) {
                     (0, _) => Canon::ConstVal(f == Xnor),
-                    (1, Xor) => Canon::Existing(out[0]),
-                    (1, _) => self.make_inv(out[0]),
-                    _ => Canon::Key(NodeKind::Gate(f), out),
+                    (1, Xor) => Canon::Existing(ch[0]),
+                    (1, _) => self.make_inv(ch[0], ch),
+                    _ => Canon::Key(NodeKind::Gate(f)),
                 }
             }
         }
     }
 
-    /// Canonical `Inv(c)`: collapses a double inversion.
-    fn make_inv(&self, c: u32) -> Canon {
+    /// Canonical `Inv(c)`: collapses a double inversion. On
+    /// [`Canon::Key`], `ch` holds the one child.
+    fn make_inv(&self, c: u32, ch: &mut Vec<u32>) -> Canon {
         let r = self.find(c);
         if self.kind[r as usize] == NodeKind::Gate(PrimitiveFn::Inv) {
             Canon::Existing(self.find(self.children(r)[0]))
         } else {
-            Canon::Key(NodeKind::Gate(PrimitiveFn::Inv), vec![r])
+            ch.clear();
+            ch.push(r);
+            Canon::Key(NodeKind::Gate(PrimitiveFn::Inv))
         }
     }
 
-    fn create_node(&mut self, kind: NodeKind, children: Vec<u32>) -> u32 {
+    fn create_node(&mut self, kind: NodeKind, children: &[u32]) -> u32 {
         let id = self.kind.len() as u32;
-        let (sig, depth) = match kind {
+        let row = self.sigs.alloc();
+        let depth = match kind {
             NodeKind::Const(v) => {
-                let mut s = vec![if v { u64::MAX } else { 0 }; self.sig_len()];
-                self.mask_partial(&mut s);
-                (s, 0)
+                let sig = self.sigs.row_mut(row);
+                sig.fill(if v { u64::MAX } else { 0 });
+                mask_partial(self.cex_count, sig);
+                0
             }
             NodeKind::Input(_) => {
                 // Random signature; counterexample words start empty-masked.
-                let len = self.sig_len();
-                let mut s: Vec<u64> = Vec::with_capacity(len);
-                for w in 0..len {
-                    s.push(if w < self.opts.sim_words {
+                for (w, word) in self.sigs.row_mut(row).iter_mut().enumerate() {
+                    *word = if w < self.opts.sim_words {
                         self.rng.next_u64()
                     } else {
                         0
-                    });
+                    };
                 }
-                (s, 0)
+                0
             }
             NodeKind::Gate(f) => {
-                let d = 1 + children
-                    .iter()
-                    .map(|&c| self.depth[self.find(c) as usize])
-                    .max()
-                    .unwrap_or(0);
-                (self.gate_sig(f, &children), d)
+                self.scratch.child_rows.clear();
+                let mut d = 0;
+                for &c in children {
+                    let r = self.find(c) as usize;
+                    d = d.max(self.depth[r]);
+                    self.scratch.child_rows.push(self.sig_row[r]);
+                }
+                self.gate_sig(f, row);
+                1 + d
             }
         };
         self.kind.push(kind);
         self.depth.push(depth);
-        self.sig.push(sig);
+        self.sig_row.push(row);
         self.var.push(None);
         self.parent.push(id);
-        self.uses.push(Vec::new());
-        let mut last = u32::MAX;
-        for &c in &children {
+        self.uses.add_node();
+        let mut last = NIL;
+        for &c in children {
             if c != last {
-                self.uses[c as usize].push(id);
+                self.uses.push(c, id);
                 last = c;
             }
         }
-        self.child_arena.extend_from_slice(&children);
+        self.child_arena.extend_from_slice(children);
         self.child_off.push(self.child_arena.len() as u32);
         id
     }
@@ -682,88 +982,71 @@ impl SweepEngine {
     // Signatures
     // ------------------------------------------------------------------
 
-    /// Current signature length: random words plus accumulated
-    /// counterexample words.
-    fn sig_len(&self) -> usize {
-        self.opts.sim_words + self.cex_count.div_ceil(64)
+    /// Node `n`'s signature.
+    fn sig(&self, n: u32) -> &[u64] {
+        self.sigs.row(self.sig_row[n as usize])
     }
 
-    /// Zeroes the unused high bits of a partially filled counterexample
-    /// word, so freshly computed signatures compare equal to incrementally
-    /// maintained ones.
-    fn mask_partial(&self, sig: &mut [u64]) {
-        let bits = self.cex_count % 64;
-        if self.cex_count > 0 && bits != 0 {
-            if let Some(last) = sig.last_mut() {
-                *last &= (1u64 << bits) - 1;
+    /// Evaluates a gate's signature into `row` from its children's rows
+    /// (`scratch.child_rows`): the first child's signature folded with
+    /// each other child's under the gate's plane, then complemented for
+    /// an inverting gate. The fold is bitwise, so every word equals
+    /// `f.eval_words` of the children's words.
+    fn gate_sig(&mut self, f: PrimitiveFn, row: u32) {
+        use PrimitiveFn::{And, Buf, Inv, Nand, Nor, Or, Xnor, Xor};
+        let Scratch {
+            child_rows, sig, ..
+        } = &mut self.scratch;
+        let (&first, rest) = child_rows.split_first().expect("a gate node has children");
+        sig.clear();
+        sig.extend_from_slice(self.sigs.row(first));
+        for &c in rest {
+            let child = self.sigs.row(c);
+            match f {
+                And | Nand => fold_row(sig, child, |a, b| a & b),
+                Or | Nor => fold_row(sig, child, |a, b| a | b),
+                Xor | Xnor => fold_row(sig, child, |a, b| a ^ b),
+                Buf | Inv => unreachable!("{f} node with {} children", child_rows.len()),
             }
         }
-    }
-
-    /// Evaluates a gate's signature from its children's, 256 bits at a
-    /// time through the widened kernel.
-    fn gate_sig(&self, f: PrimitiveFn, children: &[u32]) -> Vec<u64> {
-        let total = self.sig_len();
-        let mut out = vec![0u64; total];
-        let full = total / BLOCK_LANES * BLOCK_LANES;
-        let mut blk_ins: Vec<Block> = Vec::with_capacity(children.len());
-        let mut w = 0;
-        while w < full {
-            blk_ins.clear();
-            blk_ins.extend(
-                children
-                    .iter()
-                    .map(|&c| gather_block(&self.sig[self.find(c) as usize], w)),
-            );
-            out[w..w + BLOCK_LANES].copy_from_slice(&f.eval_blocks(&blk_ins));
-            w += BLOCK_LANES;
+        if f.is_inverting() {
+            sig.iter_mut().for_each(|w| *w = !*w);
         }
-        let mut word_ins: Vec<u64> = Vec::with_capacity(children.len());
-        let reps: Vec<usize> = children.iter().map(|&c| self.find(c) as usize).collect();
-        for (w, slot) in out.iter_mut().enumerate().skip(full) {
-            word_ins.clear();
-            word_ins.extend(reps.iter().map(|&r| self.sig[r][w]));
-            *slot = f.eval_words(&word_ins);
-        }
-        self.mask_partial(&mut out);
-        out
+        mask_partial(self.cex_count, sig);
+        self.sigs.row_mut(row).copy_from_slice(sig);
     }
 
     /// Replays one counterexample assignment through every live node and
     /// appends the resulting bit to each signature.
     fn append_cex(&mut self, assignment: &[bool]) {
         let bit = self.cex_count % 64;
+        if bit == 0 {
+            self.sigs.widen();
+        }
         self.cex_count += 1;
-        let mut ins: Vec<bool> = Vec::new();
+        let last = self.sigs.stride - 1;
         for i in 0..self.kind.len() {
             if self.find(i as u32) != i as u32 {
                 continue; // retired; the class representative carries bits
-            }
-            if bit == 0 {
-                self.sig[i].push(0);
             }
             let value = match self.kind[i] {
                 NodeKind::Const(v) => v,
                 NodeKind::Input(k) => assignment[k as usize],
                 NodeKind::Gate(f) => {
-                    ins.clear();
-                    let (s, e) = (
-                        self.child_off[i] as usize,
-                        self.child_off[i + 1] as usize,
-                    );
+                    self.scratch.word_ins.clear();
+                    let (s, e) = (self.child_off[i] as usize, self.child_off[i + 1] as usize);
                     for idx in s..e {
                         // Representatives have smaller ids than their
                         // members, so the child's bit is already computed.
                         let c = self.find(self.child_arena[idx]) as usize;
-                        let word = self.sig[c][self.sig[c].len() - 1];
-                        ins.push((word >> bit) & 1 == 1);
+                        let word = self.sigs.row(self.sig_row[c])[last];
+                        self.scratch.word_ins.push(word);
                     }
-                    f.eval(&ins)
+                    (f.eval_words(&self.scratch.word_ins) >> bit) & 1 == 1
                 }
             };
             if value {
-                let last = self.sig[i].len() - 1;
-                self.sig[i][last] |= 1u64 << bit;
+                self.sigs.row_mut(self.sig_row[i])[last] |= 1u64 << bit;
             }
         }
     }
@@ -776,7 +1059,10 @@ impl SweepEngine {
     /// congruence-closes: parents of the retired class are re-hashed under
     /// the new map, cascading merges through the fanout.
     fn union(&mut self, a: u32, b: u32) {
-        let mut queue = vec![(a, b)];
+        let mut queue = std::mem::take(&mut self.scratch.merges);
+        let mut key = std::mem::take(&mut self.scratch.key);
+        queue.clear();
+        queue.push((a, b));
         while let Some((a, b)) = queue.pop() {
             let (ra, rb) = (self.find(a), self.find(b));
             if ra == rb {
@@ -794,34 +1080,39 @@ impl SweepEngine {
                 _ => {}
             }
             // The representative carries the (identical) signature on.
-            self.sig[retire as usize] = Vec::new();
-            let moved = std::mem::take(&mut self.uses[retire as usize]);
-            for &p in &moved {
+            self.sigs.release(self.sig_row[retire as usize]);
+            // Re-key the retired class's uses in list order: the first
+            // parent to claim a new shape keeps it.
+            let mut link = self.uses.head[retire as usize];
+            while link != NIL {
+                let (p, next) = self.uses.links[link as usize];
+                link = next;
                 let rp = self.find(p);
-                if let NodeKind::Gate(f) = self.kind[p as usize] {
-                    let mapped: Vec<u32> =
-                        self.children(p).iter().map(|&c| self.find(c)).collect();
-                    match self.canonicalize(f, mapped) {
-                        Canon::Existing(t) => queue.push((rp, t)),
-                        Canon::ConstVal(v) => {
-                            let t = self.intern_leaf(NodeKind::Const(v));
-                            queue.push((rp, t));
-                        }
-                        Canon::Key(kind, ch) => {
-                            let key = (kind, ch);
-                            if let Some(&q) = self.canon.get(&key) {
-                                if self.find(q) != rp {
-                                    queue.push((rp, q));
-                                }
-                            } else {
-                                self.canon.insert(key, p);
+                let NodeKind::Gate(f) = self.kind[p as usize] else {
+                    continue;
+                };
+                key.clear();
+                key.extend(self.children(p).iter().map(|&c| self.find(c)));
+                match self.canonicalize(f, &mut key) {
+                    Canon::Existing(t) => queue.push((rp, t)),
+                    Canon::ConstVal(v) => {
+                        let t = self.intern_leaf(NodeKind::Const(v));
+                        queue.push((rp, t));
+                    }
+                    Canon::Key(kind) => match self.canon.lookup(kind, &key) {
+                        Ok(q) => {
+                            if self.find(q) != rp {
+                                queue.push((rp, q));
                             }
                         }
-                    }
+                        Err(vacant) => self.canon.insert(vacant, kind, &key, p),
+                    },
                 }
             }
-            self.uses[keep as usize].extend(moved);
+            self.uses.splice(keep, retire);
         }
+        self.scratch.merges = queue;
+        self.scratch.key = key;
     }
 
     // ------------------------------------------------------------------
@@ -837,13 +1128,15 @@ impl SweepEngine {
             stack.push(self.find(l));
             stack.push(self.find(r));
         }
-        let mut cone: Vec<u32> = Vec::new();
+        // Cone classes keyed by their first signature word, which
+        // decides most signature comparisons without a row lookup.
+        let mut cone: Vec<(u64, u32)> = Vec::new();
         while let Some(n) = stack.pop() {
             if visited[n as usize] {
                 continue;
             }
             visited[n as usize] = true;
-            cone.push(n);
+            cone.push((self.sig(n)[0], n));
             for &c in self.children(n) {
                 let rc = self.find(c);
                 if !visited[rc as usize] {
@@ -853,19 +1146,20 @@ impl SweepEngine {
         }
         // Group by signature: sort, then pair each run's anchor with the
         // rest (capped), deterministic in node-id order.
-        cone.sort_unstable_by(|&x, &y| {
-            self.sig[x as usize]
-                .cmp(&self.sig[y as usize])
+        cone.sort_unstable_by(|&(kx, x), &(ky, y)| {
+            kx.cmp(&ky)
+                .then_with(|| self.sig(x).cmp(self.sig(y)))
                 .then(x.cmp(&y))
         });
+        let same_sig =
+            |(kx, x): (u64, u32), (ky, y): (u64, u32)| kx == ky && self.sig(x) == self.sig(y);
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut run_start = 0;
         for i in 1..=cone.len() {
-            let run_ends = i == cone.len()
-                || self.sig[cone[i] as usize] != self.sig[cone[run_start] as usize];
+            let run_ends = i == cone.len() || !same_sig(cone[i], cone[run_start]);
             if run_ends {
-                let anchor = cone[run_start];
-                for &other in cone[run_start + 1..i]
+                let anchor = cone[run_start].1;
+                for &(_, other) in cone[run_start + 1..i]
                     .iter()
                     .take(self.opts.max_pairs_per_group)
                 {
@@ -889,105 +1183,16 @@ impl SweepEngine {
     // ------------------------------------------------------------------
 
     /// Tries to prove classes `a` and `b` equal from a truth table over a
-    /// small window below them; see the module docs for the expansion
-    /// order and the soundness argument. `false` means "not settled
-    /// here", never "distinct".
-    fn settle_locally(&self, a: u32, b: u32) -> bool {
-        // Sorted ascending; holds gates and inputs, never constants.
-        let mut frontier: Vec<u32> = Vec::new();
-        // Expanded gates, in descending id order.
-        let mut expanded: Vec<u32> = Vec::new();
-        self.add_leaf(&mut frontier, a);
-        self.add_leaf(&mut frontier, b);
-        // The latest window too wide for the cheap check but within
-        // `SIM_VARS`: its leaves and how many gates it had expanded.
-        let mut last_wide: Option<(Vec<u32>, usize)> = None;
-        for _ in 0..WINDOW_EXPANSIONS {
-            match frontier.last() {
-                Some(&top) if self.is_gate(top) => {
-                    frontier.pop();
-                    expanded.push(top);
-                    for &c in self.children(top) {
-                        self.add_leaf(&mut frontier, self.find(c));
-                    }
-                }
-                _ => break, // only primary inputs left
-            }
-            if frontier.len() > SIM_VARS + WINDOW_SLACK {
-                break;
-            }
-            if frontier.binary_search(&a).is_ok() && self.is_gate(a)
-                || frontier.binary_search(&b).is_ok() && self.is_gate(b)
-            {
-                continue; // a root is still a free leaf
-            }
-            if frontier.len() <= WINDOW_CHEAP_LEAVES {
-                if self.window_agrees(a, b, &frontier, &expanded) {
-                    return true;
-                }
-                last_wide = None;
-            } else if frontier.len() <= SIM_VARS {
-                last_wide = Some((frontier.clone(), expanded.len()));
-            }
-        }
-        last_wide.is_some_and(|(leaves, k)| self.window_agrees(a, b, &leaves, &expanded[..k]))
+    /// small window below them; see [`Window::settle`].
+    fn settle_locally(&mut self, a: u32, b: u32) -> bool {
+        let mut window = std::mem::take(&mut self.scratch.window);
+        let settled = window.settle(self, a, b);
+        self.scratch.window = window;
+        settled
     }
 
     fn is_gate(&self, n: u32) -> bool {
         matches!(self.kind[n as usize], NodeKind::Gate(_))
-    }
-
-    /// Adds class representative `n` to a sorted frontier; constants
-    /// are compiled in place and never become leaves.
-    fn add_leaf(&self, frontier: &mut Vec<u32>, n: u32) {
-        if let NodeKind::Const(_) = self.kind[n as usize] {
-            return;
-        }
-        if let Err(at) = frontier.binary_search(&n) {
-            frontier.insert(at, n);
-        }
-    }
-
-    /// Compiles a window (free `leaves`, gates `expanded` in descending
-    /// id order) and checks that `a` and `b` agree on every row.
-    fn window_agrees(&self, a: u32, b: u32, leaves: &[u32], expanded: &[u32]) -> bool {
-        let mut program = Program {
-            slots: leaves.len() as u32,
-            free: leaves.len(),
-            ..Program::default()
-        };
-        // Slot of each expanded gate, parallel to `expanded`.
-        let mut gate_slot = vec![0u32; expanded.len()];
-        let slot_of = |program: &mut Program, gate_slot: &[u32], n: u32| -> u32 {
-            if let Ok(i) = leaves.binary_search(&n) {
-                return i as u32;
-            }
-            if let Some(i) = expanded.iter().position(|&e| e == n) {
-                return gate_slot[i];
-            }
-            let NodeKind::Const(value) = self.kind[n as usize] else {
-                unreachable!("node {n} outside its window")
-            };
-            let out = program.fresh();
-            program.ops.push(Op::Const { out, value });
-            out
-        };
-        for (i, &g) in expanded.iter().enumerate().rev() {
-            let NodeKind::Gate(f) = self.kind[g as usize] else {
-                unreachable!("only gates are expanded")
-            };
-            let ins = self
-                .children(g)
-                .iter()
-                .map(|&c| slot_of(&mut program, &gate_slot, self.find(c)))
-                .collect();
-            let out = program.fresh();
-            program.ops.push(Op::Gate { f, ins, out });
-            gate_slot[i] = out;
-        }
-        program.left = slot_of(&mut program, &gate_slot, a);
-        program.right = slot_of(&mut program, &gate_slot, b);
-        program.simulate()
     }
 
     /// Lazily Tseitin-encodes a node class (and its cone) into the
@@ -1084,6 +1289,123 @@ impl SweepEngine {
                 .interrupt
                 .as_ref()
                 .is_some_and(|f| f.load(Ordering::Acquire))
+    }
+}
+
+/// `acc[w] = op(acc[w], row[w])` for every word.
+fn fold_row(acc: &mut [u64], row: &[u64], op: impl Fn(u64, u64) -> u64) {
+    for (a, &b) in acc.iter_mut().zip(row) {
+        *a = op(*a, b);
+    }
+}
+
+/// Zeroes the unused high bits of a partially filled counterexample word,
+/// so freshly computed signatures compare equal to incrementally
+/// maintained ones.
+fn mask_partial(cex_count: usize, sig: &mut [u64]) {
+    let bits = cex_count % 64;
+    if cex_count > 0 && bits != 0 {
+        if let Some(last) = sig.last_mut() {
+            *last &= (1u64 << bits) - 1;
+        }
+    }
+}
+
+impl Window {
+    /// Tries to prove classes `a` and `b` of `eng` equal from a truth
+    /// table over a small window below them; see the module docs for the
+    /// expansion order and the soundness argument. `false` means "not
+    /// settled here", never "distinct".
+    fn settle(&mut self, eng: &SweepEngine, a: u32, b: u32) -> bool {
+        self.frontier.clear();
+        self.expanded.clear();
+        add_leaf(eng, &mut self.frontier, a);
+        add_leaf(eng, &mut self.frontier, b);
+        // How many gates the window saved in `wide` had expanded.
+        let mut wide_expanded: Option<usize> = None;
+        for _ in 0..WINDOW_EXPANSIONS {
+            match self.frontier.last() {
+                Some(&top) if eng.is_gate(top) => {
+                    self.frontier.pop();
+                    self.expanded.push(top);
+                    for &c in eng.children(top) {
+                        add_leaf(eng, &mut self.frontier, eng.find(c));
+                    }
+                }
+                _ => break, // only primary inputs left
+            }
+            let leaves = self.frontier.len();
+            if leaves > SIM_VARS + WINDOW_SLACK {
+                break;
+            }
+            if self.frontier.binary_search(&a).is_ok() && eng.is_gate(a)
+                || self.frontier.binary_search(&b).is_ok() && eng.is_gate(b)
+            {
+                continue; // a root is still a free leaf
+            }
+            if leaves <= WINDOW_CHEAP_LEAVES {
+                if self.agrees(eng, a, b, self.expanded.len()) {
+                    return true;
+                }
+                wide_expanded = None;
+            } else if leaves <= SIM_VARS {
+                self.wide.clear();
+                self.wide.extend_from_slice(&self.frontier);
+                wide_expanded = Some(self.expanded.len());
+            }
+        }
+        wide_expanded.is_some_and(|k| {
+            std::mem::swap(&mut self.frontier, &mut self.wide);
+            self.agrees(eng, a, b, k)
+        })
+    }
+
+    /// Compiles the window with free leaves `frontier` and the first `k`
+    /// gates of `expanded` (descending id order), and checks that `a`
+    /// and `b` agree on every row.
+    fn agrees(&mut self, eng: &SweepEngine, a: u32, b: u32, k: usize) -> bool {
+        let (leaves, expanded) = (&self.frontier, &self.expanded[..k]);
+        let program = &mut self.program;
+        program.reset(leaves.len());
+        self.gate_slot.clear();
+        self.gate_slot.resize(k, 0);
+        let slot_of = |program: &mut Program, gate_slot: &[u32], n: u32| -> u32 {
+            if let Ok(i) = leaves.binary_search(&n) {
+                return i as u32;
+            }
+            if let Some(i) = expanded.iter().position(|&e| e == n) {
+                return gate_slot[i];
+            }
+            let NodeKind::Const(value) = eng.kind[n as usize] else {
+                unreachable!("node {n} outside its window")
+            };
+            program.constant(value)
+        };
+        for (i, &g) in expanded.iter().enumerate().rev() {
+            let NodeKind::Gate(f) = eng.kind[g as usize] else {
+                unreachable!("only gates are expanded")
+            };
+            let start = program.args.len();
+            for &c in eng.children(g) {
+                let slot = slot_of(program, &self.gate_slot, eng.find(c));
+                program.args.push(slot);
+            }
+            self.gate_slot[i] = program.gate(f, start);
+        }
+        program.left = slot_of(program, &self.gate_slot, a);
+        program.right = slot_of(program, &self.gate_slot, b);
+        program.simulate()
+    }
+}
+
+/// Adds class representative `n` of `eng` to a sorted frontier;
+/// constants are compiled in place and never become leaves.
+fn add_leaf(eng: &SweepEngine, frontier: &mut Vec<u32>, n: u32) {
+    if let NodeKind::Const(_) = eng.kind[n as usize] {
+        return;
+    }
+    if let Err(at) = frontier.binary_search(&n) {
+        frontier.insert(at, n);
     }
 }
 
@@ -1355,6 +1677,154 @@ mod tests {
             eng.check(&tiny, None, None),
             Err(EquivError::InputCountMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn canon_table_survives_repeated_growth() {
+        let mut table = CanonTable::with_capacity(0);
+        let initial = table.slots.len();
+        let key = |i: u32| -> Vec<u32> { (0..1 + i % 5).map(|j| 7 * i + j).collect() };
+        let kind = |i: u32| match i % 3 {
+            0 => NodeKind::Gate(PrimitiveFn::And),
+            1 => NodeKind::Gate(PrimitiveFn::Xor),
+            _ => NodeKind::Input(i),
+        };
+        for i in 0..5_000u32 {
+            let vacant = table.lookup(kind(i), &key(i)).expect_err("fresh key");
+            table.insert(vacant, kind(i), &key(i), i);
+        }
+        assert!(
+            table.slots.len() >= initial << 8,
+            "grew {} slots",
+            table.slots.len()
+        );
+        assert!(2 * table.len <= table.slots.len());
+        for i in 0..5_000u32 {
+            assert_eq!(table.lookup(kind(i), &key(i)).ok(), Some(i), "key {i}");
+        }
+        // Same children under another kind, and unseen keys, miss.
+        assert!(table
+            .lookup(NodeKind::Gate(PrimitiveFn::Or), &key(3))
+            .is_err());
+        assert!(table.lookup(kind(0), &[u32::MAX, 1, 2]).is_err());
+    }
+
+    #[test]
+    fn empty_keys_tell_leaves_apart() {
+        let mut table = CanonTable::with_capacity(4);
+        let leaves = [
+            NodeKind::Const(false),
+            NodeKind::Const(true),
+            NodeKind::Input(0),
+            NodeKind::Input(1),
+        ];
+        for (id, &leaf) in leaves.iter().enumerate() {
+            let vacant = table.lookup(leaf, &[]).expect_err("fresh leaf");
+            table.insert(vacant, leaf, &[], id as u32);
+        }
+        for (id, &leaf) in leaves.iter().enumerate() {
+            assert_eq!(table.lookup(leaf, &[]).ok(), Some(id as u32));
+        }
+        assert!(table.keys.is_empty(), "empty keys take no arena space");
+        assert!(table.lookup(NodeKind::Input(2), &[]).is_err());
+    }
+
+    #[test]
+    fn sig_rows_widen_in_place_across_chunks() {
+        let mut sigs = SigRows::new(3);
+        let rows: Vec<u32> = (0..2 * SIG_CHUNK_ROWS + 5).map(|_| sigs.alloc()).collect();
+        for &r in &rows {
+            sigs.row_mut(r).copy_from_slice(&[r as u64, !(r as u64), 7]);
+        }
+        sigs.release(rows[4]);
+        assert_eq!(sigs.alloc(), rows[4], "a released row is reused first");
+        sigs.widen();
+        sigs.widen();
+        assert_eq!(sigs.stride, 5);
+        for &r in &rows {
+            assert_eq!(sigs.row(r), &[r as u64, !(r as u64), 7, 0, 0], "row {r}");
+        }
+        assert_eq!(sigs.chunks.len(), 3);
+    }
+
+    #[test]
+    fn union_rekeys_a_parent_under_its_mapped_children() {
+        let golden = fig1(false);
+        let mut eng = SweepEngine::new(&golden, SweepOptions::default());
+        let i = eng.input_nodes.clone();
+        // x = AND(A, B) and, created after it, x2 = NOR(!A, !B) = x.
+        let x = eng.intern_gate(PrimitiveFn::And, &[i[0], i[1]]);
+        let (na, nb) = (
+            eng.intern_gate(PrimitiveFn::Inv, &[i[0]]),
+            eng.intern_gate(PrimitiveFn::Inv, &[i[1]]),
+        );
+        let x2 = eng.intern_gate(PrimitiveFn::Nor, &[na, nb]);
+        assert!(x < x2);
+        // p's stored children are (x2, D); no node is AND(x, D) yet.
+        let p = eng.intern_gate(PrimitiveFn::And, &[x2, i[3]]);
+        assert_eq!(eng.children(p), &[x2.min(i[3]), x2.max(i[3])]);
+        eng.union(x, x2);
+        assert_eq!(eng.find(x2), x);
+        let nodes = eng.num_nodes();
+        // The merge re-keyed p under AND(x, D), in either child order.
+        assert_eq!(eng.intern_gate(PrimitiveFn::And, &[x, i[3]]), p);
+        assert_eq!(eng.intern_gate(PrimitiveFn::And, &[i[3], x]), p);
+        assert_eq!(eng.num_nodes(), nodes, "found, not created");
+        // p still answers to its stored key too.
+        assert_eq!(eng.intern_gate(PrimitiveFn::And, &[x2, i[3]]), p);
+    }
+
+    #[test]
+    fn restrashing_des_adds_no_nodes() {
+        let des = odcfp_synth::benchmarks::generate("des", CellLibrary::standard()).unwrap();
+        let mut eng = SweepEngine::new(&des, SweepOptions::default());
+        assert_eq!(eng.num_nodes(), 3_486);
+        let first = eng.net_classes(&des);
+        assert_eq!(eng.net_classes(&des), first);
+        assert_eq!(eng.num_nodes(), 3_486);
+    }
+
+    #[test]
+    fn permuted_commutative_inputs_hit_the_same_nodes() {
+        use odcfp_netlist::NetDriver;
+        let build = |permute: bool| {
+            let mut n = Netlist::new("perm", CellLibrary::standard());
+            let x: Vec<NetId> = (0..4)
+                .map(|i| n.add_primary_input(format!("x{i}")))
+                .collect();
+            let mut last = x[3];
+            let shapes = [
+                (PrimitiveFn::And, 3),
+                (PrimitiveFn::Xor, 2),
+                (PrimitiveFn::Or, 3),
+                (PrimitiveFn::Xnor, 2),
+                (PrimitiveFn::Nand, 3),
+            ];
+            for (k, (f, arity)) in shapes.into_iter().enumerate() {
+                let cell = n.library().cell_for(f, arity).unwrap();
+                let mut ins = vec![last, x[k % 4], x[(k + 2) % 4]];
+                ins.truncate(arity);
+                if permute {
+                    ins.reverse();
+                }
+                let g = n.add_gate(format!("g{k}"), cell, &ins);
+                last = n.gate_output(g);
+            }
+            n.set_primary_output(last);
+            n
+        };
+        let (golden, permuted) = (build(false), build(true));
+        let mut eng = SweepEngine::new(&golden, SweepOptions::default());
+        let nodes = eng.num_nodes();
+        let (a, b) = (eng.net_classes(&golden), eng.net_classes(&permuted));
+        assert_eq!(a, b, "every net lands in the same class");
+        assert_eq!(eng.num_nodes(), nodes, "no node created for the copy");
+        assert!(golden
+            .nets()
+            .all(|(id, net)| matches!(net.driver(), NetDriver::None) || a[id.index()] != u32::MAX));
+        let report = eng.check(&permuted, None, None).unwrap();
+        assert_eq!(report.strash_proven, 1);
+        assert_eq!(report.conflicts, 0);
     }
 
     #[test]
