@@ -6,8 +6,8 @@
 //!    one codebook, vs full per-buyer Verilog artifacts: bytes/buyer and
 //!    mint+verify throughput.
 //! 2. **Codebook batch verification** — one code-space proof (local
-//!    per-location obligations, with the monolithic free-selector solve
-//!    as fallback) plus N per-code combination checks, vs the
+//!    per-location obligations, escalating an unsettled output to one
+//!    exact obligation) plus N per-code combination checks, vs the
 //!    incremental per-buyer [`VerifySession`] fast path (sampled and
 //!    extrapolated), with verdict-for-verdict agreement on the sampled
 //!    prefix.
@@ -159,7 +159,7 @@ struct VerifyLeg {
     proof_s: f64,
     proof_conflicts: u64,
     proof_obligations: usize,
-    proof_fell_back: bool,
+    proof_escalated: usize,
     checks_s: f64,
     batch_total_s: f64,
     batch_buyers_per_sec: f64,
@@ -170,9 +170,8 @@ struct VerifyLeg {
     verdicts_match: bool,
 }
 
-/// Leg 2: code-space proof (local obligations, monolithic fallback) +
-/// N combination checks vs the
-/// per-buyer incremental session fast path. The per-buyer baseline is
+/// Leg 2: code-space proof (local obligations) + N combination checks
+/// vs the per-buyer incremental session fast path. The per-buyer baseline is
 /// sampled (it is the very cost the batch path amortizes away) and
 /// extrapolated linearly — exact in expectation, reported as sampled.
 fn verify_leg(name: &str, netlist: &Netlist, buyers: usize, sample: usize) -> VerifyLeg {
@@ -234,7 +233,7 @@ fn verify_leg(name: &str, netlist: &Netlist, buyers: usize, sample: usize) -> Ve
         proof_s,
         proof_conflicts: proof.conflicts,
         proof_obligations: proof.obligations,
-        proof_fell_back: proof.fell_back,
+        proof_escalated: proof.escalated,
         checks_s,
         batch_total_s,
         batch_buyers_per_sec: buyers as f64 / batch_total_s,
@@ -351,7 +350,7 @@ fn main() {
     );
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"odcfp-bench-population/2\",\n");
+    json.push_str("{\n  \"schema\": \"odcfp-bench-population/3\",\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if fast { "fast" } else { "full" }
@@ -386,7 +385,7 @@ fn main() {
     json.push_str(&format!("    \"proof_s\": {},\n", json_f(verify.proof_s)));
     json.push_str(&format!("    \"proof_conflicts\": {},\n", verify.proof_conflicts));
     json.push_str(&format!("    \"proof_obligations\": {},\n", verify.proof_obligations));
-    json.push_str(&format!("    \"proof_fell_back\": {},\n", verify.proof_fell_back));
+    json.push_str(&format!("    \"proof_escalated\": {},\n", verify.proof_escalated));
     json.push_str(&format!("    \"checks_s\": {},\n", json_f(verify.checks_s)));
     json.push_str(&format!(
         "    \"batch_total_s\": {},\n",

@@ -13,8 +13,8 @@
 use odcfp_bench::netlist_for;
 use odcfp_core::faults::FaultInjector;
 use odcfp_core::{
-    artifact_identity, CancelToken, CodeSpace, CodeSpaceOutcome, Fingerprinter, Verdict,
-    VerifyPolicy, VerifySession,
+    artifact_identity, CancelToken, CodeSpace, CodeSpaceOutcome, CodeSpaceProof, Fingerprinter,
+    Verdict, VerifyPolicy, VerifySession,
 };
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::{CellLibrary, Digest128};
@@ -43,7 +43,8 @@ fn verdict_kind(verdict: &Verdict) -> &'static str {
 /// code-space proof and a strict per-buyer verify of the materialized
 /// netlist return the same verdict kind (and on these circuits, that
 /// kind is `proven` — the mint schedule only emits authorized codes).
-fn sweep_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) {
+/// Returns the unbudgeted proof, for its work counters.
+fn sweep_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) -> CodeSpaceProof {
     let fp = Fingerprinter::new(netlist).expect("fingerprinter");
     let locations = fp.selected_modifications().len();
     assert!(locations > 0, "{name}: no fingerprint locations");
@@ -100,6 +101,12 @@ fn sweep_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) {
             );
         }
     }
+    proof
+}
+
+/// The local proof's pinned work: (obligations, conflicts, escalated).
+fn work(proof: &CodeSpaceProof) -> (usize, u64, usize) {
+    (proof.obligations, proof.conflicts, proof.escalated)
 }
 
 /// Fault battery, netlist tier: tamper the superposed encoding with a
@@ -176,7 +183,8 @@ fn small_sweep_batch_matches_per_buyer() {
 #[test]
 #[ignore = "benchmark scale; run in release from CI's population job"]
 fn des_sweep_batch_matches_per_buyer() {
-    sweep_agrees("des", netlist_for("des"), 2015);
+    let proof = sweep_agrees("des", netlist_for("des"), 2015);
+    assert_eq!(work(&proof), (2_000, 129, 0));
 }
 
 #[test]
@@ -187,11 +195,11 @@ fn des_fault_battery_batch_matches_per_buyer() {
 
 /// c6288 is the known-intractable *whole-circuit* miter (DESIGN.md §11),
 /// and the monolithic free-selector code-space miter exhausts any
-/// reasonable budget on it too. Its code space now settles locally: every
+/// reasonable budget on it too. Its code space settles locally: every
 /// location is a small obligation (a 4-variable truth table each), so
-/// the budgeted proof must come back `ProvenAll` without falling back,
-/// and the strong contract applies — the full sweep agrees with
-/// per-buyer verification.
+/// the budgeted proof must come back `ProvenAll` with no output
+/// escalated, and the strong contract applies — the full sweep agrees
+/// with per-buyer verification.
 ///
 /// The per-buyer fallback leg stays tested here anyway, because it is
 /// what a delta campaign runs after `CodeSpaceFallback` on a circuit
@@ -215,8 +223,9 @@ fn c6288_budgeted_proof_falls_back_to_per_buyer() {
         CodeSpaceOutcome::ProvenAll,
         "{name}: the code space settles by local obligations"
     );
-    assert!(!proof.fell_back, "{name}: no monolithic solve is needed");
-    sweep_agrees(name, netlist_for(name), 2015);
+    assert_eq!(work(&proof), (1_412, 0, 0));
+    let proof = sweep_agrees(name, netlist_for(name), 2015);
+    assert_eq!(work(&proof), (1_412, 0, 0));
 
     // Fallback leg: the per-buyer fast path decides all 64 buyers under
     // the same budget ...

@@ -165,8 +165,7 @@ pub enum JobEvent {
         circuit: String,
         /// Local obligations the proof checked.
         obligations: usize,
-        /// Conflicts the proof spent (local obligations plus any
-        /// free-selector fallback solve).
+        /// Conflicts the proof's SAT-discharged obligations spent.
         conflicts: u64,
         /// Wall-clock milliseconds the proof took.
         millis: u64,

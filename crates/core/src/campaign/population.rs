@@ -16,9 +16,8 @@
 //!   `O(buyers / window)`;
 //! * verification is hoisted out of the buyer loop entirely when the
 //!   code-space proof lands ([`CodeSpace::prove`]): every buyer's
-//!   verdict is `proven` by the same proof — local per-location
-//!   obligations, or the free-selector UNSAT they fall back to. If the
-//!   proof is unavailable (entangled locations, refuted superposition,
+//!   verdict is `proven` by the same proof of local per-location
+//!   obligations. If the proof is unavailable (entangled locations, refuted superposition,
 //!   budget exhausted), every buyer falls back to the existing per-buyer
 //!   session path, so verdicts never silently weaken.
 //!
@@ -274,7 +273,7 @@ fn delta_circuit(
         for buyer in done..to {
             let bits = mint_bits(manifest, locations, buyer);
             let verdict = if proven_all {
-                // The free-selector UNSAT already covered this code.
+                // The code-space proof already covered this code.
                 Some(Verdict::Proven)
             } else {
                 fallback_buyer(
@@ -419,8 +418,8 @@ fn setup_circuit(
             VerifySession::new(entry.fp.base())
                 .map_err(|e| attempt_err(format!("building verify session: {e}")))?,
         );
-        // A fallback proof's handle lives inside the session's shared
-        // miter; a rebuilt session invalidates any previous proof.
+        // The session is rebuilt after a failed attempt (a panic or a
+        // deadline), which may also have cut the proof short: prove again.
         entry.proof = None;
         entry.proof_attempted = false;
     }
@@ -448,9 +447,13 @@ fn setup_circuit(
                         millis: started.elapsed().as_millis() as u64,
                     });
                 } else {
+                    let gate = match &proof.unsettled {
+                        Some(gate) => format!("; gate {gate} failed to settle locally"),
+                        None => String::new(),
+                    };
                     on_event(&JobEvent::CodeSpaceFallback {
                         circuit: name.clone(),
-                        reason: proof.fallback_reason(),
+                        reason: format!("{}{gate}", proof.outcome.name()),
                     });
                 }
                 entry.proof = Some(proof);

@@ -75,9 +75,9 @@ pub fn codebook_file(circuit: &str) -> String {
 /// module docs for the soundness argument.
 #[derive(Debug, Clone)]
 pub struct CodeSpace {
-    superposed: Netlist,
-    selectable: Vec<SelectableInput>,
-    groups: usize,
+    pub(crate) superposed: Netlist,
+    pub(crate) selectable: Vec<SelectableInput>,
+    pub(crate) groups: usize,
 }
 
 impl CodeSpace {

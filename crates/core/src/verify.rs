@@ -37,6 +37,7 @@
 //! own delta.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use odcfp_analysis::cancel::CancelToken;
@@ -45,10 +46,11 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 use odcfp_sat::{
-    EquivError, LocalLimits, Miter, MiterOutcome, SelectableInput, SelectableVariant, SharedMiter,
-    SolverConfig, SolverStats, SweepEngine, SweepOptions,
+    EquivError, LocalLimits, Miter, MiterOutcome, SelectableInput, SolverConfig, SolverStats,
+    SweepEngine, SweepOptions,
 };
 
+use crate::codebook::CodeSpace;
 use crate::FingerprintError;
 
 /// Resource policy for the staged verification ladder.
@@ -680,11 +682,10 @@ fn sim_scan(
 /// pool (including counterexample patterns learned from earlier copies),
 /// the proven equivalence classes and the learnt clauses all persist, so
 /// a second copy touching the same region usually proves structurally
-/// with zero SAT. Code-space proofs
-/// ([`VerifySession::prove_code_space`]) that fall back to a monolithic
-/// solve keep a [`SharedMiter`] here as well. Both engines are built
-/// lazily on first use, so a session whose copies all fall to
-/// simulation costs nothing extra.
+/// with zero SAT. The engine is built lazily on first use, so a session
+/// whose copies all fall to simulation costs nothing extra. Code-space
+/// proofs ([`VerifySession::prove_code_space`]) keep no state here: each
+/// builds its own small obligations.
 ///
 /// Verdict-wise a session agrees with the one-shot functions: definitive
 /// outcomes (`Proven`/`Refuted`) are canonical, and reuse only changes
@@ -720,30 +721,27 @@ pub struct VerifySession {
     golden: Netlist,
     solver: SolverConfig,
     sweep: Option<SweepEngine>,
-    shared: Option<SharedMiter>,
 }
 
-/// Result of [`VerifySession::prove_code_space`]: what the local
-/// obligations (and, if they fell short, the free-selector solve)
-/// established about the whole code space.
+/// Result of [`VerifySession::prove_code_space`]: what the local proof
+/// ([`odcfp_sat::local`]) established about the whole code space.
 #[derive(Debug, Clone)]
 pub struct CodeSpaceProof {
-    /// The selectable variant in the session's shared miter; present
-    /// only when the monolithic fallback ran.
-    handle: Option<SelectableVariant>,
     groups: usize,
+    /// The superposition, kept for the pinned re-proofs of
+    /// [`VerifySession::check_code`]; `None` after
+    /// [`CodeSpaceOutcome::ProvenAll`], which decides every code.
+    space: Option<Arc<CodeSpace>>,
     /// What the proof established.
     pub outcome: CodeSpaceOutcome,
-    /// Conflicts spent: the SAT-discharged local obligations plus, after
-    /// a fallback, the free-selector solve.
+    /// Conflicts the SAT-discharged obligations spent.
     pub conflicts: u64,
-    /// Local obligations checked (see [`odcfp_sat::local`]).
+    /// Local obligations checked, escalations included.
     pub obligations: usize,
-    /// Whether the local pass left a primary output unsettled and the
-    /// monolithic free-selector solve decided instead.
-    pub fell_back: bool,
-    /// Name of the gate the local failure traces back to, when the pass
-    /// fell back for a reason other than cancellation.
+    /// Primary outputs no local claim settled, each decided by one exact
+    /// obligation over the primary inputs of its cone.
+    pub escalated: usize,
+    /// Name of the gate the first escalation traces back to.
     pub unsettled: Option<String>,
 }
 
@@ -752,29 +750,22 @@ impl CodeSpaceProof {
     pub fn num_groups(&self) -> usize {
         self.groups
     }
-
-    /// Why the proof did not cover the space, for a fallback report:
-    /// the outcome, plus the gate that failed to settle locally.
-    pub fn fallback_reason(&self) -> String {
-        match &self.unsettled {
-            Some(gate) => format!("{}; gate {gate} failed to settle locally", self.outcome.name()),
-            None => self.outcome.name().to_owned(),
-        }
-    }
 }
 
 /// Outcome of a code-space proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodeSpaceOutcome {
-    /// Every local obligation held, or the free-selector miter is UNSAT:
-    /// **every** code in the space is equivalent to the golden netlist —
-    /// individual buyers need no further solving.
+    /// Every primary output settled: **every** code in the space is
+    /// equivalent to the golden netlist — individual buyers need no
+    /// further solving.
     ProvenAll,
-    /// Some code differs; the witness assigns the primary inputs. Buyers
-    /// must be decided individually (or through the per-buyer fallback).
+    /// Some code differs. Buyers must be decided individually.
     SomeCodeDiffers {
         /// Primary-input assignment exhibiting the difference.
         counterexample: Vec<bool>,
+        /// A code that differs on `counterexample`; locations outside
+        /// the differing output's cone are false.
+        code: Vec<bool>,
     },
     /// Budget or deadline exhausted before a verdict.
     Undecided,
@@ -801,10 +792,11 @@ impl VerifySession {
         Self::with_solver(golden, SolverConfig::default())
     }
 
-    /// Creates a session whose persistent SAT engines (sweep engine and
-    /// shared miter) use `solver`. The engines live for the session's
-    /// lifetime, so the configuration is fixed at construction rather
-    /// than taken from each [`VerifyPolicy`].
+    /// Creates a session whose SAT engines (the persistent sweep engine
+    /// and the code-space obligations' solvers) use `solver`. The sweep
+    /// engine lives for the session's lifetime, so the configuration is
+    /// fixed at construction rather than taken from each
+    /// [`VerifyPolicy`].
     ///
     /// # Errors
     ///
@@ -815,7 +807,6 @@ impl VerifySession {
             golden: golden.clone(),
             solver,
             sweep: None,
-            shared: None,
         })
     }
 
@@ -867,22 +858,17 @@ impl VerifySession {
 
     /// Proves the *code space* of a fingerprinter: given the superposed
     /// variant (every modification applied) and the selectable-input map
-    /// produced by [`CodeSpace::build`](crate::codebook::CodeSpace::build),
-    /// proves every `2^groups` buyer code equivalent to the golden at once;
+    /// produced by [`CodeSpace::build`], decides whether every
+    /// `2^groups` buyer code is equivalent to the golden at once;
     /// afterwards [`VerifySession::check_code`] decides individual codes,
     /// with no per-buyer netlist ever materialized.
     ///
-    /// The proof first runs [`odcfp_sat::prove_locally`]: one small
-    /// obligation per modified gate, by exhaustive simulation or a tiny
-    /// miter, with no shared solver built. Only when some primary output
-    /// stays unsettled does it fall back to the monolithic miter with all
-    /// selectors free, in the session's shared solver; that variant's
-    /// clauses stay active (guarded) until
-    /// [`VerifySession::retire_code_space`]. `budget` bounds the conflicts
-    /// of both steps together.
-    ///
-    /// A token that has fired by the time the local pass ends answers
-    /// [`CodeSpaceOutcome::Undecided`] without building the fallback.
+    /// The proof is [`odcfp_sat::prove_locally`]: one small obligation
+    /// per modified gate, by exhaustive simulation or a tiny miter, and
+    /// one exact obligation over the primary inputs for each output no
+    /// claim settles. `budget` bounds the conflicts of all of them, and
+    /// the token's deadline and cancellation stop the pass
+    /// ([`CodeSpaceOutcome::Undecided`]).
     ///
     /// # Errors
     ///
@@ -918,85 +904,54 @@ impl VerifySession {
             superposed,
             selectable,
             groups,
-            &LocalLimits {
-                solver: self.solver,
-                conflict_budget: budget,
-                deadline: token.deadline(),
-                interrupt: Some(token.flag()),
-            },
+            None,
+            &self.local_limits(budget, token),
         );
         span.field("obligations", local.obligations);
         span.field("simulated", local.simulated);
         span.field("sat_discharged", local.solved);
         span.field("widest_cut", local.widest_cut);
-        span.field("fell_back", !local.proven);
-        let mut proof = CodeSpaceProof {
-            handle: None,
+        span.field("escalated", local.escalated);
+        let outcome = match local.witness {
+            Some(w) => CodeSpaceOutcome::SomeCodeDiffers {
+                counterexample: w.inputs,
+                code: w.code,
+            },
+            None if local.proven => CodeSpaceOutcome::ProvenAll,
+            None => CodeSpaceOutcome::Undecided,
+        };
+        span.field("outcome", outcome.name());
+        span.field("conflicts", local.conflicts);
+        Ok(CodeSpaceProof {
             groups,
-            outcome: CodeSpaceOutcome::ProvenAll,
+            space: (outcome != CodeSpaceOutcome::ProvenAll).then(|| {
+                Arc::new(CodeSpace {
+                    superposed: superposed.clone(),
+                    selectable: selectable.to_vec(),
+                    groups,
+                })
+            }),
+            outcome,
             conflicts: local.conflicts,
             obligations: local.obligations,
-            fell_back: !local.proven,
+            escalated: local.escalated,
             unsettled: local
                 .unsettled
                 .map(|g| superposed.gate(g).name().to_owned()),
-        };
-        if proof.fell_back && token.is_cancelled() {
-            // Cancelled: an encoded fallback would only be retired unused.
-            proof.outcome = CodeSpaceOutcome::Undecided;
-        } else if proof.fell_back {
-            let golden = &self.golden;
-            let shared = match &mut self.shared {
-                Some(shared) => shared,
-                None => self.shared.insert(SharedMiter::build_with(golden, self.solver)),
-            };
-            shared.set_interrupt(token.flag());
-            let before = shared.stats().conflicts;
-            let handle = shared
-                .add_selectable_variant(superposed, selectable, groups)
-                .map_err(FingerprintError::Verification)?;
-            let remaining = budget.map(|b| b.saturating_sub(proof.conflicts));
-            let outcome = shared.check(handle.id(), remaining, token.deadline());
-            proof.conflicts += shared.stats().conflicts.saturating_sub(before);
-            proof.outcome = match outcome {
-                MiterOutcome::Equivalent => CodeSpaceOutcome::ProvenAll,
-                MiterOutcome::Counterexample(counterexample) => {
-                    CodeSpaceOutcome::SomeCodeDiffers { counterexample }
-                }
-                MiterOutcome::Undecided => CodeSpaceOutcome::Undecided,
-            };
-            proof.handle = Some(handle);
-        }
-        span.field("outcome", proof.outcome.name());
-        span.field("conflicts", proof.conflicts);
-        Ok(proof)
+        })
     }
 
-    /// Retires the selectable variant a fallback proof left in the
-    /// session's shared miter, so a superseded proof (say, one cut short
-    /// by a cancel) stops costing later queries propagation. The proof
-    /// must not be used afterwards; a locally proven one holds no
-    /// variant and this is a no-op.
-    pub fn retire_code_space(&mut self, proof: CodeSpaceProof) {
-        if let (Some(handle), Some(shared)) = (proof.handle, self.shared.as_mut()) {
-            shared.retire(handle.id());
-        }
-    }
-
-    /// Decides one buyer code against a [`CodeSpaceProof`] from this
-    /// session, as a combination check on the already-encoded selectable
-    /// variant (no netlist is built).
+    /// Decides one buyer code against a [`CodeSpaceProof`] of this
+    /// session's golden netlist, with no netlist built.
     ///
     /// After [`CodeSpaceOutcome::ProvenAll`] this is a pure consistency
-    /// check and returns [`Verdict::Proven`] without touching the solver;
-    /// otherwise it solves under the code's assumption literals. A proof
-    /// cancelled before its fallback was built holds no variant, and
-    /// every code checked against it is [`Verdict::Undecided`].
+    /// check and returns [`Verdict::Proven`] at once; otherwise it re-runs
+    /// the local proof pinned to `code` under `budget` and `token`, so a
+    /// proof that was cut short still decides codes under a live token.
     ///
     /// # Panics
     ///
-    /// Panics if `code` length differs from the proof's group count or if
-    /// the proof belongs to a different session.
+    /// Panics if `code` length differs from the proof's group count.
     pub fn check_code(
         &mut self,
         proof: &CodeSpaceProof,
@@ -1009,27 +964,33 @@ impl VerifySession {
             proof.groups,
             "code length must match the proof's group count"
         );
-        let start = Instant::now();
-        if matches!(proof.outcome, CodeSpaceOutcome::ProvenAll) {
+        let Some(space) = &proof.space else {
             return Verdict::Proven;
+        };
+        let start = Instant::now();
+        let local = odcfp_sat::prove_locally(
+            &self.golden,
+            space.superposed(),
+            space.selectable(),
+            space.num_groups(),
+            Some(code),
+            &self.local_limits(budget, token),
+        );
+        let outcome = match local.witness {
+            Some(w) => MiterOutcome::Counterexample(w.inputs),
+            None if local.proven => MiterOutcome::Equivalent,
+            None => MiterOutcome::Undecided,
+        };
+        Verdict::from_outcome(outcome, local.conflicts, start)
+    }
+
+    fn local_limits(&self, budget: Option<u64>, token: &CancelToken) -> LocalLimits {
+        LocalLimits {
+            solver: self.solver,
+            conflict_budget: budget,
+            deadline: token.deadline(),
+            interrupt: Some(token.flag()),
         }
-        let Some(handle) = &proof.handle else {
-            return Verdict::Undecided {
-                conflicts_spent: 0,
-                elapsed: start.elapsed(),
-            };
-        };
-        let Some(shared) = self.shared.as_mut() else {
-            panic!("a proof holding a variant belongs to this session's shared miter")
-        };
-        shared.set_interrupt(token.flag());
-        let before = shared.stats().conflicts;
-        let outcome = shared.check_code(handle, code, budget, token.deadline());
-        Verdict::from_outcome(
-            outcome,
-            shared.stats().conflicts.saturating_sub(before),
-            start,
-        )
     }
 }
 

@@ -1,8 +1,10 @@
 //! Differential suite for the local code-space proof: on seeded random
 //! DAGs small enough for exhaustive ground truth, a code space proven by
 //! local obligations must also be proven by the monolithic free-selector
-//! miter, every code must simulate to the golden function, and tampered
-//! superpositions must get the same outcome kind on both paths.
+//! miter (the independent reference), every code must simulate to the
+//! golden function, and tampered superpositions must get the same
+//! outcome kind from both, with every witness and every per-code
+//! verdict replayed against exhaustive simulation.
 //!
 //! CI runs this file at `ODCFP_THREADS=1` and `8`; the proof itself is
 //! single-threaded, so the verdicts must not move.
@@ -91,6 +93,18 @@ fn golden_streams(golden: &Netlist) -> Vec<Vec<u64>> {
     simulate_code(golden, &[], &[])
 }
 
+/// The output values `streams` hold for one primary-input assignment.
+fn row(streams: &[Vec<u64>], inputs: &[bool]) -> Vec<bool> {
+    let r = inputs
+        .iter()
+        .rev()
+        .fold(0, |r, &bit| r << 1 | usize::from(bit));
+    streams
+        .iter()
+        .map(|s| s[r / 64] >> (r % 64) & 1 == 1)
+        .collect()
+}
+
 /// Every code when the space is small, else all-zeros, all-ones and a
 /// seeded sample.
 fn sample_codes(groups: usize, seed: u64) -> Vec<Vec<bool>> {
@@ -123,7 +137,7 @@ fn miter_kind(outcome: &MiterOutcome) -> &'static str {
 
 #[test]
 fn local_proofs_agree_with_the_monolithic_miter_and_ground_truth() {
-    let mut proven_locally = 0;
+    let mut settled_by_claims = 0;
     let mut spaces = 0;
     for seed in 0..SEEDS {
         let Ok(fp) = Fingerprinter::new(dag(seed)) else {
@@ -143,13 +157,13 @@ fn local_proofs_agree_with_the_monolithic_miter_and_ground_truth() {
             CodeSpaceOutcome::ProvenAll,
             "seed {seed}: an ODC-justified code space is equivalent"
         );
-        if !proof.fell_back {
-            proven_locally += 1;
-            assert_eq!(
-                monolithic(fp.base(), space.superposed(), &space),
-                MiterOutcome::Equivalent,
-                "seed {seed}: a local proof the monolithic miter refutes is unsound"
-            );
+        assert_eq!(
+            monolithic(fp.base(), space.superposed(), &space),
+            MiterOutcome::Equivalent,
+            "seed {seed}: a local proof the monolithic miter refutes is unsound"
+        );
+        if proof.escalated == 0 {
+            settled_by_claims += 1;
         }
         let golden = golden_streams(fp.base());
         for code in sample_codes(space.num_groups(), seed) {
@@ -171,8 +185,8 @@ fn local_proofs_agree_with_the_monolithic_miter_and_ground_truth() {
         "too few DAGs had locations: {spaces}"
     );
     assert_eq!(
-        proven_locally, spaces,
-        "every random-DAG code space should settle locally"
+        settled_by_claims, spaces,
+        "every random-DAG code space should settle without escalating"
     );
 }
 
@@ -228,7 +242,7 @@ fn wrong_cell_tampers_get_the_same_outcome_on_both_paths() {
             assert_eq!(
                 proof.outcome.name(),
                 miter_kind(&reference),
-                "seed {seed}: {site} tamper at {gate:?}: local and monolithic paths disagree"
+                "seed {seed}: {site} tamper at {gate:?}: local proof and monolithic miter disagree"
             );
             match &proof.outcome {
                 CodeSpaceOutcome::ProvenAll => {
@@ -242,13 +256,36 @@ fn wrong_cell_tampers_get_the_same_outcome_on_both_paths() {
                         );
                     }
                 }
-                CodeSpaceOutcome::SomeCodeDiffers { .. } => {
+                CodeSpaceOutcome::SomeCodeDiffers {
+                    counterexample,
+                    code,
+                } => {
                     refuted += 1;
-                    assert!(proof.fell_back, "only the monolithic miter refutes");
                     assert!(
-                        proof.unsettled.is_some(),
-                        "seed {seed}: a fallback names the gate that failed to settle"
+                        proof.escalated > 0 && proof.unsettled.is_some(),
+                        "seed {seed}: only an escalation refutes, naming the gate that failed to settle"
                     );
+                    assert_ne!(
+                        row(
+                            &simulate_code(&tampered, space.selectable(), code),
+                            counterexample
+                        ),
+                        row(&golden, counterexample),
+                        "seed {seed}: {site} tamper at {gate:?}: the witness does not replay"
+                    );
+                    let token = CancelToken::new();
+                    for code in sample_codes(space.num_groups(), seed) {
+                        let streams = simulate_code(&tampered, space.selectable(), &code);
+                        match session.check_code(&proof, &code, None, &token) {
+                            Verdict::Refuted { counterexample: cex } => assert_ne!(
+                                row(&streams, &cex),
+                                row(&golden, &cex),
+                                "seed {seed}: code {code:?} refuted by a witness that does not replay"
+                            ),
+                            Verdict::Proven => assert_eq!(streams, golden, "seed {seed}: {code:?}"),
+                            other => panic!("seed {seed}: unbudgeted check undecided: {other:?}"),
+                        }
+                    }
                 }
                 CodeSpaceOutcome::Undecided => panic!("unbudgeted proofs decide"),
             }
@@ -301,19 +338,20 @@ fn sdc_superposition() -> (Netlist, Netlist, [SelectableInput; 1]) {
 /// A superposition equivalent only through a satisfiability don't-care:
 /// `g = AND(n1, n2)` with `n1 = AND(a, b)` and `n2 = OR(a, b)` becomes
 /// `AND(n1, n1)` — equal because `n1` implies `n2`, which no free cut
-/// over `{n1, n2}` can see. The local pass must fall back, and the
-/// monolithic verdict stands.
+/// over `{n1, n2}` can see. No claim settles the output, so it escalates
+/// to an obligation over `{a, b, c}`, which proves it; the monolithic
+/// reference agrees.
 #[test]
-fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
+fn satisfiability_dont_care_settles_by_escalation() {
     let (golden, superposed, selectable) = sdc_superposition();
     let mut session = VerifySession::new(&golden).expect("session");
     let token = CancelToken::new();
     let proof = session
         .prove_code_space(&superposed, &selectable, 1, None, &token)
         .expect("proof");
-    assert!(
-        proof.fell_back,
-        "an SDC-only equivalence cannot settle locally"
+    assert_eq!(
+        proof.escalated, 1,
+        "an SDC-only equivalence settles no claim"
     );
     assert_eq!(proof.unsettled.as_deref(), Some("g"));
     let mut shared = SharedMiter::build(&golden);
@@ -328,14 +366,12 @@ fn satisfiability_dont_care_falls_back_to_the_monolithic_verdict() {
     for code in [[false], [true]] {
         assert!(session.check_code(&proof, &code, None, &token).is_pass());
     }
-    session.retire_code_space(proof);
 }
 
-/// A token that has fired by the end of the local pass leaves the proof
-/// Undecided without building the monolithic fallback: no variant is
-/// encoded, so every code checked against the proof is Undecided too
-/// (with a fallback built, a live token would have decided them). The
-/// same session still proves the space once asked with a live token.
+/// A fired token leaves the proof Undecided, with no obligation spent.
+/// Each code checked against it under a live token is decided by a
+/// pinned re-proof, and the same session still proves the whole space
+/// once asked with a live token.
 #[test]
 fn cancelled_proof_is_undecided_and_builds_no_fallback() {
     let (golden, superposed, selectable) = sdc_superposition();
@@ -346,19 +382,16 @@ fn cancelled_proof_is_undecided_and_builds_no_fallback() {
         .prove_code_space(&superposed, &selectable, 1, None, &fired)
         .expect("a cancelled proof is an outcome, not an error");
     assert_eq!(proof.outcome, CodeSpaceOutcome::Undecided);
-    assert!(proof.fell_back);
+    assert_eq!(proof.obligations, 0);
     assert_eq!(proof.conflicts, 0);
     let live = CancelToken::new();
     for code in [[false], [true]] {
-        assert!(
-            matches!(
-                session.check_code(&proof, &code, None, &live),
-                Verdict::Undecided { .. }
-            ),
-            "a proof with no fallback variant decides no code"
+        assert_eq!(
+            session.check_code(&proof, &code, None, &live),
+            Verdict::Proven,
+            "a live token decides the code by a pinned re-proof"
         );
     }
-    session.retire_code_space(proof);
     let proof = session
         .prove_code_space(&superposed, &selectable, 1, None, &live)
         .expect("proof");

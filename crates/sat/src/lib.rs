@@ -10,9 +10,10 @@
 //!   [`SolverConfig`]. It is the only solver type: [`Miter`],
 //!   [`SharedMiter`] and [`SweepEngine`] each own one and call it
 //!   directly;
-//! * [`prove_locally`] — proves a superposed fingerprint variant's whole
-//!   code space as small per-location obligations, by exhaustive
-//!   simulation or a tiny miter each;
+//! * [`prove_locally`] — decides a superposed fingerprint variant's whole
+//!   code space (or one pinned code) as small per-location obligations,
+//!   by exhaustive simulation or a tiny miter each, escalating an output
+//!   no claim settles to one exact obligation over its primary inputs;
 //! * [`tseitin`] — Tseitin encoding of a gate-level
 //!   [`Netlist`](odcfp_netlist::Netlist) into CNF;
 //! * [`check_equivalence`] — miter-based combinational equivalence checking
@@ -61,7 +62,7 @@ pub use config::SolverConfig;
 pub use dimacs::{parse_dimacs, ParseDimacsError};
 pub use equiv::{check_equivalence, probably_equivalent, EquivError, EquivResult, Miter, MiterOutcome};
 pub use lit::{Lit, Var};
-pub use local::{prove_locally, LocalLimits, LocalProof};
+pub use local::{prove_locally, LocalLimits, LocalProof, Witness};
 pub use shared::{SelectableInput, SelectableVariant, SharedMiter, VariantId};
 pub use solver::{Model, SolveResult, Solver, SolverStats};
 pub use sweep::{SweepEngine, SweepOptions, SweepReport};

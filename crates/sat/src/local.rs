@@ -25,9 +25,17 @@
 //!   net are expanded into their drivers and the claim is retried: this
 //!   is what a Fig. 5 reroute needs, whose sources and trigger are
 //!   related through the trigger-generating gate.
+//! * **Escalation.** Each primary output no claim settled (claims stop
+//!   early at a work or size cap) gets one exact obligation: every
+//!   settled net of its cone is expanded through its base driver, so
+//!   the cut is the cone's primary inputs; no gate cap, and the rest of
+//!   the conflict budget.
 //! * **Discharge.** An obligation of at most [`SIM_VARS`] free variables
 //!   is decided by exhaustive word-parallel simulation; a wider one by a
 //!   fresh small [`Solver`] miter over just the obligation's gates.
+//! * **Pinned mode.** Given a `code`, a selectable input reads its net
+//!   or its neutral constant by the code's bit: the pass decides that
+//!   one code.
 //!
 //! **Soundness.** By induction in topological order every settled
 //! net computes, for every primary-input assignment and every selector
@@ -36,10 +44,12 @@
 //! inputs, and a claim holds for *all* values of its cut and selectors,
 //! hence in particular for the values the settled cut nets actually
 //! take. If every primary output ends settled, all `2^groups` codes are
-//! equivalent to the base. The converse does not hold — a free cut
-//! over-approximates the values its nets can reach together — so a
-//! failed claim is **not** a refutation: callers fall back to the
-//! monolithic free-selector solve, which decides exactly.
+//! equivalent to the base. A failed claim is **not** a refutation — a
+//! free cut over-approximates the values its nets can reach together —
+//! but an escalated obligation's cut is the primary inputs themselves,
+//! so its counterexample is a real [`Witness`]. The pass proves,
+//! refutes, or is undecided when the budget, deadline or interrupt ran
+//! out.
 //!
 //! [`SharedMiter::add_selectable_variant`]: crate::SharedMiter::add_selectable_variant
 
@@ -60,12 +70,12 @@ use crate::{Lit, SolveResult, Solver, SolverConfig, Var};
 /// selectors) are discharged by exhaustive simulation, without a solver.
 pub const SIM_VARS: usize = 16;
 
-/// Gates (variant and base side together) one obligation may span
-/// before the local pass gives up on the variant.
+/// Gates (variant and base side together) one claim may span before
+/// the pass stops claiming and escalates.
 const MAX_OBLIGATION_GATES: usize = 512;
 
-/// Conflicts one SAT-discharged obligation may spend before it counts
-/// as failed.
+/// Conflicts one SAT-discharged claim may spend before it counts as
+/// failed.
 const OBLIGATION_CONFLICTS: u64 = 10_000;
 
 /// Rounds of cut expansion a failed claim gets before it stays failed.
@@ -97,13 +107,17 @@ pub struct LocalLimits {
     pub interrupt: Option<Arc<AtomicBool>>,
 }
 
-/// What [`prove_locally`] established.
+/// What [`prove_locally`] established: `proven`, a `witness`, or
+/// neither when the budget, the deadline or the interrupt ran out first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalProof {
-    /// Every primary output ended settled: all `2^groups` codes are
-    /// equivalent to the base.
+    /// Every primary output ended settled: every code of the space (in
+    /// pinned mode, the pinned code) is equivalent to the base.
     pub proven: bool,
-    /// Claim points checked (each retry after a cut expansion included).
+    /// An escalated obligation failed: the variant differs from the base.
+    pub witness: Option<Witness>,
+    /// Obligations checked: claims (each retry after a cut expansion
+    /// included) and escalations.
     pub obligations: usize,
     /// Of those, decided by exhaustive simulation.
     pub simulated: usize,
@@ -113,21 +127,38 @@ pub struct LocalProof {
     pub widest_cut: usize,
     /// Conflicts the SAT-discharged obligations spent.
     pub conflicts: u64,
-    /// When not proven: the variant gate the failure traces back to —
-    /// the first claim point that failed to settle in the cone of the
-    /// primary output that stayed unsettled. `None` when the pass was
-    /// interrupted or the interfaces do not line up by index.
+    /// Primary outputs the claims left unsettled, each given one exact
+    /// obligation over its cone's primary inputs.
+    pub escalated: usize,
+    /// The variant gate the first escalation traces back to: the first
+    /// claim point that failed to settle in the cone of the first
+    /// primary output the claims left unsettled. `None` when nothing
+    /// escalated.
     pub unsettled: Option<GateId>,
 }
 
-/// Proves every code of a selectable variant equivalent to `base` by
-/// local obligations; see the module docs for the argument.
+/// An input assignment and a code on which a variant and its base
+/// compute different primary outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Witness {
+    /// One value per primary input, in input order; inputs outside the
+    /// differing output's cone are false.
+    pub inputs: Vec<bool>,
+    /// One value per selector group: the pinned code in pinned mode,
+    /// else false for the groups outside the differing output's cone.
+    pub code: Vec<bool>,
+}
+
+/// Decides every code of a selectable variant — or, given `code`, that
+/// one code — against `base` by local obligations; see the module docs
+/// for the argument.
 ///
 /// # Panics
 ///
-/// Panics if either netlist has a combinational cycle, or if
-/// `selectable` names an out-of-range gate, position or group or lists
-/// the same input twice (as [`SharedMiter::add_selectable_variant`]).
+/// Panics if either netlist has a combinational cycle, if `selectable`
+/// names an out-of-range gate, position or group or lists the same
+/// input twice (as [`SharedMiter::add_selectable_variant`]), or if
+/// `code` does not have `groups` bits.
 ///
 /// [`SharedMiter::add_selectable_variant`]: crate::SharedMiter::add_selectable_variant
 pub fn prove_locally(
@@ -135,8 +166,12 @@ pub fn prove_locally(
     variant: &Netlist,
     selectable: &[SelectableInput],
     groups: usize,
+    code: Option<&[bool]>,
     limits: &LocalLimits,
 ) -> LocalProof {
+    if let Some(code) = code {
+        assert_eq!(code.len(), groups, "code length must match selector groups");
+    }
     let mut gated: HashMap<(usize, usize), (usize, bool)> =
         HashMap::with_capacity(selectable.len());
     for s in selectable {
@@ -159,6 +194,8 @@ pub fn prove_locally(
         base,
         variant,
         gated,
+        groups,
+        code,
         settled: vec![false; variant.num_nets()],
         variant_pos: topo_positions(variant),
         base_pos: topo_positions(base),
@@ -167,7 +204,10 @@ pub fn prove_locally(
         work: 0,
         program: Program::default(),
     };
-    pass.run();
+    match pass.walk() {
+        Ok(()) => pass.proof.proven = true,
+        Err(witness) => pass.proof.witness = witness,
+    }
     pass.proof
 }
 
@@ -188,6 +228,9 @@ struct Pass<'a> {
     variant: &'a Netlist,
     /// (variant gate, input position) -> (selector group, neutral value).
     gated: HashMap<(usize, usize), (usize, bool)>,
+    groups: usize,
+    /// Pinned mode: the one code decided.
+    code: Option<&'a [bool]>,
     /// Variant net computes the base net of the same index.
     settled: Vec<bool>,
     variant_pos: Vec<usize>,
@@ -200,21 +243,20 @@ struct Pass<'a> {
     program: Program,
 }
 
-/// Why the pass stopped before the last gate.
-enum Stop {
-    /// The variant is not provable locally; the gate is the origin.
-    Unsettled(GateId),
-    /// Interrupted, past the deadline, or the interfaces differ.
-    Aborted,
+/// How one obligation came out.
+enum Check {
+    Holds,
+    /// Values of the free slots on which the two sides differ.
+    Differs(Vec<bool>),
+    /// The solver ran out of conflicts or time.
+    Unknown,
 }
 
 impl Pass<'_> {
-    fn run(&mut self) {
-        match self.walk() {
-            Ok(()) => self.proof.proven = true,
-            Err(Stop::Unsettled(gate)) => self.proof.unsettled = Some(gate),
-            Err(Stop::Aborted) => {}
-        }
+    /// Conflicts left in the budget.
+    fn remaining(&self) -> Option<u64> {
+        let spent = self.proof.conflicts;
+        self.limits.conflict_budget.map(|b| b.saturating_sub(spent))
     }
 
     fn interrupted(&self) -> bool {
@@ -225,13 +267,16 @@ impl Pass<'_> {
             || self.limits.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    fn walk(&mut self) -> Result<(), Stop> {
+    /// Settles every primary output, or stops with the witness of a
+    /// difference, or with `None` when undecided: interrupted, past the
+    /// deadline or out of conflicts, or the interfaces differ.
+    fn walk(&mut self) -> Result<(), Option<Witness>> {
         let (base, variant) = (self.base, self.variant);
         // Interfaces line up by index, or nothing below means anything.
         if base.primary_inputs() != variant.primary_inputs()
             || base.primary_outputs() != variant.primary_outputs()
         {
-            return Err(Stop::Aborted);
+            return Err(None);
         }
         for &pi in variant.primary_inputs() {
             self.settled[pi.index()] = true;
@@ -248,6 +293,7 @@ impl Pass<'_> {
         // The failed claim each delta net traces back to.
         let mut origin: Vec<Option<GateId>> = vec![None; variant.num_nets()];
         let work_cap = 8 * variant.num_gates() + 50_000;
+        let mut claiming = true;
         let order = variant
             .cached_topo()
             .expect("cyclic netlist cannot be proven (validate first)");
@@ -272,66 +318,64 @@ impl Pass<'_> {
                 .iter()
                 .filter(|n| !self.settled[n.index()])
                 .find_map(|n| origin[n.index()]);
-            let Some(twin) = twin else {
+            if twin.is_none() {
                 origin[out.index()] = inherited;
                 continue;
-            };
-            if self.interrupted() {
-                return Err(Stop::Aborted);
             }
-            let culprit = inherited.unwrap_or(g);
-            match self.claim(g, twin) {
+            origin[out.index()] = Some(inherited.unwrap_or(g));
+            if !claiming {
+                continue;
+            }
+            if self.interrupted() {
+                return Err(None);
+            }
+            match self.claim(out) {
                 Some(true) => self.settled[out.index()] = true,
-                Some(false) => {
-                    origin[out.index()] = Some(culprit);
-                    // Settled-ness is final in topological order.
-                    if variant.net(out).is_primary_output() {
-                        return Err(Stop::Unsettled(culprit));
-                    }
-                }
-                None => return Err(Stop::Unsettled(culprit)),
+                Some(false) => {}
+                None => claiming = false,
             }
             if self.work > work_cap {
-                return Err(Stop::Unsettled(culprit));
+                claiming = false;
             }
         }
-        match variant
-            .primary_outputs()
-            .iter()
-            .find(|po| !self.settled[po.index()])
-        {
-            None => Ok(()),
-            Some(&po) => match origin[po.index()].or(match variant.net(po).driver() {
-                NetDriver::Gate(g) => Some(g),
-                _ => None,
-            }) {
-                Some(g) => Err(Stop::Unsettled(g)),
-                None => Err(Stop::Aborted),
-            },
+        for &po in variant.primary_outputs() {
+            if self.settled[po.index()] {
+                continue;
+            }
+            if self.interrupted() {
+                return Err(None);
+            }
+            if self.proof.escalated == 0 {
+                self.proof.unsettled = origin[po.index()].or(match variant.net(po).driver() {
+                    NetDriver::Gate(g) => Some(g),
+                    _ => None,
+                });
+            }
+            self.escalate(po)?;
         }
+        Ok(())
     }
 
-    /// Tries to settle variant gate `g` against its base twin, widening
-    /// the cut on failure. `None` when the unexpanded obligation
-    /// outgrows its cap: the delta region is too large to prove locally.
-    fn claim(&mut self, g: GateId, twin: GateId) -> Option<bool> {
+    /// Tries to settle delta net `n` against the base net of the same
+    /// index, widening the cut on failure. `None` when the unexpanded
+    /// claim outgrows [`MAX_OBLIGATION_GATES`].
+    fn claim(&mut self, n: NetId) -> Option<bool> {
         let mut expand = BTreeSet::new();
         for round in 0..=MAX_EXPANSIONS {
-            let Some(cone) = self.collect(g, twin, &expand) else {
+            let Some(cone) = self.collect(n, Some(&expand)) else {
                 return (round > 0).then_some(false);
             };
-            self.work += cone.base_gates.len() + cone.variant_gates.len();
-            self.compile(&cone, g, twin);
-            self.proof.obligations += 1;
-            self.proof.widest_cut = self.proof.widest_cut.max(self.program.free);
-            if self.discharge() {
+            let allowance = self
+                .remaining()
+                .map_or(OBLIGATION_CONFLICTS, |r| r.min(OBLIGATION_CONFLICTS));
+            if matches!(self.check(&cone, n, Some(allowance)), Check::Holds) {
                 return Some(true);
             }
             // Reconvergence through the cut: expand every cut net whose
             // base driver reads another cut net.
             let before = expand.len();
-            for &n in &cone.cut {
-                if let Some(NetDriver::Gate(d)) = base_driver(self.base, n) {
+            for &c in &cone.cut {
+                if let Some(NetDriver::Gate(d)) = base_driver(self.base, c) {
                     if self
                         .base
                         .gate(d)
@@ -339,7 +383,7 @@ impl Pass<'_> {
                         .iter()
                         .any(|i| cone.cut.contains(i))
                     {
-                        expand.insert(n);
+                        expand.insert(c);
                     }
                 }
             }
@@ -350,27 +394,79 @@ impl Pass<'_> {
         Some(false)
     }
 
-    /// Gathers the two cones of a claim: variant gates back to settled
-    /// nets, base gates back to settled nets, and expanded settled nets
-    /// evaluated through their base drivers (shared by both sides).
-    fn collect(&self, g: GateId, twin: GateId, expand: &BTreeSet<NetId>) -> Option<Cone> {
+    /// Decides unsettled primary output `po` exactly, over the primary
+    /// inputs of its cone and with the rest of the conflict budget.
+    fn escalate(&mut self, po: NetId) -> Result<(), Option<Witness>> {
+        self.proof.escalated += 1;
+        let cone = self
+            .collect(po, None)
+            .expect("an exact obligation has no gate cap");
+        match self.check(&cone, po, self.remaining()) {
+            Check::Holds => Ok(()),
+            Check::Differs(free) => Err(Some(self.witness(&cone, &free))),
+            Check::Unknown => Err(None),
+        }
+    }
+
+    /// Spreads an exact obligation's differing free values over the
+    /// interface: its cut nets are primary inputs, its selectors groups.
+    fn witness(&self, cone: &Cone, free: &[bool]) -> Witness {
+        // Inputs outside the cut and groups outside the cone read false.
+        let (cut, selectors) = free.split_at(cone.cut.len());
+        let read = |values: &[bool], k: Option<usize>| k.is_some_and(|k| values[k]);
+        let inputs = self
+            .variant
+            .primary_inputs()
+            .iter()
+            .map(|p| read(cut, cone.cut.iter().position(|n| n == p)))
+            .collect();
+        let code = match self.code {
+            Some(code) => code.to_vec(),
+            None => (0..self.groups)
+                .map(|g| read(selectors, cone.groups.iter().position(|&h| h == g)))
+                .collect(),
+        };
+        Witness { inputs, code }
+    }
+
+    /// Gathers the two cones of the obligation on net `n`: variant gates
+    /// back to settled nets, base gates back to settled nets, and
+    /// expanded settled nets evaluated through their base drivers
+    /// (shared by both sides). `None` for `expand` makes the obligation
+    /// exact: every settled net a base gate drives is expanded, so the
+    /// cut is primary inputs, and no gate cap applies.
+    fn collect(&self, n: NetId, expand: Option<&BTreeSet<NetId>>) -> Option<Cone> {
         let (base, variant) = (self.base, self.variant);
+        let expanded = |n: NetId| match expand {
+            Some(expand) => expand.contains(&n),
+            None => matches!(base_driver(base, n), Some(NetDriver::Gate(_))),
+        };
+        let cap = expand.map_or(usize::MAX, |_| MAX_OBLIGATION_GATES);
         let mut cone = Cone::default();
-        let mut seen_variant = BTreeSet::from([g]);
-        let mut seen_base = BTreeSet::from([twin]);
-        let mut variant_stack = vec![g];
-        let mut base_stack = vec![twin];
+        let mut variant_stack: Vec<GateId> = match variant.net(n).driver() {
+            NetDriver::Gate(g) => vec![g],
+            _ => Vec::new(),
+        };
+        let mut base_stack: Vec<GateId> = match base_driver(base, n) {
+            Some(NetDriver::Gate(t)) => vec![t],
+            _ => Vec::new(),
+        };
+        let mut seen_variant: BTreeSet<GateId> = variant_stack.iter().copied().collect();
+        let mut seen_base: BTreeSet<GateId> = base_stack.iter().copied().collect();
         let mut cut = BTreeSet::new();
         while let Some(v) = variant_stack.pop() {
             cone.variant_gates.push(v);
             for (p, &n) in variant.gate(v).inputs().iter().enumerate() {
                 if let Some(&(group, _)) = self.gated.get(&(v.index(), p)) {
+                    if self.code.is_some_and(|code| !code[group]) {
+                        continue; // pinned to its neutral constant
+                    }
                     if !cone.groups.contains(&group) {
                         cone.groups.push(group);
                     }
                 }
                 if self.settled[n.index()] && !is_const(variant, n) {
-                    if expand.contains(&n) {
+                    if expanded(n) {
                         if let Some(NetDriver::Gate(d)) = base_driver(base, n) {
                             if seen_base.insert(d) {
                                 base_stack.push(d);
@@ -385,14 +481,14 @@ impl Pass<'_> {
                     }
                 }
             }
-            if cone.variant_gates.len() > MAX_OBLIGATION_GATES {
+            if cone.variant_gates.len() > cap {
                 return None;
             }
         }
         while let Some(b) = base_stack.pop() {
             cone.base_gates.push(b);
             for &n in base.gate(b).inputs() {
-                if self.is_settled(n) && !expand.contains(&n) {
+                if self.is_settled(n) && !expanded(n) {
                     if !is_const(base, n) {
                         cut.insert(n);
                     }
@@ -402,7 +498,7 @@ impl Pass<'_> {
                     }
                 }
             }
-            if cone.variant_gates.len() + cone.base_gates.len() > MAX_OBLIGATION_GATES {
+            if cone.variant_gates.len() + cone.base_gates.len() > cap {
                 return None;
             }
         }
@@ -417,20 +513,43 @@ impl Pass<'_> {
         self.settled.get(n.index()).copied().unwrap_or(false)
     }
 
+    /// Compiles and decides the obligation on net `n`; `allowance` caps
+    /// the conflicts of a SAT discharge.
+    fn check(&mut self, cone: &Cone, n: NetId, allowance: Option<u64>) -> Check {
+        self.work += cone.base_gates.len() + cone.variant_gates.len();
+        self.compile(cone, n);
+        self.proof.obligations += 1;
+        let free = self.program.free;
+        self.proof.widest_cut = self.proof.widest_cut.max(free);
+        if free <= SIM_VARS {
+            self.proof.simulated += 1;
+            return match self.program.simulate() {
+                None => Check::Holds,
+                Some(row) => Check::Differs((0..free).map(|v| row >> v & 1 == 1).collect()),
+            };
+        }
+        self.proof.solved += 1;
+        let (check, conflicts) = self.program.solve(self.limits, allowance);
+        self.proof.conflicts += conflicts;
+        check
+    }
+
     /// Lowers a cone into `self.program`, straight-line code over slots:
-    /// the free cut nets first, then the selectors, then one slot per
-    /// gate output.
-    fn compile(&mut self, cone: &Cone, g: GateId, twin: GateId) {
-        let (base, variant) = (self.base, self.variant);
+    /// the free cut nets first, then the selectors (none when pinned),
+    /// then one slot per gate output.
+    fn compile(&mut self, cone: &Cone, n: NetId) {
+        let (base, variant, code) = (self.base, self.variant, self.code);
         let program = &mut self.program;
         program.reset(0);
         let mut shared: HashMap<NetId, u32> = HashMap::new();
-        for &n in &cone.cut {
-            shared.insert(n, program.fresh());
+        for &c in &cone.cut {
+            shared.insert(c, program.fresh());
         }
         let mut selector: HashMap<usize, u32> = HashMap::new();
-        for &group in &cone.groups {
-            selector.insert(group, program.fresh());
+        if code.is_none() {
+            for &group in &cone.groups {
+                selector.insert(group, program.fresh());
+            }
         }
         program.free = program.slots as usize;
         let mut consts: [Option<u32>; 2] = [None; 2];
@@ -442,13 +561,10 @@ impl Pass<'_> {
         let mut base_slot: HashMap<NetId, u32> = HashMap::new();
         for &b in &cone.base_gates {
             let start = program.args.len();
-            for &n in base.gate(b).inputs() {
-                let x = match shared.get(&n).or(base_slot.get(&n)) {
+            for &i in base.gate(b).inputs() {
+                let x = match shared.get(&i).or(base_slot.get(&i)) {
                     Some(&s) => s,
-                    None => match base.net(n).driver() {
-                        NetDriver::Const(v) => constant(program, v),
-                        other => unreachable!("base net {n:?} ({other:?}) outside the cone"),
-                    },
+                    None => constant(program, const_of(base, i)),
                 };
                 program.args.push(x);
             }
@@ -456,22 +572,28 @@ impl Pass<'_> {
             base_slot.insert(base.gate_output(b), out);
         }
         // Variant side: settled nets read the cut (or, expanded, the base
-        // slot); delta nets read variant gate slots.
+        // slot); delta nets read variant gate slots; a pinned selectable
+        // input reads its net or its neutral constant.
         let mut variant_slot: HashMap<NetId, u32> = HashMap::new();
         for &v in &cone.variant_gates {
             let start = program.args.len();
-            for (p, &n) in variant.gate(v).inputs().iter().enumerate() {
-                let x = if self.settled[n.index()] {
-                    shared.get(&n).or(base_slot.get(&n)).copied()
+            for (p, &i) in variant.gate(v).inputs().iter().enumerate() {
+                let gate = self.gated.get(&(v.index(), p)).copied();
+                if let (Some((group, neutral)), Some(code)) = (gate, code) {
+                    if !code[group] {
+                        let x = constant(program, neutral);
+                        program.args.push(x);
+                        continue;
+                    }
+                }
+                let x = if self.settled[i.index()] {
+                    shared.get(&i).or(base_slot.get(&i)).copied()
                 } else {
-                    variant_slot.get(&n).copied()
+                    variant_slot.get(&i).copied()
                 };
-                let x = x.unwrap_or_else(|| match variant.net(n).driver() {
-                    NetDriver::Const(value) => constant(program, value),
-                    other => unreachable!("variant net {n:?} ({other:?}) outside the cone"),
-                });
-                let x = match self.gated.get(&(v.index(), p)) {
-                    Some(&(group, neutral)) => {
+                let x = x.unwrap_or_else(|| constant(program, const_of(variant, i)));
+                let x = match gate {
+                    Some((group, neutral)) if code.is_none() => {
                         let out = program.fresh();
                         program.ops.push(Op::Select {
                             x,
@@ -481,38 +603,35 @@ impl Pass<'_> {
                         });
                         out
                     }
-                    None => x,
+                    _ => x,
                 };
                 program.args.push(x);
             }
             let out = program.gate(variant.gate_fn(v), start);
             variant_slot.insert(variant.gate_output(v), out);
         }
-        program.left = variant_slot[&variant.gate_output(g)];
-        program.right = base_slot[&base.gate_output(twin)];
-    }
-
-    /// Decides the compiled obligation: `true` when the two outputs
-    /// agree for every value of the free slots.
-    fn discharge(&mut self) -> bool {
-        if self.program.free <= SIM_VARS {
-            self.proof.simulated += 1;
-            return self.program.simulate();
-        }
-        self.proof.solved += 1;
-        let spent = self.proof.conflicts;
-        let allowance = match self.limits.conflict_budget {
-            Some(budget) => budget.saturating_sub(spent).min(OBLIGATION_CONFLICTS),
-            None => OBLIGATION_CONFLICTS,
+        program.left = match variant_slot.get(&n) {
+            Some(&s) => s,
+            None => constant(program, const_of(variant, n)),
         };
-        let (holds, conflicts) = self.program.solve(self.limits, allowance);
-        self.proof.conflicts += conflicts;
-        holds
+        program.right = match base_slot.get(&n) {
+            Some(&s) => s,
+            None => constant(program, const_of(base, n)),
+        };
     }
 }
 
 fn is_const(netlist: &Netlist, n: NetId) -> bool {
     matches!(netlist.net(n).driver(), NetDriver::Const(_))
+}
+
+/// The value of constant net `n`: every other net an obligation reads
+/// has a slot.
+fn const_of(netlist: &Netlist, n: NetId) -> bool {
+    match netlist.net(n).driver() {
+        NetDriver::Const(value) => value,
+        other => unreachable!("net {n:?} ({other:?}) outside the cone"),
+    }
 }
 
 /// The base driver of net index `n`, if the base has such a net.
@@ -609,10 +728,11 @@ impl Program {
     }
 
     /// Exhaustive word-parallel simulation over all `2^free` rows, a
-    /// [`Block`] of 256 rows at a time, stopping at the first block where
-    /// the two outputs differ. Padding rows repeat the all-zeros
-    /// assignment, so comparing whole blocks is exact.
-    pub(crate) fn simulate(&mut self) -> bool {
+    /// [`Block`] of 256 rows at a time: the first row where the two
+    /// outputs differ (free slot `v` reads bit `v` of the row number), or
+    /// `None` when they agree on every row. Padding rows repeat the
+    /// all-zeros assignment, so comparing whole blocks is exact.
+    pub(crate) fn simulate(&mut self) -> Option<usize> {
         let blocks = (1usize << self.free).div_ceil(64 * BLOCK_LANES);
         let vals = &mut self.vals;
         vals.clear();
@@ -647,16 +767,19 @@ impl Program {
                     }
                 }
             }
-            if vals[self.left as usize] != vals[self.right as usize] {
-                return false;
+            let (l, r) = (vals[self.left as usize], vals[self.right as usize]);
+            if let Some(lane) = (0..BLOCK_LANES).find(|&k| l[k] != r[k]) {
+                let bit = (l[lane] ^ r[lane]).trailing_zeros() as usize;
+                return Some((b * BLOCK_LANES + lane) * 64 + bit);
             }
         }
-        true
+        None
     }
 
-    /// A fresh miter over just this obligation: UNSAT within `allowance`
-    /// conflicts means the claim holds. Returns the conflicts spent.
-    fn solve(&self, limits: &LocalLimits, allowance: u64) -> (bool, u64) {
+    /// A fresh miter over just this obligation, within `allowance`
+    /// conflicts: UNSAT means it holds, a model gives the differing free
+    /// values. Returns the conflicts spent too.
+    fn solve(&self, limits: &LocalLimits, allowance: Option<u64>) -> (Check, u64) {
         let mut solver = Solver::with_config(limits.solver);
         let vars: Vec<Var> = (0..self.slots).map(|_| solver.new_var()).collect();
         for op in &self.ops {
@@ -695,15 +818,23 @@ impl Program {
         let (a, b) = (vars[self.left as usize], vars[self.right as usize]);
         solver.add_clause([Lit::pos(a), Lit::pos(b)]);
         solver.add_clause([Lit::neg(a), Lit::neg(b)]);
-        solver.set_conflict_budget(allowance);
+        if let Some(allowance) = allowance {
+            solver.set_conflict_budget(allowance);
+        }
         if let Some(d) = limits.deadline {
             solver.set_deadline(d);
         }
         if let Some(flag) = &limits.interrupt {
             solver.set_interrupt(Arc::clone(flag));
         }
-        let holds = matches!(solver.solve(), SolveResult::Unsat);
-        (holds, solver.stats().conflicts)
+        let check = match solver.solve() {
+            SolveResult::Unsat => Check::Holds,
+            SolveResult::Sat(model) => {
+                Check::Differs(vars[..self.free].iter().map(|&v| model.value(v)).collect())
+            }
+            SolveResult::Unknown => Check::Unknown,
+        };
+        (check, solver.stats().conflicts)
     }
 }
 
@@ -745,6 +876,16 @@ mod tests {
         }
     }
 
+    fn prove(
+        base: &Netlist,
+        variant: &Netlist,
+        sel: &[SelectableInput],
+        groups: usize,
+        code: Option<&[bool]>,
+    ) -> LocalProof {
+        prove_locally(base, variant, sel, groups, code, &LocalLimits::default())
+    }
+
     fn monolithic(
         base: &Netlist,
         variant: &Netlist,
@@ -756,10 +897,23 @@ mod tests {
         sm.check(sv.id(), None, None)
     }
 
+    /// A witness must separate the base from the netlist carrying exactly
+    /// its code: `variant` with each input of a clear group rewired to
+    /// its neutral constant.
+    fn assert_replays(base: &Netlist, variant: &Netlist, sel: &[SelectableInput], w: &Witness) {
+        let mut n = variant.clone();
+        for s in sel.iter().filter(|s| !w.code[s.group]) {
+            let mut ins = n.gate(s.gate).inputs().to_vec();
+            ins[s.position] = n.add_constant(format!("k{}", s.position), s.neutral);
+            n.replace_gate(s.gate, n.gate(s.gate).cell(), &ins);
+        }
+        assert_ne!(base.eval(&w.inputs), n.eval(&w.inputs), "{w:?}");
+    }
+
     #[test]
     fn identical_variant_settles_structurally() {
         let (base, _) = fig1(false);
-        let proof = prove_locally(&base, &base.clone(), &[], 0, &LocalLimits::default());
+        let proof = prove(&base, &base.clone(), &[], 0, None);
         assert!(proof.proven);
         assert_eq!(proof.obligations, 0);
     }
@@ -769,12 +923,13 @@ mod tests {
         let (base, _) = fig1(false);
         let (variant, gx) = fig1(true);
         let sel = [selectable(gx, 2, 0, true)];
-        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        let proof = prove(&base, &variant, &sel, 1, None);
         assert!(proof.proven, "{proof:?}");
         // gx itself fails (its function changes when Y = 0); gf holds.
         assert_eq!(proof.obligations, 2);
         assert_eq!(proof.simulated, 2);
         assert_eq!(proof.conflicts, 0);
+        assert_eq!(proof.escalated, 0);
         // Cut {A, B, Y} plus one selector.
         assert_eq!(proof.widest_cut, 4);
     }
@@ -791,9 +946,13 @@ mod tests {
         );
         variant.replace_gate(gx, cell(&variant, PrimitiveFn::And, 3), &[a, b, d]);
         let sel = [selectable(gx, 2, 0, true)];
-        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        let proof = prove(&base, &variant, &sel, 1, None);
         assert!(!proof.proven);
         assert_eq!(proof.unsettled, Some(gx));
+        assert_eq!(proof.escalated, 1);
+        let witness = proof.witness.expect("the escalation refutes");
+        assert_eq!(witness.code, [true]);
+        assert_replays(&base, &variant, &sel, &witness);
         assert!(matches!(
             monolithic(&base, &variant, &sel, 1),
             MiterOutcome::Counterexample(_)
@@ -830,11 +989,12 @@ mod tests {
         let (base, _) = build(false);
         let (variant, gx) = build(true);
         let sel = [selectable(gx, 2, 0, false)];
-        let proof = prove_locally(&base, &variant, &sel, 1, &LocalLimits::default());
+        let proof = prove(&base, &variant, &sel, 1, None);
         assert!(proof.proven, "{proof:?}");
         // gx fails (its cut {A, C, D} has nothing to expand); gf fails
         // over {A, C, D, T}, then holds over {A, B, C, D}.
         assert_eq!(proof.obligations, 3, "{proof:?}");
+        assert_eq!(proof.escalated, 0, "{proof:?}");
         assert_eq!(
             monolithic(&base, &variant, &sel, 1),
             MiterOutcome::Equivalent
@@ -843,10 +1003,10 @@ mod tests {
 
     /// Equivalent only through a satisfiability don't-care: N1 = AND(A, B)
     /// implies N2 = OR(A, B), so AND(N1, N2) = AND(N1, N1). A free cut
-    /// {N1, N2} cannot see that; the local pass must not claim it, and
-    /// the monolithic miter proves it.
+    /// {N1, N2} cannot see that, so no claim settles it; the output's
+    /// escalated obligation over {A, B, C} does.
     #[test]
-    fn satisfiability_dont_care_is_left_to_the_fallback() {
+    fn satisfiability_dont_care_settles_by_escalation() {
         let build = |sdc: bool| {
             let mut n = Netlist::new("sdc", CellLibrary::standard());
             let a = n.add_primary_input("A");
@@ -866,24 +1026,26 @@ mod tests {
         };
         let (base, _) = build(false);
         let (variant, g) = build(true);
-        let proof = prove_locally(&base, &variant, &[], 0, &LocalLimits::default());
-        assert!(!proof.proven);
+        let proof = prove(&base, &variant, &[], 0, None);
+        assert!(proof.proven, "{proof:?}");
+        assert_eq!(proof.escalated, 1);
         assert_eq!(proof.unsettled, Some(g));
+        assert_eq!(proof.widest_cut, 3);
         assert_eq!(
             monolithic(&base, &variant, &[], 0),
             MiterOutcome::Equivalent
         );
     }
 
-    #[test]
-    fn wide_obligations_go_to_the_solver() {
-        // An AND chain over 20 inputs, rebuilt in the variant to compute
-        // the complement at every link (NAND, then OR with fresh
-        // inverters) and restored by an inverter at the output: every
-        // link's claim fails, so the output's obligation spans all 20
-        // inputs — past SIM_VARS, into a SAT miter.
+    /// An AND chain over `len + 1` inputs, and a variant that computes
+    /// the complement at every link (NAND, then OR with fresh inverters)
+    /// and restores it with an inverter at the output; with `restored`
+    /// unset the output stays complemented. Every link's claim fails, so
+    /// the output's obligation spans all the inputs. Returns the base,
+    /// the variant and the first link.
+    fn complement_chain(len: usize, restored: bool) -> (Netlist, Netlist, GateId) {
         let mut base = Netlist::new("chain", CellLibrary::standard());
-        let pis: Vec<NetId> = (0..20)
+        let pis: Vec<NetId> = (0..=len)
             .map(|i| base.add_primary_input(format!("i{i}")))
             .collect();
         let and2 = cell(&base, PrimitiveFn::And, 2);
@@ -907,23 +1069,57 @@ mod tests {
             let ins = [variant.gate_output(links[k - 2]), variant.gate_output(inv)];
             variant.replace_gate(links[k - 1], cell(&variant, PrimitiveFn::Or, 2), &ins);
         }
-        variant.replace_gate(out, cell(&variant, PrimitiveFn::Inv, 1), &[last]);
+        if restored {
+            variant.replace_gate(out, cell(&variant, PrimitiveFn::Inv, 1), &[last]);
+        }
+        (base, variant, links[0])
+    }
 
-        let proof = prove_locally(&base, &variant, &[], 0, &LocalLimits::default());
+    #[test]
+    fn wide_obligations_go_to_the_solver() {
+        // 20 inputs: the output's claim is past SIM_VARS, in a SAT miter.
+        let (base, variant, _) = complement_chain(19, true);
+        let proof = prove(&base, &variant, &[], 0, None);
         assert!(proof.proven, "{proof:?}");
         assert_eq!(proof.widest_cut, 20, "{proof:?}");
         assert!(proof.solved >= 1, "{proof:?}");
+        assert_eq!(proof.escalated, 0, "{proof:?}");
         assert_eq!(
             monolithic(&base, &variant, &[], 0),
             MiterOutcome::Equivalent
         );
-        // The same variant with the output left uninverted differs; the
-        // solver must not claim it.
-        let mut wrong = variant.clone();
-        wrong.replace_gate(out, cell(&wrong, PrimitiveFn::Buf, 1), &[last]);
-        let proof = prove_locally(&base, &wrong, &[], 0, &LocalLimits::default());
+        // Proving it takes conflicts: with none left the escalation is
+        // undecided.
+        let limits = LocalLimits {
+            conflict_budget: Some(0),
+            ..LocalLimits::default()
+        };
+        let proof = prove_locally(&base, &variant, &[], 0, None, &limits);
+        assert_eq!(
+            (proof.proven, proof.witness, proof.escalated),
+            (false, None, 1)
+        );
+        // The output left complemented differs; the escalated miter
+        // returns a witness that replays.
+        let (base, wrong, first) = complement_chain(19, false);
+        let proof = prove(&base, &wrong, &[], 0, None);
         assert!(!proof.proven);
-        assert_eq!(proof.unsettled, Some(links[0]));
+        assert_eq!(proof.unsettled, Some(first));
+        assert_eq!(proof.escalated, 1);
+        assert_replays(&base, &wrong, &[], &proof.witness.expect("a witness"));
+    }
+
+    #[test]
+    fn oversized_claims_stop_and_the_output_escalates() {
+        // Past ~170 links a claim spans more than MAX_OBLIGATION_GATES:
+        // claiming stops, and the output's exact obligation decides.
+        let (base, variant, first) = complement_chain(200, true);
+        let proof = prove(&base, &variant, &[], 0, None);
+        assert!(proof.proven, "{proof:?}");
+        assert_eq!(proof.escalated, 1, "{proof:?}");
+        assert_eq!(proof.unsettled, Some(first));
+        assert_eq!(proof.widest_cut, 201, "{proof:?}");
+        assert!(proof.obligations < 200, "claims stopped early: {proof:?}");
     }
 
     #[test]
@@ -934,9 +1130,78 @@ mod tests {
             interrupt: Some(Arc::new(AtomicBool::new(true))),
             ..LocalLimits::default()
         };
-        let proof = prove_locally(&base, &variant, &[selectable(gx, 2, 0, true)], 1, &limits);
+        let sel = [selectable(gx, 2, 0, true)];
+        let proof = prove_locally(&base, &variant, &sel, 1, None, &limits);
         assert!(!proof.proven);
+        assert_eq!(proof.witness, None);
         assert_eq!(proof.unsettled, None);
         assert_eq!(proof.obligations, 0);
+    }
+
+    #[test]
+    fn selectable_all_codes_proven_when_every_literal_is_redundant() {
+        // The ODC widening alone: AND3(A, B, Y).
+        let (base, _) = fig1(false);
+        let (variant, gx) = fig1(true);
+        let sel = [selectable(gx, 2, 0, true)];
+        // One free proof covers both codes; each pinned proof agrees.
+        assert!(prove(&base, &variant, &sel, 1, None).proven);
+        for code in [[false], [true]] {
+            let proof = prove(&base, &variant, &sel, 1, Some(&code));
+            assert!(proof.proven, "{code:?}: {proof:?}");
+        }
+    }
+
+    #[test]
+    fn selectable_code_check_isolates_the_bad_bit() {
+        // fig1 with gx widened to AND4(A, B, Y, D): input 2 (Y) is the ODC
+        // modification — redundant for every code — while input 3 (D) is
+        // a genuine functional change when selected.
+        let (base, gx) = fig1(false);
+        let mut sup = base.clone();
+        let mut ins = sup.gate(gx).inputs().to_vec();
+        ins.extend([
+            sup.gate_output(sup.gate_by_name("gy").unwrap()),
+            sup.primary_inputs()[3],
+        ]);
+        sup.replace_gate(gx, cell(&sup, PrimitiveFn::And, 4), &ins);
+        let sel = [selectable(gx, 2, 0, true), selectable(gx, 3, 1, true)];
+        // Some code differs (any with bit 1 set), so the free proof
+        // refutes, with the bad bit in its witness.
+        let free = prove(&base, &sup, &sel, 2, None);
+        let witness = free.witness.expect("some code differs");
+        assert!(witness.code[1], "{witness:?}");
+        assert_replays(&base, &sup, &sel, &witness);
+        // Codes without the bad bit are equivalent; codes with it are not.
+        for (code, equivalent) in [
+            (&[false, false][..], true),
+            (&[true, false][..], true),
+            (&[false, true][..], false),
+            (&[true, true][..], false),
+        ] {
+            let proof = prove(&base, &sup, &sel, 2, Some(code));
+            if equivalent {
+                assert!(proof.proven, "{code:?}: {proof:?}");
+                continue;
+            }
+            let witness = proof.witness.expect("a pinned refutation");
+            assert_eq!(witness.code, code);
+            assert_replays(&base, &sup, &sel, &witness);
+        }
+    }
+
+    #[test]
+    fn selectable_or_plane_neutral_is_false() {
+        // gy widened to OR3(C, D, A): selecting A changes the function,
+        // deselecting must restore OR2(C, D) via the neutral 0.
+        let (base, _) = fig1(false);
+        let mut n = base.clone();
+        let gy = n.gate_by_name("gy").unwrap();
+        let pis = n.primary_inputs().to_vec();
+        n.replace_gate(gy, cell(&n, PrimitiveFn::Or, 3), &[pis[2], pis[3], pis[0]]);
+        let sel = [selectable(gy, 2, 0, false)];
+        assert!(prove(&base, &n, &sel, 1, Some(&[false])).proven);
+        let witness = prove(&base, &n, &sel, 1, Some(&[true])).witness;
+        assert_replays(&base, &n, &sel, &witness.expect("a pinned refutation"));
     }
 }

@@ -1,25 +1,16 @@
-//! One persistent solver checking many fingerprinted variants of a base
+//! One persistent solver checking fingerprinted variants of a base
 //! circuit, via per-variant activation literals.
 //!
-//! A campaign verifies dozens of buyer copies against the same base
-//! netlist. A cold [`Miter`](crate::Miter) per buyer re-encodes the base
-//! circuit (the overwhelming majority of every miter) and re-learns the
-//! same clauses N times. The [`SharedMiter`] instead Tseitin-encodes the
-//! base **once**, unguarded, and encodes only each variant's *delta* —
-//! nets whose drivers differ from the base — under a fresh activation
-//! literal `act_i`:
-//!
-//! * every delta clause and output-difference clause of variant `i` is
-//!   extended with `¬act_i`, so it is vacuously satisfied (inactive)
-//!   unless `act_i` is assumed;
-//! * [`SharedMiter::check`] solves under the single assumption `act_i`:
-//!   UNSAT means variant `i` is equivalent to the base, SAT yields a
-//!   concrete counterexample from the base input variables;
-//! * clauses learnt from the shared base cone while checking one buyer
-//!   remain valid for every other buyer — assumptions never taint learnt
-//!   clauses — so later checks get faster;
-//! * [`SharedMiter::retire`] adds the unit `¬act_i`, permanently
-//!   deactivating a checked variant so its delta clauses satisfy trivially.
+//! The [`SharedMiter`] Tseitin-encodes the base **once**, unguarded, and
+//! encodes only each variant's *delta* — nets whose drivers differ from
+//! the base — under a fresh activation literal `act_i`: every delta
+//! clause is extended with `¬act_i`, and [`SharedMiter::check`] solves
+//! under the single assumption `act_i` (UNSAT: equivalent; SAT: a
+//! counterexample over the base inputs). Clauses learnt from the shared
+//! base cone stay valid for every variant. A superposition with free
+//! selectors makes one check an exact verdict on a whole code space:
+//! the monolithic reference the local proof ([`crate::local`]) is
+//! tested against.
 //!
 //! Nets are matched to the base structurally: a variant net is *shared*
 //! (reuses the base CNF variable, no new clauses) when it has the same net
@@ -62,12 +53,10 @@ pub struct SelectableInput {
 }
 
 /// Handle to a variant registered with
-/// [`SharedMiter::add_selectable_variant`]: the ordinary [`VariantId`]
-/// plus one selector variable per group.
+/// [`SharedMiter::add_selectable_variant`].
 #[derive(Debug, Clone)]
 pub struct SelectableVariant {
     id: VariantId,
-    selectors: Vec<Var>,
 }
 
 impl SelectableVariant {
@@ -76,11 +65,6 @@ impl SelectableVariant {
     /// `2^groups` codes equivalent to the base in a single call.
     pub fn id(&self) -> VariantId {
         self.id
-    }
-
-    /// Number of selector groups.
-    pub fn num_groups(&self) -> usize {
-        self.selectors.len()
     }
 }
 
@@ -97,7 +81,6 @@ struct Variant {
     act: Var,
     /// No output ever differed structurally: equivalent without solving.
     trivial: bool,
-    retired: bool,
 }
 
 /// A clause sink that guards every emitted clause with `¬act`, making the
@@ -226,12 +209,9 @@ impl SharedMiter {
     /// selectors to a code `c` makes the variant cone compute precisely
     /// the netlist that applies exactly the modifications in `c` (a
     /// neutral literal is the identity of its plane), so
-    ///
-    /// * [`SharedMiter::check`] on [`SelectableVariant::id`] solves with
-    ///   all selectors **free**: UNSAT proves all `2^groups` codes
-    ///   equivalent to the base at once;
-    /// * [`SharedMiter::check_code`] pins the selectors to one code and
-    ///   decides that single buyer.
+    /// [`SharedMiter::check`] on [`SelectableVariant::id`], which solves
+    /// with all selectors **free**, proves all `2^groups` codes
+    /// equivalent to the base at once when UNSAT.
     ///
     /// # Errors
     ///
@@ -395,61 +375,8 @@ impl SharedMiter {
         // New variant clauses are problem clauses, not learnt ones.
         self.solver.rebase_problem_clauses();
         let id = VariantId(self.variants.len());
-        self.variants.push(Variant {
-            act,
-            trivial,
-            retired: false,
-        });
-        Ok(SelectableVariant { id, selectors })
-    }
-
-    /// Decides one code of a selectable variant: solves under the
-    /// activation literal plus the selectors pinned to `code`.
-    ///
-    /// UNSAT means the netlist carrying exactly the modifications in
-    /// `code` is equivalent to the base; SAT yields a counterexample over
-    /// the base inputs, exactly as [`SharedMiter::check`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` length differs from the variant's group count or
-    /// the variant was retired.
-    pub fn check_code(
-        &mut self,
-        sv: &SelectableVariant,
-        code: &[bool],
-        conflict_budget: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> MiterOutcome {
-        assert_eq!(
-            code.len(),
-            sv.selectors.len(),
-            "code length must match selector groups"
-        );
-        let v = &self.variants[sv.id.0];
-        assert!(!v.retired, "variant {} was retired", sv.id.0);
-        if v.trivial {
-            return MiterOutcome::Equivalent;
-        }
-        let mut assumptions: Vec<Lit> = Vec::with_capacity(code.len() + 1);
-        assumptions.push(Lit::pos(v.act));
-        for (k, &bit) in code.iter().enumerate() {
-            assumptions.push(Lit::with_polarity(sv.selectors[k], bit));
-        }
-        self.solver.clear_limits();
-        if let Some(b) = conflict_budget {
-            self.solver.set_conflict_budget(b);
-        }
-        if let Some(d) = deadline {
-            self.solver.set_deadline(d);
-        }
-        match self.solver.solve_under(&assumptions) {
-            SolveResult::Unsat => MiterOutcome::Equivalent,
-            SolveResult::Sat(model) => MiterOutcome::Counterexample(
-                self.input_vars.iter().map(|&v| model.value(v)).collect(),
-            ),
-            SolveResult::Unknown => MiterOutcome::Undecided,
-        }
+        self.variants.push(Variant { act, trivial });
+        Ok(SelectableVariant { id })
     }
 
     /// Checks one variant against the base, under an optional conflict
@@ -457,10 +384,6 @@ impl SharedMiter {
     ///
     /// On [`MiterOutcome::Undecided`] the solver state (learnt clauses
     /// included) is preserved; calling `check` again continues the search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant was [retired](SharedMiter::retire).
     pub fn check(
         &mut self,
         id: VariantId,
@@ -493,7 +416,6 @@ impl SharedMiter {
         deadline: Option<Instant>,
     ) -> MiterOutcome {
         let v = &self.variants[id.0];
-        assert!(!v.retired, "variant {} was retired", id.0);
         if v.trivial {
             return MiterOutcome::Equivalent;
         }
@@ -514,23 +436,6 @@ impl SharedMiter {
         }
     }
 
-    /// Permanently deactivates a checked variant: the unit clause `¬act`
-    /// lets the solver satisfy all its delta clauses by propagation.
-    /// Checking a retired variant panics.
-    pub fn retire(&mut self, id: VariantId) {
-        let v = &mut self.variants[id.0];
-        if !v.retired {
-            v.retired = true;
-            let act = v.act;
-            self.solver.add_clause([Lit::neg(act)]);
-        }
-    }
-
-    /// Number of variants registered so far.
-    pub fn num_variants(&self) -> usize {
-        self.variants.len()
-    }
-
     /// Search statistics of the shared solver, accumulated over all checks.
     pub fn stats(&self) -> SolverStats {
         self.solver.stats()
@@ -539,19 +444,6 @@ impl SharedMiter {
     /// The number of variables in the shared solver (base + all deltas).
     pub fn num_vars(&self) -> usize {
         self.solver.num_vars()
-    }
-
-    /// Arms a cooperative interrupt on the shared solver: when `flag`
-    /// reads `true` at a conflict point, the running check aborts with
-    /// [`MiterOutcome::Undecided`]. Stays armed until
-    /// [`SharedMiter::clear_interrupt`].
-    pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.solver.set_interrupt(flag);
-    }
-
-    /// Disarms the cooperative interrupt.
-    pub fn clear_interrupt(&mut self) {
-        self.solver.clear_interrupt();
     }
 }
 
@@ -636,8 +528,6 @@ mod tests {
         }
         // A bad variant must not poison its siblings.
         assert_eq!(sm.check(good, None, None), MiterOutcome::Equivalent);
-        sm.retire(bad);
-        assert_eq!(sm.check(good, None, None), MiterOutcome::Equivalent);
     }
 
     #[test]
@@ -666,155 +556,6 @@ mod tests {
         let id = sm.add_selectable_variant(&build(true), &[], 0).unwrap().id();
         assert_eq!(sm.check(id, Some(0), None), MiterOutcome::Undecided);
         assert_eq!(sm.check(id, None, None), MiterOutcome::Equivalent);
-    }
-
-    /// fig1 with gx widened to AND4(A, B, Y, D): input 2 (Y) is the ODC
-    /// modification — redundant for every code — while input 3 (D) is a
-    /// genuine functional change when selected.
-    fn superposed() -> (Netlist, GateId) {
-        let lib = CellLibrary::standard();
-        let mut n = Netlist::new("fig1", lib);
-        let a = n.add_primary_input("A");
-        let b = n.add_primary_input("B");
-        let c = n.add_primary_input("C");
-        let d = n.add_primary_input("D");
-        let and2 = n.library().cell_for(PrimitiveFn::And, 2).unwrap();
-        let and4 = n.library().cell_for(PrimitiveFn::And, 4).unwrap();
-        let or2 = n.library().cell_for(PrimitiveFn::Or, 2).unwrap();
-        let y = n.add_gate("gy", or2, &[c, d]);
-        let x = n.add_gate("gx", and4, &[a, b, n.gate_output(y), d]);
-        let f = n.add_gate("gf", and2, &[n.gate_output(x), n.gate_output(y)]);
-        n.set_primary_output(n.gate_output(f));
-        (n, x)
-    }
-
-    #[test]
-    fn selectable_all_codes_proven_when_every_literal_is_redundant() {
-        let base = fig1(false);
-        // The ODC widening alone: AND3(A, B, Y).
-        let lib = base.library().clone();
-        let mut n = Netlist::new("fig1", lib);
-        let a = n.add_primary_input("A");
-        let b = n.add_primary_input("B");
-        let c = n.add_primary_input("C");
-        let d = n.add_primary_input("D");
-        let and2 = n.library().cell_for(PrimitiveFn::And, 2).unwrap();
-        let and3 = n.library().cell_for(PrimitiveFn::And, 3).unwrap();
-        let or2 = n.library().cell_for(PrimitiveFn::Or, 2).unwrap();
-        let y = n.add_gate("gy", or2, &[c, d]);
-        let x = n.add_gate("gx", and3, &[a, b, n.gate_output(y)]);
-        let f = n.add_gate("gf", and2, &[n.gate_output(x), n.gate_output(y)]);
-        n.set_primary_output(n.gate_output(f));
-
-        let mut sm = SharedMiter::build(&base);
-        let sv = sm
-            .add_selectable_variant(
-                &n,
-                &[SelectableInput {
-                    gate: x,
-                    position: 2,
-                    group: 0,
-                    neutral: true,
-                }],
-                1,
-            )
-            .unwrap();
-        // One solve covers both codes.
-        assert_eq!(sm.check(sv.id(), None, None), MiterOutcome::Equivalent);
-        assert_eq!(sm.check_code(&sv, &[false], None, None), MiterOutcome::Equivalent);
-        assert_eq!(sm.check_code(&sv, &[true], None, None), MiterOutcome::Equivalent);
-    }
-
-    #[test]
-    fn selectable_code_check_isolates_the_bad_bit() {
-        let base = fig1(false);
-        let (sup, gx) = superposed();
-        let mut sm = SharedMiter::build(&base);
-        let sel = [
-            SelectableInput {
-                gate: gx,
-                position: 2,
-                group: 0,
-                neutral: true,
-            },
-            SelectableInput {
-                gate: gx,
-                position: 3,
-                group: 1,
-                neutral: true,
-            },
-        ];
-        let sv = sm.add_selectable_variant(&sup, &sel, 2).unwrap();
-        // Some code differs (any with bit 1 set), so the free solve is SAT.
-        assert!(matches!(
-            sm.check(sv.id(), None, None),
-            MiterOutcome::Counterexample(_)
-        ));
-        // Codes without the bad bit are equivalent; codes with it are not.
-        for (code, equivalent) in [
-            (&[false, false][..], true),
-            (&[true, false][..], true),
-            (&[false, true][..], false),
-            (&[true, true][..], false),
-        ] {
-            let outcome = sm.check_code(&sv, code, None, None);
-            if equivalent {
-                assert_eq!(outcome, MiterOutcome::Equivalent, "{code:?}");
-            } else {
-                match outcome {
-                    MiterOutcome::Counterexample(inputs) => {
-                        // The witness must separate base from the netlist
-                        // carrying exactly this code: AND(A,B[,Y][,D]).
-                        let sim = |with_d: bool| {
-                            let a = inputs[0] && inputs[1];
-                            let y = inputs[2] || inputs[3];
-                            let x = if with_d { a && y && inputs[3] } else { a && y };
-                            x && y
-                        };
-                        assert_ne!(sim(false), sim(true), "{code:?}: {inputs:?}");
-                    }
-                    other => panic!("expected counterexample for {code:?}, got {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn selectable_or_plane_neutral_is_false() {
-        // gy widened to OR3(C, D, A): selecting A changes the function,
-        // deselecting must restore OR2(C, D) via the neutral 0.
-        let base = fig1(false);
-        let lib = base.library().clone();
-        let mut n = Netlist::new("fig1", lib);
-        let a = n.add_primary_input("A");
-        let b = n.add_primary_input("B");
-        let c = n.add_primary_input("C");
-        let d = n.add_primary_input("D");
-        let and2 = n.library().cell_for(PrimitiveFn::And, 2).unwrap();
-        let or3 = n.library().cell_for(PrimitiveFn::Or, 3).unwrap();
-        let y = n.add_gate("gy", or3, &[c, d, a]);
-        let x = n.add_gate("gx", and2, &[a, b]);
-        let f = n.add_gate("gf", and2, &[n.gate_output(x), n.gate_output(y)]);
-        n.set_primary_output(n.gate_output(f));
-
-        let mut sm = SharedMiter::build(&base);
-        let sv = sm
-            .add_selectable_variant(
-                &n,
-                &[SelectableInput {
-                    gate: y,
-                    position: 2,
-                    group: 0,
-                    neutral: false,
-                }],
-                1,
-            )
-            .unwrap();
-        assert_eq!(sm.check_code(&sv, &[false], None, None), MiterOutcome::Equivalent);
-        assert!(matches!(
-            sm.check_code(&sv, &[true], None, None),
-            MiterOutcome::Counterexample(_)
-        ));
     }
 
     #[test]

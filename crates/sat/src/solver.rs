@@ -251,15 +251,9 @@ impl Solver {
     /// Arms a cooperative interrupt: when `flag` reads `true` at a
     /// conflict point, the search aborts with [`SolveResult::Unknown`].
     /// The flag is shared (typically the cancel flag of a batch job) and
-    /// stays armed across [`Solver::solve`] calls until
-    /// [`Solver::clear_interrupt`].
+    /// stays armed across [`Solver::solve`] calls.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
-    }
-
-    /// Disarms the cooperative interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
     }
 
     /// Search statistics so far.

@@ -551,16 +551,10 @@ impl SweepEngine {
 
     /// Arms a cooperative interrupt: when `flag` reads `true`, the running
     /// check aborts with [`MiterOutcome::Undecided`]. Stays armed across
-    /// checks until [`SweepEngine::clear_interrupt`].
+    /// checks; the verify ladder arms each call's token before its check.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag.clone());
         self.solver.set_interrupt(flag);
-    }
-
-    /// Disarms the cooperative interrupt.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-        self.solver.clear_interrupt();
     }
 
     /// Statistics of the persistent solver, accumulated over all checks.
@@ -1394,7 +1388,7 @@ impl Window {
         }
         program.left = slot_of(program, &self.gate_slot, a);
         program.right = slot_of(program, &self.gate_slot, b);
-        program.simulate()
+        program.simulate().is_none()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Digest-keyed warm cache of per-circuit engine state.
 //!
 //! The expensive artifacts of a request — the [`Fingerprinter`]'s
-//! location analysis and the [`VerifySession`]'s strash store /
-//! `SharedMiter` encoding — are keyed by the [`Digest`] of the circuit's
+//! location analysis, the [`VerifySession`]'s strash store, the
+//! code-space proof — are keyed by the [`Digest`] of the circuit's
 //! *source bytes* and reused across requests and tenants. The cache
 //! enforces a byte budget with LRU eviction, so a long-lived server
 //! degrades to cold rebuilds under pressure instead of growing without
@@ -39,11 +39,10 @@ pub const QUARANTINE_THRESHOLD: u32 = 3;
 pub struct CircuitState {
     /// Location analysis over the base netlist.
     pub fingerprinter: Arc<Fingerprinter>,
-    /// Persistent strash + shared-miter session for the base netlist.
+    /// Persistent strash session for the base netlist.
     pub session: VerifySession,
-    /// Lazily built code-space proof: local per-location obligations (or
-    /// the free-selector solve they fall back to) that afterwards decide
-    /// any fingerprint code. Built on the first `candidate_bits` verify
+    /// Lazily built code-space proof: local per-location obligations
+    /// that afterwards decide any fingerprint code. Built on the first `candidate_bits` verify
     /// against this circuit and reused for the cache entry's lifetime;
     /// only a decisive proof is kept, so an undecided one is retried.
     pub codespace: Option<CodeSpaceProof>,

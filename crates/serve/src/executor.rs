@@ -527,9 +527,8 @@ fn verify_op(
 
 /// Decides a fingerprint *code* against the golden circuit's cached
 /// code-space proof — no candidate netlist is ever materialized. The
-/// proof (local per-location obligations, or the free-selector solve
-/// they fall back to) is built on first use and amortizes across every
-/// later code check on the warm entry.
+/// proof (local per-location obligations) is built on first use and
+/// amortizes across every later code check on the warm entry.
 fn verify_code_op(
     shared: &Shared,
     id: &str,
@@ -556,8 +555,9 @@ fn verify_code_op(
         codespace,
     } = &mut *state;
     // A proof cut short (this request's cancel token or conflict cap)
-    // serves this request only: cached, it would pin every later check
-    // on the entry to a shared-miter solve under assumptions.
+    // serves this request only. There is no solver state to pin, but
+    // cached, it would make every later check on the entry re-run the
+    // pinned proof instead of answering from a proven space.
     let mut transient = None;
     if codespace.is_none() {
         let space = CodeSpace::build(fingerprinter)
@@ -569,7 +569,7 @@ fn verify_code_op(
             .field("outcome", proof.outcome.name())
             .field("groups", proof.num_groups())
             .field("obligations", proof.obligations)
-            .field("fell_back", proof.fell_back)
+            .field("escalated", proof.escalated)
             .nondet()
             .emit();
         if proof.outcome == CodeSpaceOutcome::Undecided {
@@ -583,19 +583,14 @@ fn verify_code_op(
         .or(codespace.as_ref())
         .expect("just ensured");
     let code_space = proof.outcome.name();
-    let verdict = if code.len() == proof.num_groups() {
-        Ok(session.check_code(proof, &code, policy.sat_conflict_cap, token))
-    } else {
-        Err(bad(format!(
+    if code.len() != proof.num_groups() {
+        return Err(bad(format!(
             "candidate_bits has {} bits; design has {} locations",
             code.len(),
             proof.num_groups()
-        )))
-    };
-    if let Some(proof) = transient {
-        session.retire_code_space(proof);
+        )));
     }
-    let verdict = verdict?;
+    let verdict = session.check_code(proof, &code, policy.sat_conflict_cap, token);
     if token.is_cancelled() {
         let (code, why) = cancel_code(shared);
         return Err((code, format!("{why}; code verification undecided")));

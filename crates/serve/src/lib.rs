@@ -1,7 +1,7 @@
 //! `odcfp serve`: a resident, multi-tenant fingerprinting engine.
 //!
 //! The batch CLI rebuilds every per-circuit artifact — the location
-//! analysis, the strash store, the `SharedMiter` base encoding — on
+//! analysis, the strash store, the code-space proof — on
 //! each invocation. This crate keeps them resident: a long-running
 //! daemon speaks a newline-delimited JSON protocol ([`proto`],
 //! normatively specified in docs/PROTOCOL.md) and serves `locations` /
