@@ -53,8 +53,9 @@ impl Row {
 /// Maps a span name to its pipeline stage.
 fn stage_of(span: &str) -> &'static str {
     match span.split('.').next() {
-        // Location analysis owns the engine workers it spawns.
-        _ if span == "core.locate" => "locate",
+        // Location analysis owns the engine workers it spawns and the
+        // Fig. 6 selection pass that follows it.
+        _ if span == "core.locate" || span == "core.select" => "locate",
         Some("engine") => "locate",
         _ if span == "core.embed" => "embed",
         Some("verify" | "sweep" | "sat" | "shared") => "verify",

@@ -1856,9 +1856,14 @@ mod tests {
             text.lines().any(|l| l.contains("\"core.locate\"")),
             "trace records the locate span:\n{text}"
         );
+        assert!(
+            text.lines().any(|l| l.contains("\"core.select\"")),
+            "trace records the selection span:\n{text}"
+        );
         let report = run_ok("report", &[trace_arg]);
         assert!(report.contains("spans (by self time)"), "{report}");
         assert!(report.contains("core.locate"), "{report}");
+        assert!(report.contains("core.select"), "{report}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use location::{
     find_locations, find_locations_naive, find_locations_with, Candidate, FingerprintLocation,
 };
 pub use silicon::FlexibleDesign;
-pub use modify::{apply_modification, Modification};
+pub use modify::{apply_modification, Modification, Sources};
 pub use verify::{
     verify_equivalent, verify_equivalent_report, CodeSpaceOutcome, CodeSpaceProof, Verdict,
     VerifyPolicy, VerifyReport, VerifySession, VerifyStats,

@@ -6,7 +6,7 @@ use odcfp_analysis::odc::{trigger_candidates, trigger_candidates_into, TriggerCa
 use odcfp_logic::PrimitiveFn;
 use odcfp_netlist::{GateId, NetDriver, NetId, Netlist};
 
-use crate::modify::{applicable, widened_cell, Modification};
+use crate::modify::{applicable, net_addable, widened_cell, Modification, Sources};
 
 /// One legal modification choice at a location, together with the
 /// structural context it came from.
@@ -103,14 +103,19 @@ pub fn find_locations_with(
 }
 
 /// Reusable scratch buffers for probing one gate at a time, so a sweep over
-/// the whole netlist performs no per-probe allocations. One probe per
-/// worker thread.
+/// the whole netlist allocates only each location's exact-length candidate
+/// list. One probe per worker thread.
 #[derive(Debug, Default)]
 pub(crate) struct LocationProbe {
     cone: Vec<GateId>,
-    targets: Vec<GateId>,
+    /// Eligible targets, each with whether the library can widen it by two
+    /// inputs (every target can take one, by criterion 3).
+    targets: Vec<(GateId, bool)>,
     triggers: Vec<TriggerCandidate>,
-    reroutes: Vec<Modification>,
+    /// Per input of the Fig. 5 trigger gate: may it be wired into the
+    /// current target?
+    addable: Vec<bool>,
+    candidates: Vec<Candidate>,
 }
 
 impl LocationProbe {
@@ -118,6 +123,11 @@ impl LocationProbe {
     /// (if any) with candidates in the canonical discovery order: pins
     /// ascending, triggers in [`trigger_candidates`] order, targets in cone
     /// topological order, direct insertion before the Fig. 5 reroutes.
+    ///
+    /// Yields exactly what filtering every enumerated candidate through
+    /// [`applicable`] would (as [`find_locations_naive`] does), with the
+    /// checks hoisted: the widened cells once per target, and the per-net
+    /// test once per trigger-gate input and target.
     pub(crate) fn location_of(
         &mut self,
         netlist: &Netlist,
@@ -131,7 +141,7 @@ impl LocationProbe {
         if !p_fn.has_nonzero_odc(arity) {
             return None;
         }
-        let mut candidates = Vec::new();
+        self.candidates.clear();
         for (ffc_pin, &y_net) in p_gate.inputs().iter().enumerate() {
             // Criteria 1 + 2: the pin is driven by a gate that feeds only P.
             let root = match netlist.net(y_net).driver() {
@@ -149,63 +159,80 @@ impl LocationProbe {
             // Criterion 3: eligible target gates inside the cone.
             engine.ffc_of_into(root, &mut self.cone);
             self.targets.clear();
-            self.targets.extend(self.cone.iter().copied().filter(|&g| {
-                let f = netlist.gate_fn(g);
-                (f.has_nonzero_odc(netlist.gate(g).inputs().len()) || f.is_single_input())
-                    && widened_cell(netlist, g, 1).is_some()
-            }));
+            self.targets
+                .extend(self.cone.iter().copied().filter_map(|g| {
+                    let f = netlist.gate_fn(g);
+                    ((f.has_nonzero_odc(netlist.gate(g).inputs().len()) || f.is_single_input())
+                        && widened_cell(netlist, g, 1).is_some())
+                    .then(|| (g, widened_cell(netlist, g, 2).is_some()))
+                }));
             for trig in &self.triggers {
                 let trigger_net = p_gate.inputs()[trig.pin];
                 // The value of the trigger when Y is observable.
                 let non_controlling = !trig.value;
-                for &target in &self.targets {
+                let reroute = reroute_source(netlist, trigger_net, non_controlling);
+                let candidate = |modification| Candidate {
+                    ffc_pin,
+                    ffc_root: root,
+                    trigger_pin: trig.pin,
+                    modification,
+                };
+                for &(target, widens_by_two) in &self.targets {
                     let plane_neutral = netlist
                         .gate_fn(target)
                         .widened()
                         .neutral_input_value()
                         .expect("widened functions always have a neutral value");
                     let complement = non_controlling != plane_neutral;
-                    let insert = Modification::InsertTrigger {
-                        target,
-                        trigger: trigger_net,
-                        complement,
-                    };
-                    if applicable(netlist, &insert) {
-                        candidates.push(Candidate {
-                            ffc_pin,
-                            ffc_root: root,
-                            trigger_pin: trig.pin,
-                            modification: insert,
-                        });
+                    if net_addable(netlist, target, trigger_net, complement) {
+                        self.candidates.push(candidate(Modification::InsertTrigger {
+                            target,
+                            trigger: trigger_net,
+                            complement,
+                        }));
                     }
-                    // Fig. 5 reroutes via the trigger-generating gate.
-                    reroute_options_into(
-                        netlist,
-                        trigger_net,
-                        non_controlling,
-                        target,
-                        plane_neutral,
-                        &mut self.reroutes,
+                    // Fig. 5 reroutes via the trigger-generating gate, in
+                    // `reroute_options_into` order.
+                    let Some((inputs, pinned)) = reroute else {
+                        continue;
+                    };
+                    let complement = pinned != plane_neutral;
+                    self.addable.clear();
+                    self.addable.extend(
+                        inputs
+                            .iter()
+                            .map(|&net| net_addable(netlist, target, net, complement)),
                     );
-                    for reroute in self.reroutes.drain(..) {
-                        if applicable(netlist, &reroute) {
-                            candidates.push(Candidate {
-                                ffc_pin,
-                                ffc_root: root,
-                                trigger_pin: trig.pin,
-                                modification: reroute,
-                            });
+                    for i in 0..inputs.len() {
+                        if self.addable[i] {
+                            self.candidates.push(candidate(Modification::RerouteEarly {
+                                target,
+                                sources: Sources::one(inputs[i]),
+                                complement,
+                            }));
+                        }
+                        if !(widens_by_two && self.addable[i]) {
+                            continue;
+                        }
+                        for j in (i + 1)..inputs.len() {
+                            if inputs[i] != inputs[j] && self.addable[j] {
+                                self.candidates.push(candidate(Modification::RerouteEarly {
+                                    target,
+                                    sources: Sources::two(inputs[i], inputs[j]),
+                                    complement,
+                                }));
+                            }
                         }
                     }
                 }
             }
         }
-        if candidates.is_empty() {
+        if self.candidates.is_empty() {
             None
         } else {
             Some(FingerprintLocation {
                 primary_gate: p_id,
-                candidates,
+                candidates: self.candidates.to_vec(),
             })
         }
     }
@@ -213,8 +240,9 @@ impl LocationProbe {
 
 /// The pre-engine reference implementation of [`find_locations`]: per-root
 /// DFS cone queries via [`cones`], sequential, one allocation set per
-/// probe. Kept as the oracle for equivalence property tests and as the
-/// baseline side of the engine-vs-naive benchmarks.
+/// probe, and every enumerated candidate filtered through the full
+/// `applicable` check. Kept as the oracle for equivalence property tests
+/// and as the baseline side of the engine-vs-naive benchmarks.
 ///
 /// # Panics
 ///
@@ -321,6 +349,21 @@ fn pinned_input_value(f: PrimitiveFn, out: bool) -> Option<bool> {
     }
 }
 
+/// The Fig. 5 trigger gate's inputs and the value they are all pinned to
+/// while `trigger_net` carries `non_controlling`, if it is gate-driven and
+/// that value pins them.
+fn reroute_source(
+    netlist: &Netlist,
+    trigger_net: NetId,
+    non_controlling: bool,
+) -> Option<(&[NetId], bool)> {
+    let NetDriver::Gate(trigger_gate) = netlist.net(trigger_net).driver() else {
+        return None;
+    };
+    let pinned = pinned_input_value(netlist.gate_fn(trigger_gate), non_controlling)?;
+    Some((netlist.gate(trigger_gate).inputs(), pinned))
+}
+
 /// Enumerates the Fig. 5 early-reroute modifications for one
 /// (trigger, target) pair into `out` (cleared first): subsets of size 1 and
 /// 2 of the trigger gate's inputs (`n(n+1)/2` options for an n-input
@@ -334,20 +377,14 @@ fn reroute_options_into(
     out: &mut Vec<Modification>,
 ) {
     out.clear();
-    let trigger_gate = match netlist.net(trigger_net).driver() {
-        NetDriver::Gate(g) => g,
-        _ => return,
-    };
-    let t_fn = netlist.gate_fn(trigger_gate);
-    let Some(pinned) = pinned_input_value(t_fn, non_controlling) else {
+    let Some((inputs, pinned)) = reroute_source(netlist, trigger_net, non_controlling) else {
         return;
     };
     let complement = pinned != plane_neutral;
-    let inputs = netlist.gate(trigger_gate).inputs();
     for i in 0..inputs.len() {
         out.push(Modification::RerouteEarly {
             target,
-            sources: vec![inputs[i]],
+            sources: Sources::one(inputs[i]),
             complement,
         });
         for j in (i + 1)..inputs.len() {
@@ -356,7 +393,7 @@ fn reroute_options_into(
             }
             out.push(Modification::RerouteEarly {
                 target,
-                sources: vec![inputs[i], inputs[j]],
+                sources: Sources::two(inputs[i], inputs[j]),
                 complement,
             });
         }

@@ -21,7 +21,7 @@ use crate::FingerprintError;
 /// * when the trigger is **controlling**, the primary gate's output is
 ///   fixed regardless of the FFC's value, so any change the added literal
 ///   causes is unobservable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modification {
     /// §III-C, Figure 4: wire the ODC trigger signal itself into `target`.
     InsertTrigger {
@@ -40,7 +40,7 @@ pub enum Modification {
         /// The FFC gate being widened.
         target: GateId,
         /// One or two input nets of the trigger-generating gate.
-        sources: Vec<NetId>,
+        sources: Sources,
         /// Insert complements (via inverters) instead of the signals.
         complement: bool,
     },
@@ -59,7 +59,7 @@ impl Modification {
     pub fn added_nets(&self) -> &[NetId] {
         match self {
             Modification::InsertTrigger { trigger, .. } => std::slice::from_ref(trigger),
-            Modification::RerouteEarly { sources, .. } => sources,
+            Modification::RerouteEarly { sources, .. } => sources.as_slice(),
         }
     }
 
@@ -69,6 +69,45 @@ impl Modification {
             Modification::InsertTrigger { complement, .. }
             | Modification::RerouteEarly { complement, .. } => *complement,
         }
+    }
+}
+
+/// The one or two source nets of a Fig. 5 reroute, stored inline so that
+/// [`Modification`] is `Copy` and enumerating reroutes allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Sources {
+    // A single source repeats in the unused slot, so the derived
+    // equality and hash see only the nets `as_slice` exposes.
+    nets: [NetId; 2],
+    len: u8,
+}
+
+impl Sources {
+    /// One source net.
+    pub fn one(net: NetId) -> Sources {
+        Sources {
+            nets: [net, net],
+            len: 1,
+        }
+    }
+
+    /// Two source nets, in this order.
+    pub fn two(first: NetId, second: NetId) -> Sources {
+        Sources {
+            nets: [first, second],
+            len: 2,
+        }
+    }
+
+    /// The source nets, in order.
+    pub fn as_slice(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Sources {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
@@ -120,14 +159,14 @@ pub fn apply_modification(
     m: &Modification,
 ) -> Result<(), FingerprintError> {
     let target = m.target();
-    let added = m.added_nets().to_vec();
+    let added = m.added_nets();
     let (cell, _f) =
         widened_cell(netlist, target, added.len()).ok_or_else(|| FingerprintError::CannotApply {
             gate: target,
             reason: "no wide-enough cell in library".into(),
         })?;
     let mut new_inputs = netlist.gate(target).inputs().to_vec();
-    for net in added {
+    for &net in added {
         let lit = if m.complemented() {
             complement_net(netlist, net)?
         } else {
@@ -152,10 +191,16 @@ pub(crate) fn literal_present(
     if !complement {
         return inputs.contains(&net);
     }
-    netlist.net(net).sinks().iter().any(|p| {
-        netlist.gate_fn(p.gate) == PrimitiveFn::Inv
-            && inputs.contains(&netlist.gate_output(p.gate))
-    })
+    // Scan the target's few inputs for an inverter of `net`, not the
+    // sinks of `net`, which may be many.
+    inputs
+        .iter()
+        .any(|&input| match netlist.net(input).driver() {
+            NetDriver::Gate(g) => {
+                netlist.gate_fn(g) == PrimitiveFn::Inv && netlist.gate(g).inputs() == [net]
+            }
+            _ => false,
+        })
 }
 
 /// True if every literal the modification adds is present in `netlist` —
@@ -240,24 +285,21 @@ pub(crate) fn modification_present_by_name(
 /// and no added net is the target's own output.
 pub(crate) fn applicable(netlist: &Netlist, m: &Modification) -> bool {
     let target = m.target();
-    if widened_cell(netlist, target, m.added_nets().len()).is_none() {
-        return false;
-    }
-    for &net in m.added_nets() {
-        if literal_present(netlist, target, net, m.complemented())
-            || netlist.gate(target).inputs().contains(&net)
-            || netlist.gate_output(target) == net
-        {
-            return false;
-        }
-        // Reject nets whose driver is the target itself (self-loop).
-        if let NetDriver::Gate(g) = netlist.net(net).driver() {
-            if g == target {
-                return false;
-            }
-        }
-    }
-    true
+    widened_cell(netlist, target, m.added_nets().len()).is_some()
+        && m.added_nets()
+            .iter()
+            .all(|&net| net_addable(netlist, target, net, m.complemented()))
+}
+
+/// The per-net half of [`applicable`]: `net` (complemented or not) may be
+/// wired into `target` — the literal and the net are not already inputs
+/// of it, and `net` is neither the target's output nor driven by it.
+pub(crate) fn net_addable(netlist: &Netlist, target: GateId, net: NetId, complement: bool) -> bool {
+    !(literal_present(netlist, target, net, complement)
+        || netlist.gate(target).inputs().contains(&net)
+        || netlist.gate_output(target) == net
+        // A net the target drives would close a loop.
+        || matches!(netlist.net(net).driver(), NetDriver::Gate(g) if g == target))
 }
 
 #[cfg(test)]
@@ -368,11 +410,11 @@ mod tests {
 
         // Trigger X = AND(A,B); non-controlling X=1 implies A=B=1; OR-plane
         // target needs 0, so literals are complemented.
-        for sources in [vec![a], vec![b], vec![a, b]] {
+        for sources in [Sources::one(a), Sources::one(b), Sources::two(a, b)] {
             let mut copy = base.clone();
             let m = Modification::RerouteEarly {
                 target: gy,
-                sources: sources.clone(),
+                sources,
                 complement: true,
             };
             assert!(applicable(&copy, &m), "{sources:?}");
@@ -443,16 +485,59 @@ mod tests {
             complement: false,
         };
         assert!(!applicable(&n, &m2));
-        // Too many extra inputs for the library (AND max arity 4: adding 3
-        // to an AND2 exceeds it).
+        // Too many extra inputs for the library (AND max arity 4: adding 2
+        // to a gate already widened to AND3 exceeds it, adding 1 does not).
+        let mut widened = n.clone();
+        let insert = Modification::InsertTrigger {
+            target: gx,
+            trigger: y_net,
+            complement: false,
+        };
+        apply_modification(&mut widened, &insert).unwrap();
         let c = n.net_by_name("C").unwrap();
         let d = n.net_by_name("D").unwrap();
         let m3 = Modification::RerouteEarly {
             target: gx,
-            sources: vec![y_net, c, d],
+            sources: Sources::two(c, d),
             complement: false,
         };
-        assert!(!applicable(&n, &m3));
+        assert!(!applicable(&widened, &m3));
+        let m4 = Modification::RerouteEarly {
+            target: gx,
+            sources: Sources::one(c),
+            complement: false,
+        };
+        assert!(applicable(&widened, &m4));
+    }
+
+    #[test]
+    fn complemented_literal_found_among_many_sinks() {
+        // `a` fans out to 70 inverters; only the one feeding gx counts.
+        let lib = CellLibrary::standard();
+        let mut n = Netlist::new("wide", lib);
+        let a = n.add_primary_input("a");
+        let b = n.add_primary_input("b");
+        let inv = n.library().cell_for(PrimitiveFn::Inv, 1).unwrap();
+        let and2 = n.library().cell_for(PrimitiveFn::And, 2).unwrap();
+        for i in 0..70 {
+            let g = n.add_gate(format!("inv{i}"), inv, &[a]);
+            n.set_primary_output(n.gate_output(g));
+        }
+        let gx = n.add_gate("gx", and2, &[b, b]);
+        n.set_primary_output(n.gate_output(gx));
+        assert!(n.net(a).sinks().len() >= 64);
+        assert!(!literal_present(&n, gx, a, true));
+        assert!(!literal_present(&n, gx, a, false));
+        let m = Modification::InsertTrigger {
+            target: gx,
+            trigger: a,
+            complement: true,
+        };
+        apply_modification(&mut n, &m).unwrap();
+        assert!(literal_present(&n, gx, a, true));
+        assert!(!literal_present(&n, gx, a, false));
+        assert!(!literal_present(&n, gx, b, true));
+        assert!(modification_present(&n, &m));
     }
 
     #[test]
