@@ -1,8 +1,9 @@
 //! Microbenchmark for the disabled-instrumentation cost contract
 //! (DESIGN.md §12): with no sink installed, every `odcfp-obs` call site
 //! must collapse to one relaxed atomic load and a branch. These numbers
-//! back the `bench_verify --overhead` CI guard; run them when touching
-//! the hot-path macros or the `enabled()` gate.
+//! back the overhead gate in `tests/verify_fastpath.rs`
+//! (`disabled_tracing_costs_under_one_percent_of_a_des_sweep`); run them
+//! when touching the hot-path macros or the `enabled()` gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -10,7 +10,8 @@
 //!    first consults [`enabled`], a single relaxed atomic load. With no
 //!    sink installed, a span or event costs one predictable branch — no
 //!    allocation, no clock read, no lock (guarded by the
-//!    `obs_overhead` microbench and `bench_verify --overhead`).
+//!    `obs_overhead` microbench and the overhead gate in
+//!    `tests/verify_fastpath.rs`).
 //! 2. **Deterministic payloads.** Events flagged `det` carry only
 //!    thread-invariant values and are emitted from deterministic control
 //!    points, so the projection of a trace to its `det` events'
