@@ -15,8 +15,9 @@
 //!    saving) over `legacy` (the pre-trait fixed-heuristic solver).
 //! 2. **des_sweep** — a strict fast-path verify sweep over
 //!    fingerprinted `des` buyers; the Undecided-rate must be zero.
-//! 3. **c6288_hard_miter** — the intractable multiplier cold miter,
-//!    conflict-capped exactly like `bench_verify`'s baseline, with a
+//! 3. **c6288_hard_miter** — the intractable multiplier cold miter on
+//!    one fingerprinted copy, capped at 2,000 conflicts (the cap
+//!    `tests/verify_fastpath.rs` gives its c6288 cold baseline), with a
 //!    wall-clock ceiling so a pathological solver regression (e.g.
 //!    propagation slowdown) fails CI even though the verdict is
 //!    honestly `undecided` at the cap.
@@ -131,8 +132,8 @@ fn rand3sat(n: usize, m: usize, seed: u64) -> CnfBuilder {
     cnf
 }
 
-/// Deterministic per-buyer fingerprint bits — same scheme as
-/// `bench_verify`, so the des sweep describes the same workload.
+/// Deterministic per-buyer fingerprint bits: a xorshift stream seeded
+/// from the buyer index, so every run measures the same copies.
 fn buyer_bits(buyer: u64, n: usize) -> Vec<bool> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (buyer + 1).wrapping_mul(0x0DCF_5EED);
     (0..n)

@@ -8,6 +8,9 @@
 //! structure, so the forged copy necessarily inherits those bits. Tracing
 //! exploits exactly that residue.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::Netlist;
 
@@ -215,11 +218,11 @@ pub fn score_suspects(forged: &[bool], registry: &[Vec<bool>]) -> Vec<SuspectSco
 /// 8× larger than the information content. The index stores one
 /// *position plane* per location (a bitmap over buyers: bit `b` of plane
 /// `ℓ` = buyer `b`'s bit at location `ℓ`) plus each buyer's popcount.
-/// Tracing then never touches individual buyers: the forged string's set
-/// positions select ≤ `L` planes, which a carry-save bit-sliced adder
-/// folds into per-buyer overlap counts at 64 buyers per word —
-/// `O(L · N/64 · log L)` word operations, a ~`64/log L`-fold cut in work
-/// with sequential memory access.
+/// Tracing then never touches individual buyers' bits: the forged
+/// string's set positions select ≤ `L` planes, which a carry-save
+/// bit-sliced adder folds into per-buyer overlap counts at 64 buyers per
+/// word — `O(L · N/64 · log L)` word operations, a ~`64/log L`-fold cut
+/// in work with sequential memory access.
 ///
 /// Both tracing metrics are then recovered from the same integers the
 /// pairwise scorer divides:
@@ -229,14 +232,22 @@ pub fn score_suspects(forged: &[bool], registry: &[Vec<bool>]) -> Vec<SuspectSco
 ///   both-ones + both-zeros.
 ///
 /// Because the operands are bit-for-bit the integers the scalar path
-/// counts, every score — and therefore every ranking, including
-/// tie-breaks — is **identical** to [`trace_suspects`], not merely
-/// close. The tests enforce this verdict-for-verdict.
+/// counts, every score is **identical** to [`trace_suspects`]'s, not
+/// merely close. Rankings are made on those integers too: one packed key
+/// per buyer orders exactly as the float sort does, ties included (the
+/// private `rank` function gives the argument). Past the adder, a trace
+/// costs one `O(N)` pass over the counts, which applies the thresholds
+/// and keeps the top `k` in a bounded heap, plus `O(c log c)` to order
+/// the `c` convicted buyers.
+/// Nothing sorts the population except [`TracerIndex::trace`], whose
+/// output is the whole ranking. The tests enforce equality with the
+/// sort verdict-for-verdict.
 #[derive(Debug, Clone)]
 pub struct TracerIndex {
     locations: usize,
     buyers: usize,
-    /// `planes[l][w]`: bit `b` of word `w` = buyer `64w+b`'s bit at `l`.
+    /// `planes[l][w]`: bit `b` of word `w` = buyer `64w+b`'s bit at `l`;
+    /// every plane is `⌈N/64⌉` words long.
     planes: Vec<Vec<u64>>,
     /// Per-buyer popcount (`|b|`), for the agreement reconstruction.
     pop: Vec<u32>,
@@ -278,13 +289,14 @@ impl TracerIndex {
         assert_eq!(bits.len(), self.locations, "bit length mismatch");
         let buyer = self.buyers;
         let (word, bit) = (buyer / 64, buyer % 64);
+        if bit == 0 {
+            for plane in &mut self.planes {
+                plane.push(0);
+            }
+        }
         let mut pop = 0u32;
-        for (l, &v) in bits.iter().enumerate() {
+        for (plane, &v) in self.planes.iter_mut().zip(bits) {
             if v {
-                let plane = &mut self.planes[l];
-                if plane.len() <= word {
-                    plane.resize(word + 1, 0);
-                }
                 plane[word] |= 1u64 << bit;
                 pop += 1;
             }
@@ -311,42 +323,68 @@ impl TracerIndex {
 
     /// Per-buyer `|f ∧ b|` via the carry-save bit-sliced adder.
     fn overlap_counts(&self, forged: &[bool]) -> Vec<u32> {
+        // Words per tile: every accumulator level's slice of one tile
+        // (≤ 11 levels × 2 KiB for codes under 2,048 bits) stays in L1
+        // while the tile's planes stream past.
+        const TILE: usize = 256;
+        const ZERO: [u64; TILE] = [0; TILE];
         let words = self.buyers.div_ceil(64);
-        // `acc[i]` holds bit `i` of every buyer's running count.
-        let mut acc: Vec<Vec<u64>> = Vec::new();
-        let mut carry = vec![0u64; words];
-        for (l, &f) in forged.iter().enumerate() {
-            if !f {
-                continue;
-            }
-            let plane = &self.planes[l];
-            carry[..plane.len()].copy_from_slice(plane);
-            carry[plane.len()..].fill(0);
-            let mut live = carry.iter().any(|&w| w != 0);
-            for level in &mut acc {
-                if !live {
-                    break;
-                }
-                live = false;
-                for (a, c) in level.iter_mut().zip(carry.iter_mut()) {
-                    let t = *a & *c;
-                    *a ^= *c;
-                    *c = t;
-                    live |= t != 0;
-                }
-            }
-            if live {
-                acc.push(carry.clone());
-            }
-        }
+        let set: Vec<&[u64]> = forged
+            .iter()
+            .zip(&self.planes)
+            .filter(|&(&f, _)| f)
+            .map(|(_, plane)| plane.as_slice())
+            .collect();
+        // A count ≤ |f| has ⌈log2(|f|+1)⌉ bits; `acc` holds one TILE-word
+        // level per bit (at least two, for the weight-4 carry below),
+        // level `i` carrying bit `i` of every count.
+        let levels = ((usize::BITS - set.len().leading_zeros()) as usize).max(2);
+        let mut acc = vec![0u64; levels * TILE];
+        let [mut twos_a, mut twos_b, mut fours] = [[0u64; TILE]; 3];
         let mut counts = vec![0u32; self.buyers];
-        for (i, level) in acc.iter().enumerate() {
-            for (w, &word) in level.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    let b = w * 64 + rest.trailing_zeros() as usize;
-                    counts[b] += 1 << i;
-                    rest &= rest - 1;
+        for start in (0..words).step_by(TILE) {
+            let width = TILE.min(words - start);
+            acc.fill(0);
+            // Four planes at a time: two full adders fold them into level
+            // 0 with two weight-2 carries, a third folds those into level
+            // 1, and only the weight-4 carry ripples on up.
+            for group in set.chunks(4) {
+                let plane = |i: usize| {
+                    group
+                        .get(i)
+                        .map_or(&ZERO[..width], |p| &p[start..start + width])
+                };
+                let (low, high) = acc.split_at_mut(2 * TILE);
+                let (ones, twos) = low.split_at_mut(TILE);
+                full_add(&mut ones[..width], plane(0), plane(1), &mut twos_a[..width]);
+                full_add(&mut ones[..width], plane(2), plane(3), &mut twos_b[..width]);
+                full_add(
+                    &mut twos[..width],
+                    &twos_a[..width],
+                    &twos_b[..width],
+                    &mut fours[..width],
+                );
+                for level in high.chunks_exact_mut(TILE) {
+                    let mut live = 0;
+                    for (a, c) in level[..width].iter_mut().zip(&mut fours[..width]) {
+                        let t = *a & *c;
+                        *a ^= *c;
+                        *c = t;
+                        live |= t;
+                    }
+                    if live == 0 {
+                        break;
+                    }
+                }
+            }
+            for (i, level) in acc.chunks_exact(TILE).enumerate() {
+                for (w, &word) in level[..width].iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        let b = (start + w) * 64 + rest.trailing_zeros() as usize;
+                        counts[b] += 1 << i;
+                        rest &= rest - 1;
+                    }
                 }
             }
         }
@@ -394,6 +432,37 @@ impl TracerIndex {
             .collect()
     }
 
+    /// Every buyer's packed [`rank`], in registry order, and `|f|`.
+    fn ranks(&self, forged: &[bool]) -> (usize, impl Iterator<Item = u128> + '_) {
+        assert_eq!(forged.len(), self.locations, "bit length mismatch");
+        assert!(
+            u32::try_from(self.locations).is_ok(),
+            "codes longer than u32 counts"
+        );
+        let total = forged.iter().filter(|&&f| f).count();
+        let counts = self.overlap_counts(forged);
+        // `L - |f| ≥ 0`, and adding `2·|f ∧ b|` before subtracting `|b|`
+        // keeps every step non-negative (the result is the match count).
+        let zeros = (self.locations - total) as u64;
+        let ranks = counts.into_iter().zip(&self.pop).enumerate();
+        let ranks = ranks.map(move |(buyer, (covered, &pop))| {
+            let matches = zeros + 2 * u64::from(covered) - u64::from(pop);
+            rank(covered, matches as u32, buyer)
+        });
+        (total, ranks)
+    }
+
+    /// The score a packed [`rank`] stands for, computed by the same
+    /// expressions as [`score_suspects`].
+    fn suspect(&self, rank: u128, total: usize) -> SuspectScore {
+        let (covered, matches, buyer) = unrank(rank);
+        SuspectScore {
+            buyer,
+            containment: containment_of(covered, total),
+            agreement: agreement_of(matches, self.locations),
+        }
+    }
+
     /// Ranks the population, most suspicious first — order-identical to
     /// [`trace_suspects`] over the same registry.
     ///
@@ -401,15 +470,13 @@ impl TracerIndex {
     ///
     /// Panics on a bit-length mismatch.
     pub fn trace(&self, forged: &[bool]) -> Vec<(usize, f64)> {
-        let mut scored = self.score(forged);
-        scored.sort_by(|a, b| {
-            (b.containment, b.agreement)
-                .partial_cmp(&(a.containment, a.agreement))
-                .expect("finite scores")
-        });
-        scored
+        let (total, ranks) = self.ranks(forged);
+        top(ranks, self.buyers, self.buyers)
             .into_iter()
-            .map(|s| (s.buyer, s.containment))
+            .map(|r| {
+                let s = self.suspect(r, total);
+                (s.buyer, s.containment)
+            })
             .collect()
     }
 
@@ -421,14 +488,11 @@ impl TracerIndex {
     ///
     /// Panics on a bit-length mismatch.
     pub fn trace_top(&self, forged: &[bool], k: usize) -> Vec<SuspectScore> {
-        let mut scored = self.score(forged);
-        scored.sort_by(|a, b| {
-            (b.containment, b.agreement)
-                .partial_cmp(&(a.containment, a.agreement))
-                .expect("finite scores")
-        });
-        scored.truncate(k);
-        scored
+        let (total, ranks) = self.ranks(forged);
+        top(ranks, k, self.buyers)
+            .into_iter()
+            .map(|r| self.suspect(r, total))
+            .collect()
     }
 
     /// Traces a recovered bit string to a structured [`TraceVerdict`]
@@ -443,53 +507,152 @@ impl TracerIndex {
     /// [`Inconclusive`](TraceOutcome::Inconclusive), or
     /// [`InnocentRisk`](TraceOutcome::InnocentRisk).
     ///
-    /// The ranking inside the verdict is produced by the same scoring and
-    /// sort as [`TracerIndex::trace_top`], so it stays bit-identical to
-    /// the pairwise oracle ([`score_suspects`] + the containment/agreement
-    /// sort); the verdict only *interprets* it.
+    /// The ranking inside the verdict is the selection
+    /// [`TracerIndex::trace_top`] makes, so it stays bit-identical to the
+    /// pairwise oracle ([`score_suspects`] + the containment/agreement
+    /// sort); the verdict only *interprets* it. One pass over the
+    /// population applies the thresholds and keeps the top `top_k`;
+    /// only the convicted buyers (at most `max_convicted_fraction` of
+    /// the population) are ever sorted.
     ///
     /// # Panics
     ///
     /// Panics on a bit-length mismatch.
     pub fn verdict(&self, recovered: &[bool], params: &TraceParams) -> TraceVerdict {
-        let mut scored = self.score(recovered);
-        scored.sort_by(|a, b| {
-            (b.containment, b.agreement)
-                .partial_cmp(&(a.containment, a.agreement))
-                .expect("finite scores")
-        });
-        let evidence_wires = recovered.iter().filter(|&&f| f).count();
+        let (evidence_wires, ranks) = self.ranks(recovered);
         let threshold = params.containment_threshold(evidence_wires);
         let agreement_threshold = params.agreement_threshold(self.locations);
-        // The accusation count sweeps the whole population, not just the
-        // reported top-k — a flooded threshold must not look clean.
-        let cleared: Vec<SuspectScore> = scored
-            .iter()
-            .filter(|s| s.containment >= threshold || s.agreement >= agreement_threshold)
-            .copied()
-            .collect();
+        // Both scores are monotone in their integer operand, so each
+        // threshold is the least operand whose score — the same float
+        // expression — clears it (`usize::MAX`: none does).
+        let min_covered = (0..=evidence_wires)
+            .find(|&c| containment_of(c, evidence_wires) >= threshold)
+            .unwrap_or(usize::MAX);
+        let min_matches = (0..=self.locations)
+            .find(|&m| agreement_of(m, self.locations) >= agreement_threshold)
+            .unwrap_or(usize::MAX);
         let limit = (params.max_convicted_fraction * self.buyers as f64).ceil() as usize;
+        let limit = limit.max(1);
+        // The accusation count sweeps the whole population, not just the
+        // reported top-k — a flooded threshold must not look clean. One
+        // buyer past `limit` already decides the outcome, so the list
+        // stops growing there.
+        let mut cleared = Vec::new();
+        let ranking = top(
+            ranks.inspect(|&r| {
+                let (covered, matches, _) = unrank(r);
+                if cleared.len() <= limit && (covered >= min_covered || matches >= min_matches) {
+                    cleared.push(r);
+                }
+            }),
+            params.top_k.max(1),
+            self.buyers,
+        );
         let outcome = if evidence_wires < params.min_evidence || cleared.is_empty() {
             TraceOutcome::Inconclusive
-        } else if cleared.len() > limit.max(1) {
+        } else if cleared.len() > limit {
             TraceOutcome::InnocentRisk
         } else {
             TraceOutcome::Convicted
         };
-        scored.truncate(params.top_k.max(1));
+        let convicted = if outcome == TraceOutcome::Convicted {
+            cleared.sort_unstable_by(|a, b| b.cmp(a));
+            cleared
+                .into_iter()
+                .map(|r| self.suspect(r, evidence_wires))
+                .collect()
+        } else {
+            Vec::new()
+        };
         TraceVerdict {
             outcome,
-            convicted: if outcome == TraceOutcome::Convicted {
-                cleared
-            } else {
-                Vec::new()
-            },
-            ranking: scored,
+            convicted,
+            ranking: ranking
+                .into_iter()
+                .map(|r| self.suspect(r, evidence_wires))
+                .collect(),
             evidence_wires,
             threshold,
             agreement_threshold,
         }
     }
+}
+
+/// Adds `x + y` into the bit-sliced `sum` word by word, writing the
+/// carry out of each lane to `carry`.
+fn full_add(sum: &mut [u64], x: &[u64], y: &[u64], carry: &mut [u64]) {
+    for (((s, c), &x), &y) in sum.iter_mut().zip(carry).zip(x).zip(y) {
+        let t = *s ^ x;
+        *c = (*s & x) | (t & y);
+        *s = t ^ y;
+    }
+}
+
+/// `|f ∧ b| / |f|`, the expression [`containment`] evaluates.
+fn containment_of(covered: usize, total: usize) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        covered as f64 / total as f64
+    }
+}
+
+/// `matches / L`, the expression [`agreement`] evaluates.
+fn agreement_of(matches: usize, len: usize) -> f64 {
+    if len == 0 {
+        0.0
+    } else {
+        matches as f64 / len as f64
+    }
+}
+
+/// One buyer's ranking key; larger ranks first.
+///
+/// Over one trace every containment is `covered / |f|` and every
+/// agreement `matches / L`: shared denominators, and a division by a
+/// fixed denominator below 2^53 is strictly monotone in numerators up to
+/// it. Ordering by `(covered, matches)` descending, then buyer
+/// ascending, is therefore exactly the stable `(containment, agreement)`
+/// float sort [`trace_suspects`] makes, ties included — and packing the
+/// three into one integer makes that order a plain integer comparison.
+fn rank(covered: u32, matches: u32, buyer: usize) -> u128 {
+    (u128::from(covered) << 96) | (u128::from(matches) << 64) | u128::from(!(buyer as u64))
+}
+
+/// `(covered, matches, buyer)` back from a [`rank`].
+fn unrank(rank: u128) -> (usize, usize, usize) {
+    (
+        (rank >> 96) as usize,
+        (rank >> 64) as u32 as usize,
+        !(rank as u64) as usize,
+    )
+}
+
+/// The `k` largest of `n` ranks, largest first, consuming them all.
+///
+/// A bounded min-heap keeps the running top `k` without sorting the
+/// population; when `k` is a large share of `n` one unstable sort of
+/// the packed keys is cheaper than the heap.
+fn top(ranks: impl Iterator<Item = u128>, k: usize, n: usize) -> Vec<u128> {
+    if k.saturating_mul(4) >= n {
+        let mut all: Vec<u128> = ranks.collect();
+        all.sort_unstable_by(|a, b| b.cmp(a));
+        all.truncate(k);
+        return all;
+    }
+    let mut heap = BinaryHeap::with_capacity(k + 1);
+    for r in ranks {
+        if heap.len() < k {
+            heap.push(Reverse(r));
+        } else if heap.peek().is_some_and(|&Reverse(worst)| r > worst) {
+            heap.pop();
+            heap.push(Reverse(r));
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|Reverse(r)| r)
+        .collect()
 }
 
 /// Tuning knobs for [`TracerIndex::verdict`].
