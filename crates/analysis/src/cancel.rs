@@ -70,8 +70,7 @@ impl CancelToken {
     /// handle's deadline. A deadline expiry does **not** raise the shared
     /// flag, so a stage-scoped child timing out leaves its parent live.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The deadline this handle self-fires at, if any.

@@ -100,9 +100,7 @@ pub fn transitive_fanin(netlist: &Netlist, root: GateId) -> Vec<GateId> {
 /// Definition 1, criterion 2.
 pub fn feeds_only(netlist: &Netlist, gate: GateId, primary: GateId) -> bool {
     let out = netlist.net(netlist.gate(gate).output());
-    !out.is_primary_output()
-        && out.sinks().len() == 1
-        && out.sinks()[0].gate == primary
+    !out.is_primary_output() && out.sinks().len() == 1 && out.sinks()[0].gate == primary
 }
 
 #[cfg(test)]

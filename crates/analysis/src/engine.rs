@@ -278,7 +278,13 @@ impl AnalysisEngine {
         // exactly the tree ancestors of their NCA). A primary output or a
         // dangling output escapes directly to the virtual root.
         let nca = |idom: &[u32], dom_depth: &[u32], mut a: u32, mut b: u32| -> u32 {
-            let depth = |x: u32| if x == VIRTUAL_ROOT { 0 } else { dom_depth[x as usize] };
+            let depth = |x: u32| {
+                if x == VIRTUAL_ROOT {
+                    0
+                } else {
+                    dom_depth[x as usize]
+                }
+            };
             while a != b {
                 if depth(a) >= depth(b) {
                     a = idom[a as usize];

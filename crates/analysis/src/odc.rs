@@ -31,7 +31,11 @@ pub struct TriggerCandidate {
 ///
 /// Empty when the gate has no controlling value (XOR/XNOR/BUF/INV) or only
 /// one input.
-pub fn trigger_candidates(f: PrimitiveFn, arity: usize, target_pin: usize) -> Vec<TriggerCandidate> {
+pub fn trigger_candidates(
+    f: PrimitiveFn,
+    arity: usize,
+    target_pin: usize,
+) -> Vec<TriggerCandidate> {
     let mut out = Vec::new();
     trigger_candidates_into(f, arity, target_pin, &mut out);
     out
@@ -240,14 +244,26 @@ mod tests {
     fn and3_candidates() {
         let c = trigger_candidates(PrimitiveFn::And, 3, 1);
         assert_eq!(c.len(), 2);
-        assert!(c.contains(&TriggerCandidate { pin: 0, value: false }));
-        assert!(c.contains(&TriggerCandidate { pin: 2, value: false }));
+        assert!(c.contains(&TriggerCandidate {
+            pin: 0,
+            value: false
+        }));
+        assert!(c.contains(&TriggerCandidate {
+            pin: 2,
+            value: false
+        }));
     }
 
     #[test]
     fn nor_candidates_use_one() {
         let c = trigger_candidates(PrimitiveFn::Nor, 2, 0);
-        assert_eq!(c, vec![TriggerCandidate { pin: 1, value: true }]);
+        assert_eq!(
+            c,
+            vec![TriggerCandidate {
+                pin: 1,
+                value: true
+            }]
+        );
     }
 
     #[test]

@@ -125,9 +125,7 @@ mod tests {
     fn more_gates_more_power() {
         let small = xor_tree(2);
         let big = xor_tree(4);
-        assert!(
-            estimate_power(&big, 8, 1).total() > estimate_power(&small, 8, 1).total()
-        );
+        assert!(estimate_power(&big, 8, 1).total() > estimate_power(&small, 8, 1).total());
     }
 
     #[test]

@@ -234,11 +234,7 @@ mod tests {
         let i2 = n.add_gate("i2", inv, &[n.gate_output(i1)]);
         let i3 = n.add_gate("i3", inv, &[n.gate_output(i2)]);
         let short = n.add_gate("short", inv, &[b]);
-        let top = n.add_gate(
-            "top",
-            and2,
-            &[n.gate_output(i3), n.gate_output(short)],
-        );
+        let top = n.add_gate("top", and2, &[n.gate_output(i3), n.gate_output(short)]);
         n.set_primary_output(n.gate_output(top));
         let t = analyze(&n).unwrap();
         let short_gate = n.gate_by_name("short").unwrap();

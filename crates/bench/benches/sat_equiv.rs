@@ -14,13 +14,10 @@ fn bench_equiv(c: &mut Criterion) {
         let copy = fp.embed_all().unwrap();
         c.bench_function(format!("sim_equiv_16w/{name}"), |b| {
             b.iter(|| {
-                assert!(probably_equivalent(
-                    black_box(fp.base()),
-                    black_box(copy.netlist()),
-                    16,
-                    9
+                assert!(
+                    probably_equivalent(black_box(fp.base()), black_box(copy.netlist()), 16, 9)
+                        .unwrap()
                 )
-                .unwrap())
             })
         });
         let mut group = c.benchmark_group("sat_miter");

@@ -54,8 +54,7 @@ fn bench_flows(c: &mut Criterion) {
     });
     c.bench_function("verilog_parse/vda", |b| {
         b.iter(|| {
-            odcfp_verilog::parse_verilog(black_box(&verilog_text), CellLibrary::standard())
-                .unwrap()
+            odcfp_verilog::parse_verilog(black_box(&verilog_text), CellLibrary::standard()).unwrap()
         })
     });
     let blif_src = "\

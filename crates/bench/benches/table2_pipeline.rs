@@ -10,9 +10,7 @@ fn bench_table2(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_row");
     group.sample_size(10);
     for name in ["c432", "c880", "c1908"] {
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(run_table2(&[name])))
-        });
+        group.bench_function(name, |b| b.iter(|| black_box(run_table2(&[name]))));
     }
     group.finish();
 }

@@ -33,8 +33,7 @@ fn main() {
                         .expect("embedding verified")
                 })
                 .collect();
-            let registry: Vec<Vec<bool>> =
-                copies.iter().map(|c| c.bits().to_vec()).collect();
+            let registry: Vec<Vec<bool>> = copies.iter().map(|c| c.bits().to_vec()).collect();
             let held: Vec<&Netlist> = copies[..k].iter().map(|c| c.netlist()).collect();
             exposure += analyze_collusion(&fp, &held).exposure_rate();
             for (si, strategy) in [ForgeStrategy::ClearExposed, ForgeStrategy::Majority]

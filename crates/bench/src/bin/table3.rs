@@ -6,8 +6,7 @@
 //! (the paper evaluates the reactive method, the default).
 
 use odcfp_bench::{
-    format_table3, names_from_args, run_table3_with, Table3Method, PAPER_TABLE3,
-    TABLE3_CONSTRAINTS,
+    format_table3, names_from_args, run_table3_with, Table3Method, PAPER_TABLE3, TABLE3_CONSTRAINTS,
 };
 
 fn main() {

@@ -92,8 +92,8 @@ pub struct Table2Row {
 /// Panics if the name is unknown (callers validate against
 /// [`TABLE2_NAMES`]).
 pub fn engine_for(name: &str, library: Arc<CellLibrary>) -> Fingerprinter {
-    let base = benchmarks::generate(name, library)
-        .unwrap_or_else(|| panic!("unknown benchmark {name:?}"));
+    let base =
+        benchmarks::generate(name, library).unwrap_or_else(|| panic!("unknown benchmark {name:?}"));
     Fingerprinter::new(base).expect("generated benchmarks validate")
 }
 
@@ -133,7 +133,16 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     let _ = writeln!(
         out,
         "{:<8} {:>6} {:>10} {:>7} {:>9} {:>6} {:>9} {:>8} {:>8} {:>8}",
-        "circuit", "gates", "area", "delay", "power", "locs", "log2(FP)", "area%", "delay%", "power%"
+        "circuit",
+        "gates",
+        "area",
+        "delay",
+        "power",
+        "locs",
+        "log2(FP)",
+        "area%",
+        "delay%",
+        "power%"
     );
     let mut sums = [0.0f64; 3];
     for r in rows {
@@ -159,7 +168,16 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     let _ = writeln!(
         out,
         "{:<8} {:>6} {:>10} {:>7} {:>9} {:>6} {:>9} {:>8.2} {:>8.2} {:>8.2}",
-        "AVG", "", "", "", "", "", "", sums[0] / n, sums[1] / n, sums[2] / n
+        "AVG",
+        "",
+        "",
+        "",
+        "",
+        "",
+        "",
+        sums[0] / n,
+        sums[1] / n,
+        sums[2] / n
     );
     out
 }
@@ -319,7 +337,10 @@ pub fn format_fig7(series: &[Fig7Series]) -> String {
         .map(|s| s.unconstrained_bits)
         .fold(1.0f64, f64::max);
     let mut out = String::new();
-    let _ = writeln!(out, "Fingerprint size (bits) before/after delay constraints");
+    let _ = writeln!(
+        out,
+        "Fingerprint size (bits) before/after delay constraints"
+    );
     for s in series {
         let bar = |bits: f64| {
             let w = ((bits / max_bits) * 50.0).round() as usize;
@@ -336,7 +357,10 @@ pub fn format_fig7(series: &[Fig7Series]) -> String {
             let _ = writeln!(
                 out,
                 "{:<8} {:>3.0}% delay     {:>8.1} |{}",
-                "", pct, bits, bar(bits)
+                "",
+                pct,
+                bits,
+                bar(bits)
             );
         }
     }
@@ -477,8 +501,7 @@ mod tests {
         let proactive = run_table3_with(&["c432"], &[10.0], Table3Method::Proactive);
         assert!(proactive[0].delay_overhead_pct <= 10.0 + 1e-9);
         assert!(
-            proactive[0].fingerprint_reduction_pct
-                <= reactive[0].fingerprint_reduction_pct + 1e-9,
+            proactive[0].fingerprint_reduction_pct <= reactive[0].fingerprint_reduction_pct + 1e-9,
             "proactive should keep at least as many locations on c432"
         );
     }

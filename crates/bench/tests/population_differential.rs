@@ -133,7 +133,11 @@ fn fault_battery_agrees(name: &str, netlist: odcfp_netlist::Netlist, seed: u64) 
     // gates, so the same substitution applies cleanly to both the
     // superposed encoding and each materialized per-buyer copy.
     let (tampered_superposed, gate) = std::iter::from_fn(|| {
-        Some(faults.random_wrong_cell(space.superposed()).expect("substitutable gate"))
+        Some(
+            faults
+                .random_wrong_cell(space.superposed())
+                .expect("substitutable gate"),
+        )
     })
     .take(32)
     .find(|(_, g)| space.selectable().iter().all(|s| s.gate != *g))
@@ -254,16 +258,11 @@ fn c6288_budgeted_proof_falls_back_to_per_buyer() {
     }
     // ... and still catches the fault battery.
     let mut faults = FaultInjector::new(0xBA77);
-    let copy = fp
-        .embed(&buyer_code(2015, 0, locations))
-        .expect("embed");
+    let copy = fp.embed(&buyer_code(2015, 0, locations)).expect("embed");
     let (faulty, _gate) = faults
         .random_wrong_cell(copy.netlist())
         .expect("substitutable gate");
-    let verdict = session
-        .verify(&faulty, &policy)
-        .expect("verify")
-        .verdict;
+    let verdict = session.verify(&faulty, &policy).expect("verify").verdict;
     assert!(
         matches!(verdict, Verdict::Refuted { .. }),
         "{name}: fallback path must refute a wrong-cell fault"

@@ -180,8 +180,7 @@ impl LogicNetwork {
             .enumerate()
             .map(|(i, n)| (n.output.as_str(), i))
             .collect();
-        let input_set: HashMap<&str, ()> =
-            self.inputs.iter().map(|i| (i.as_str(), ())).collect();
+        let input_set: HashMap<&str, ()> = self.inputs.iter().map(|i| (i.as_str(), ())).collect();
         let n = self.nodes.len();
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -358,11 +357,7 @@ mod tests {
         net.add_node(LogicNode {
             output: "f".into(),
             fanins: vec!["t".into(), "c".into()],
-            cover: Sop::new(
-                2,
-                vec!["1-".parse().unwrap(), "-1".parse().unwrap()],
-                true,
-            ),
+            cover: Sop::new(2, vec!["1-".parse().unwrap(), "-1".parse().unwrap()], true),
         });
         net.validate().unwrap();
         for i in 0..8usize {

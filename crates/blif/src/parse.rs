@@ -185,8 +185,12 @@ pub fn parse_blif(src: &str) -> Result<LogicNetwork, ParseBlifError> {
                     flush(&mut network, &mut current);
                 }
                 // Harmless metadata directives some tools emit.
-                "default_input_arrival" | "default_output_required" | "area"
-                | "delay" | "wire_load_slope" | "search" => {
+                "default_input_arrival"
+                | "default_output_required"
+                | "area"
+                | "delay"
+                | "wire_load_slope"
+                | "search" => {
                     flush(&mut network, &mut current);
                 }
                 other => {

@@ -239,7 +239,8 @@ pub fn run_client(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cli
         ));
     };
     let line = client_request(o, op, rest)?;
-    let stream = TcpStream::connect(addr).map_err(|e| fail(format!("cannot connect {addr}: {e}")))?;
+    let stream =
+        TcpStream::connect(addr).map_err(|e| fail(format!("cannot connect {addr}: {e}")))?;
     let mut writer = stream.try_clone().map_err(CliError::from)?;
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
@@ -269,16 +270,14 @@ pub fn run_client(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cli
     let mut code = 0;
     for (key, value) in &reply.fields {
         match value {
-            FieldValue::Str(s) if key == "netlist" || key == "summary" => {
-                match &o.output {
-                    Some(path) => {
-                        std::fs::write(path, s)
-                            .map_err(|e| fail(format!("cannot write {path}: {e}")))?;
-                        eprintln!("wrote {path}");
-                    }
-                    None => write!(out, "{s}")?,
+            FieldValue::Str(s) if key == "netlist" || key == "summary" => match &o.output {
+                Some(path) => {
+                    std::fs::write(path, s)
+                        .map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+                    eprintln!("wrote {path}");
                 }
-            }
+                None => write!(out, "{s}")?,
+            },
             FieldValue::Str(s) => {
                 writeln!(out, "{key}={s}")?;
                 if key == "verdict" {
@@ -330,7 +329,11 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
     let duration = Duration::from_secs_f64(o.duration_secs.unwrap_or(5.0));
     let conns = o.conns.unwrap_or(4);
     let seed = o.seed.unwrap_or(7);
-    let mix = parse_mix(o.mix.as_deref().unwrap_or("ping:1,locations:1,embed:1,verify:1"))?;
+    let mix = parse_mix(
+        o.mix
+            .as_deref()
+            .unwrap_or("ping:1,locations:1,embed:1,verify:1"),
+    )?;
 
     // One deterministic design shared by every design-bearing request,
     // so the server answers from its warm cache.
@@ -345,7 +348,16 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
             let stats = Arc::clone(&stats);
             let per_conn_rps = rps / conns as f64;
             std::thread::spawn(move || {
-                conn_loop(&addr, c, seed, per_conn_rps, duration, &mix, &design, &stats)
+                conn_loop(
+                    &addr,
+                    c,
+                    seed,
+                    per_conn_rps,
+                    duration,
+                    &mix,
+                    &design,
+                    &stats,
+                )
             })
         })
         .collect();
@@ -423,7 +435,10 @@ pub fn run_loadgen(o: &Options, out: &mut impl std::io::Write) -> Result<i32, Cl
         let mut json = String::from("{\n");
         json.push_str(&format!("  \"target_rps\": {rps},\n"));
         json.push_str(&format!("  \"achieved_rps\": {achieved:.2},\n"));
-        json.push_str(&format!("  \"duration_secs\": {:.3},\n", elapsed.as_secs_f64()));
+        json.push_str(&format!(
+            "  \"duration_secs\": {:.3},\n",
+            elapsed.as_secs_f64()
+        ));
         json.push_str(&format!("  \"conns\": {conns},\n"));
         json.push_str(&format!("  \"seed\": {seed},\n"));
         json.push_str(&format!("  \"sent\": {sent},\n"));
@@ -518,7 +533,9 @@ fn conn_loop(
         }
         if !sending && now > start + duration + Duration::from_secs(10) {
             // Straggler grace expired; count the rest as errors.
-            stats.errors.fetch_add(pending.len() as u64, Ordering::SeqCst);
+            stats
+                .errors
+                .fetch_add(pending.len() as u64, Ordering::SeqCst);
             break;
         }
         if sending && now >= next_send {
@@ -557,9 +574,7 @@ fn conn_loop(
                 }
             }
             let request = request_line(&id, &tenant, None, op, &args);
-            if writer.write_all(request.as_bytes()).is_err()
-                || writer.write_all(b"\n").is_err()
-            {
+            if writer.write_all(request.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
                 stats
                     .errors
                     .fetch_add(pending.len() as u64 + 1, Ordering::SeqCst);
@@ -576,13 +591,16 @@ fn conn_loop(
         match reader.read_line(&mut line) {
             Ok(0) => {
                 // Server hung up with replies outstanding.
-                stats.errors.fetch_add(pending.len() as u64, Ordering::SeqCst);
+                stats
+                    .errors
+                    .fetch_add(pending.len() as u64, Ordering::SeqCst);
                 return Err(());
             }
             Ok(_) => {
                 let trimmed = line.trim_end();
-                if let Some(Frame::Reply(reply)) =
-                    (!trimmed.is_empty()).then(|| Frame::parse_line(trimmed)).flatten()
+                if let Some(Frame::Reply(reply)) = (!trimmed.is_empty())
+                    .then(|| Frame::parse_line(trimmed))
+                    .flatten()
                 {
                     if let Some(due) = pending.remove(&reply.id) {
                         let us = due.elapsed().as_micros() as u64;
@@ -617,7 +635,9 @@ fn conn_loop(
                         | std::io::ErrorKind::Interrupted
                 ) => {}
             Err(_) => {
-                stats.errors.fetch_add(pending.len() as u64, Ordering::SeqCst);
+                stats
+                    .errors
+                    .fetch_add(pending.len() as u64, Ordering::SeqCst);
                 return Err(());
             }
         }

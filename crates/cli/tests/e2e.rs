@@ -101,10 +101,17 @@ fn full_designer_flow_through_files() {
     let constrained_v = dir.join("e2e_con.v");
     let constrained_v = constrained_v.to_str().unwrap();
     let con = stdout_of(&odcfp(&[
-        "constrain", base_v, "--delay-pct", "10", "-o", constrained_v,
+        "constrain",
+        base_v,
+        "--delay-pct",
+        "10",
+        "-o",
+        constrained_v,
     ]));
     assert!(con.contains("kept"));
-    assert!(fs::read_to_string(constrained_v).unwrap().contains("module"));
+    assert!(fs::read_to_string(constrained_v)
+        .unwrap()
+        .contains("module"));
 
     // optimize is a no-op on a constant-free design but must succeed.
     let opt = stdout_of(&odcfp(&["optimize", base_v]));
@@ -135,7 +142,10 @@ fn assert_clean_failure(args: &[&str], want_code: i32) {
     let out = odcfp(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(want_code), "{args:?}: {stderr}");
-    assert!(stderr.contains("error:") || stderr.contains("usage:"), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains("error:") || stderr.contains("usage:"),
+        "{args:?}: {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     assert!(!stderr.contains("RUST_BACKTRACE"), "{args:?}: {stderr}");
 }
@@ -241,8 +251,11 @@ fn verify_exit_codes_by_verdict() {
     let golden = golden.to_str().unwrap();
     // g gains an extra cover row: differs whenever x=0, c=1.
     let different = dir.join("verdict_b.blif");
-    fs::write(&different, BLIF.replace(".names x c g\n10 1\n", ".names x c g\n10 1\n01 1\n"))
-        .unwrap();
+    fs::write(
+        &different,
+        BLIF.replace(".names x c g\n10 1\n", ".names x c g\n10 1\n01 1\n"),
+    )
+    .unwrap();
     let different = different.to_str().unwrap();
 
     // Equivalent (identical sources): proven, exit 0.
@@ -350,7 +363,12 @@ fn campaign_fixture(dir: &std::path::Path, manifest: &str) -> String {
     let blif = dir.join("design.blif");
     fs::write(&blif, BLIF).expect("blif");
     let base_v = dir.join("design.v");
-    stdout_of(&odcfp(&["map", blif.to_str().expect("utf8"), "-o", base_v.to_str().expect("utf8")]));
+    stdout_of(&odcfp(&[
+        "map",
+        blif.to_str().expect("utf8"),
+        "-o",
+        base_v.to_str().expect("utf8"),
+    ]));
     let path = dir.join("campaign.manifest");
     fs::write(&path, manifest).expect("manifest");
     path.to_str().expect("utf8").to_owned()
@@ -383,7 +401,12 @@ fn campaign_end_to_end_with_resume_and_quarantine() {
 
     // Re-running without --resume must refuse to clobber the journal.
     let out = odcfp(&["campaign", &manifest, "--out-dir", out_dir]);
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("--resume"));
 
     // Resume skips completed jobs and keeps the quarantine.
@@ -411,9 +434,7 @@ fn replay_stable_payload(path: &std::path::Path) -> Vec<String> {
     trace
         .events
         .iter()
-        .filter(|e| {
-            e.det && matches!(e.name.as_str(), "campaign.job.outcome" | "campaign.summary")
-        })
+        .filter(|e| e.det && matches!(e.name.as_str(), "campaign.job.outcome" | "campaign.summary"))
         .map(odcfp_obs::Event::payload_line)
         .collect()
 }
@@ -480,7 +501,10 @@ retries 0
             break line;
         }
     };
-    assert!(first.contains("job early#0"), "unexpected first completion: {first}");
+    assert!(
+        first.contains("job early#0"),
+        "unexpected first completion: {first}"
+    );
     std::thread::sleep(std::time::Duration::from_millis(150));
     child.kill().expect("SIGKILL");
     let _ = child.wait();
@@ -578,7 +602,12 @@ window 128
 
     // Reference: uninterrupted.
     let ref_out = dir.join("ref");
-    let ref_run = odcfp(&["campaign", &manifest, "--out-dir", ref_out.to_str().expect("utf8")]);
+    let ref_run = odcfp(&[
+        "campaign",
+        &manifest,
+        "--out-dir",
+        ref_out.to_str().expect("utf8"),
+    ]);
     let ref_stderr = String::from_utf8_lossy(&ref_run.stderr);
     assert_eq!(ref_run.status.code(), Some(0), "{ref_stderr}");
     assert!(
@@ -596,7 +625,12 @@ window 128
     // of the ~39 windows on a single-threaded runner).
     let victim_out = dir.join("victim");
     let mut child = Command::new(env!("CARGO_BIN_EXE_odcfp"))
-        .args(["campaign", &manifest, "--out-dir", victim_out.to_str().expect("utf8")])
+        .args([
+            "campaign",
+            &manifest,
+            "--out-dir",
+            victim_out.to_str().expect("utf8"),
+        ])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -617,7 +651,9 @@ window 128
     let torn_len = fs::metadata(victim_out.join("codebook.pop.jsonl"))
         .expect("victim codebook")
         .len();
-    let ref_len = fs::metadata(ref_out.join(codebook)).expect("ref codebook").len();
+    let ref_len = fs::metadata(ref_out.join(codebook))
+        .expect("ref codebook")
+        .len();
     assert!(
         torn_len < ref_len,
         "SIGKILL landed after completion ({torn_len} >= {ref_len} bytes); \
@@ -662,8 +698,20 @@ fn embed_respects_verify_budget_flags() {
     let blif = blif.to_str().unwrap();
     // A generous budget verifies fine (small design: exhaustive proof).
     let out = odcfp(&[
-        "embed", blif, "--seed", "3", "--verify", "sat", "--verify-budget", "100000",
+        "embed",
+        blif,
+        "--seed",
+        "3",
+        "--verify",
+        "sat",
+        "--verify-budget",
+        "100000",
     ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("embedded"));
 }

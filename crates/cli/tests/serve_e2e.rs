@@ -90,7 +90,11 @@ impl Serve {
             .strip_prefix("odcfp serve listening on ")
             .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
             .to_owned();
-        Serve { child, addr, stdout }
+        Serve {
+            child,
+            addr,
+            stdout,
+        }
     }
 
     /// One synchronous `odcfp client` invocation against this server.
@@ -184,7 +188,14 @@ fn serve_parity_overload_isolation_and_sigterm_drain() {
     // Reference: the batch CLI's embed of the same design and seed.
     let batch_marked = root.join("marked_batch.v");
     let batch_marked = batch_marked.to_str().expect("utf8");
-    let report = stdout_of(&odcfp(&["embed", &design_v, "--seed", "7", "-o", batch_marked]));
+    let report = stdout_of(&odcfp(&[
+        "embed",
+        &design_v,
+        "--seed",
+        "7",
+        "-o",
+        batch_marked,
+    ]));
     let batch_bits = report
         .trim()
         .rsplit(' ')
@@ -202,10 +213,14 @@ fn serve_parity_overload_isolation_and_sigterm_drain() {
     let srv = Serve::start(
         &root,
         &[
-            "--workers", "1",
-            "--queue-depth", "1",
-            "--cache-budget-mb", "0",
-            "--trace-out", trace.to_str().expect("utf8"),
+            "--workers",
+            "1",
+            "--queue-depth",
+            "1",
+            "--cache-budget-mb",
+            "0",
+            "--trace-out",
+            trace.to_str().expect("utf8"),
         ],
     );
 
@@ -217,12 +232,22 @@ fn serve_parity_overload_isolation_and_sigterm_drain() {
     let served_marked = served_marked.to_str().expect("utf8");
     for round in 0..2 {
         let out = srv.client(&[
-            "embed", &design_v, "--seed", "7", "--tenant", "alice", "-o", served_marked,
+            "embed",
+            &design_v,
+            "--seed",
+            "7",
+            "--tenant",
+            "alice",
+            "-o",
+            served_marked,
         ]);
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "round {round}: {stderr}");
-        assert!(stdout.contains(&format!("bits={batch_bits}")), "round {round}: {stdout}");
+        assert!(
+            stdout.contains(&format!("bits={batch_bits}")),
+            "round {round}: {stdout}"
+        );
         assert!(stdout.contains("verdict=proven"), "round {round}: {stdout}");
         assert!(stdout.contains("cache=uncached"), "round {round}: {stdout}");
         assert_eq!(
@@ -232,7 +257,12 @@ fn serve_parity_overload_isolation_and_sigterm_drain() {
         );
     }
     let out = srv.client(&["verify", &design_v, served_marked, "--tenant", "alice"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("verdict=proven"));
 
     // (b) Overload: two spin probes occupy the lone worker and the
@@ -338,9 +368,17 @@ fn serve_sigkill_restart_resumes_campaign_to_batch_identical_state() {
     // the server once the first artifact proves a job completed.
     let victim_trace = traces.join("serve-campaign-killed.trace.jsonl");
     let _ = fs::remove_file(&victim_trace);
-    let srv = Serve::start(&root, &["--trace-out", victim_trace.to_str().expect("utf8")]);
+    let srv = Serve::start(
+        &root,
+        &["--trace-out", victim_trace.to_str().expect("utf8")],
+    );
     let campaign_client = srv.client_spawn(&[
-        "campaign", &manifest_path, "--out-dir", "out", "--tenant", "alice",
+        "campaign",
+        &manifest_path,
+        "--out-dir",
+        "out",
+        "--tenant",
+        "alice",
     ]);
     let first_artifact = root.join("out/artifacts/early_b0.v");
     let started = Instant::now();
@@ -368,9 +406,18 @@ fn serve_sigkill_restart_resumes_campaign_to_batch_identical_state() {
     // pre-kill progress; the reply's totals must match the manifest.
     let resume_trace = traces.join("serve-campaign-resumed.trace.jsonl");
     let _ = fs::remove_file(&resume_trace);
-    let srv = Serve::start(&root, &["--trace-out", resume_trace.to_str().expect("utf8")]);
+    let srv = Serve::start(
+        &root,
+        &["--trace-out", resume_trace.to_str().expect("utf8")],
+    );
     let out = srv.client(&[
-        "campaign", &manifest_path, "--out-dir", "out", "--resume", "--tenant", "alice",
+        "campaign",
+        &manifest_path,
+        "--out-dir",
+        "out",
+        "--resume",
+        "--tenant",
+        "alice",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -418,7 +465,10 @@ fn serve_sigkill_restart_resumes_campaign_to_batch_identical_state() {
             served.push(line);
         }
     }
-    assert_eq!(served, reference, "served campaign must converge to the batch run");
+    assert_eq!(
+        served, reference,
+        "served campaign must converge to the batch run"
+    );
 }
 
 use odcfp_serve::proto::{escape_json, payload_digest, request_line, Frame, Reply};
@@ -435,7 +485,9 @@ struct Wire {
 impl Wire {
     fn connect(addr: &str) -> Wire {
         let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
         Wire {
             reader: BufReader::new(stream.try_clone().expect("clone")),
             stream,
@@ -451,8 +503,7 @@ impl Wire {
     fn read_reply(&mut self) -> Reply {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read reply");
-        Reply::parse_line(line.trim_end())
-            .unwrap_or_else(|| panic!("parseable reply: {line:?}"))
+        Reply::parse_line(line.trim_end()).unwrap_or_else(|| panic!("parseable reply: {line:?}"))
     }
 
     fn roundtrip(&mut self, line: &str) -> Reply {
@@ -480,17 +531,30 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
     fs::write(root.join("occupied"), b"not a directory").expect("fixture");
     let srv = Serve::start(
         &root,
-        &["--workers", "1", "--queue-depth", "1", "--stream-threshold", "1"],
+        &[
+            "--workers",
+            "1",
+            "--queue-depth",
+            "1",
+            "--stream-threshold",
+            "1",
+        ],
     );
     let mut w = Wire::connect(&srv.addr);
 
     // bad_request — three shapes: not JSON, unknown op, missing field.
     w.expect_error("not json at all", "bad_request");
-    w.expect_error("{\"v\":2,\"id\":\"x\",\"op\":\"frobnicate\"}", "bad_request");
+    w.expect_error(
+        "{\"v\":2,\"id\":\"x\",\"op\":\"frobnicate\"}",
+        "bad_request",
+    );
     w.expect_error("{\"v\":2,\"id\":\"x\",\"op\":\"embed\"}", "bad_request");
 
     // unsupported_version — replies stamp the safe common denominator.
-    let e = w.expect_error("{\"v\":99,\"id\":\"x\",\"op\":\"ping\"}", "unsupported_version");
+    let e = w.expect_error(
+        "{\"v\":99,\"id\":\"x\",\"op\":\"ping\"}",
+        "unsupported_version",
+    );
     assert_eq!(e.v, 1, "error replies to unknown versions speak v1");
 
     // deadline — a spin probe cancelled by its own deadline.
@@ -504,7 +568,10 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
         &request_line("pp", "t", None, "probe", &[("mode", "panic".into())]),
         "panic",
     );
-    assert!(e.message.as_deref().unwrap().contains("deliberate panic"), "{e:?}");
+    assert!(
+        e.message.as_deref().unwrap().contains("deliberate panic"),
+        "{e:?}"
+    );
 
     // quarantined — three attributed panics strike the circuit out;
     // the next request against it is refused without execution.
@@ -516,7 +583,10 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
         let line = request_line(&format!("q{i}"), "t", None, "probe", &probe_args);
         let e = w.expect_error(&line, "panic");
         assert!(
-            e.message.as_deref().unwrap().contains(&format!("strike {}/3", i + 1)),
+            e.message
+                .as_deref()
+                .unwrap()
+                .contains(&format!("strike {}/3", i + 1)),
             "{e:?}"
         );
     }
@@ -533,7 +603,10 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
         ),
         "quarantined",
     );
-    assert!(e.message.as_deref().unwrap().contains("quarantined"), "{e:?}");
+    assert!(
+        e.message.as_deref().unwrap().contains("quarantined"),
+        "{e:?}"
+    );
 
     // internal — the campaign journal cannot land on an occupied path.
     w.expect_error(
@@ -543,7 +616,10 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
             None,
             "campaign",
             &[
-                ("manifest", "circuit one path:design.blif\nbuyers 1\nseed 1\n".into()),
+                (
+                    "manifest",
+                    "circuit one path:design.blif\nbuyers 1\nseed 1\n".into(),
+                ),
                 ("out_dir", "occupied".into()),
             ],
         ),
@@ -577,7 +653,13 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
                 chunks_seen += 1;
                 assembled.push_str(&data);
             }
-            Frame::Done { reply, stream, chunks, bytes, digest } => {
+            Frame::Done {
+                reply,
+                stream,
+                chunks,
+                bytes,
+                digest,
+            } => {
                 assert_eq!(stream, "netlist");
                 assert_eq!(chunks, chunks_seen);
                 assert_eq!(bytes as usize, assembled.len());
@@ -589,15 +671,30 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
     };
     assert!(done.ok, "{done:?}");
     assert!(chunks_seen >= 1);
-    assert!(done.field_str("bits").is_some(), "scalars ride the done frame");
+    assert!(
+        done.field_str("bits").is_some(),
+        "scalars ride the done frame"
+    );
 
     // overloaded — pin the worker and fill the one-slot queue, then the
     // next queued op sheds. Separate connections so replies don't race.
     let mut pin = Wire::connect(&srv.addr);
-    pin.send(&request_line("pin", "p", Some(1200), "probe", &[("mode", "spin".into())]));
+    pin.send(&request_line(
+        "pin",
+        "p",
+        Some(1200),
+        "probe",
+        &[("mode", "spin".into())],
+    ));
     std::thread::sleep(Duration::from_millis(250));
     let mut fill = Wire::connect(&srv.addr);
-    fill.send(&request_line("fill", "f", Some(1200), "probe", &[("mode", "spin".into())]));
+    fill.send(&request_line(
+        "fill",
+        "f",
+        Some(1200),
+        "probe",
+        &[("mode", "spin".into())],
+    ));
     std::thread::sleep(Duration::from_millis(150));
     let e = w.expect_error(
         &request_line(
@@ -613,7 +710,10 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
         ),
         "overloaded",
     );
-    assert!(e.message.as_deref().unwrap().contains("queue full"), "{e:?}");
+    assert!(
+        e.message.as_deref().unwrap().contains("queue full"),
+        "{e:?}"
+    );
     assert_eq!(pin.read_reply().error.as_deref(), Some("deadline"));
     assert_eq!(fill.read_reply().error.as_deref(), Some("deadline"));
 
@@ -621,7 +721,13 @@ fn protocol_conformance_every_error_code_and_chunked_reply() {
     // closes the queue; a request arriving after the transition is
     // refused with `draining` (work admitted *before* it still drains).
     let mut holder = Wire::connect(&srv.addr);
-    holder.send(&request_line("hold", "h", Some(1500), "probe", &[("mode", "spin".into())]));
+    holder.send(&request_line(
+        "hold",
+        "h",
+        Some(1500),
+        "probe",
+        &[("mode", "spin".into())],
+    ));
     std::thread::sleep(Duration::from_millis(250));
     let bye = w.roundtrip(&request_line("bye", "admin", None, "shutdown", &[]));
     assert!(bye.ok, "{bye:?}");
@@ -661,7 +767,11 @@ fn client_reports_connection_closed_when_server_drops_mid_reply() {
     });
     let out = odcfp(&["client", &addr, "ping"]);
     silent.join().expect("fake server");
-    assert_eq!(out.status.code(), Some(1), "hangup is a failure, not a hang");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "hangup is a failure, not a hang"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("connection-closed"), "{stderr}");
 
@@ -717,7 +827,9 @@ fn loadgen_latency_counts_a_stalled_senders_lateness() {
                 // Well inside loadgen's 2 ms read timeout per byte, so
                 // the read never gives up until the line is complete.
                 for byte in &bytes {
-                    stream.write_all(std::slice::from_ref(byte)).expect("dribble");
+                    stream
+                        .write_all(std::slice::from_ref(byte))
+                        .expect("dribble");
                     std::thread::sleep(Duration::from_micros(200));
                 }
                 first = false;
@@ -728,7 +840,15 @@ fn loadgen_latency_counts_a_stalled_senders_lateness() {
         }
     });
     let out = odcfp(&[
-        "loadgen", &addr, "--rps", "100", "--duration-secs", "0.4", "--conns", "1", "--mix",
+        "loadgen",
+        &addr,
+        "--rps",
+        "100",
+        "--duration-secs",
+        "0.4",
+        "--conns",
+        "1",
+        "--mix",
         "ping:1",
     ]);
     server.join().expect("fake server");
@@ -740,5 +860,8 @@ fn loadgen_latency_counts_a_stalled_senders_lateness() {
     // More than half of the 40 requests fall due during the stall of
     // at least 240 ms; their lateness lifts p90 far above the
     // sub-millisecond replies a send-time stamp would record.
-    assert!(p90_us >= 50_000, "p90 {p90_us} us hides the stall: {stdout}");
+    assert!(
+        p90_us >= 50_000,
+        "p90 {p90_us} us hides the stall: {stdout}"
+    );
 }

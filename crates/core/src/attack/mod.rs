@@ -236,12 +236,10 @@ impl SurvivalStats {
                     attacks = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
                 }
                 Some("locations") => {
-                    declared =
-                        Some(parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?);
+                    declared = Some(parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?);
                 }
                 Some("loc") => {
-                    let idx: usize =
-                        parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
+                    let idx: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
                     if idx != survived.len() {
                         return Err(format!(
                             "survival file line {}: location {idx} out of order",
@@ -353,7 +351,11 @@ impl AttackScorecard {
                 json_f(c.conviction_rate),
                 json_f(c.innocent_rate),
                 c.evidence_wires,
-                if i + 1 < self.collusion.len() { "," } else { "" },
+                if i + 1 < self.collusion.len() {
+                    ","
+                } else {
+                    ""
+                },
             ));
         }
         s.push_str("  ],\n");
@@ -389,7 +391,11 @@ impl AttackScorecard {
             s.push_str(&format!(
                 "{}{}",
                 v,
-                if i + 1 < self.survival.survived.len() { "," } else { "" }
+                if i + 1 < self.survival.survived.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         s.push_str("], \"per_location_tested\": [");
@@ -397,7 +403,11 @@ impl AttackScorecard {
             s.push_str(&format!(
                 "{}{}",
                 v,
-                if i + 1 < self.survival.tested.len() { "," } else { "" }
+                if i + 1 < self.survival.tested.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         s.push_str("]}\n}\n");
@@ -591,8 +601,8 @@ mod tests {
         let token = CancelToken::new();
         // Calibrate against a copy carrying a single wire at the first
         // identifiable location.
-        let probe = StructuralReference::new(&fp, &fp.embed(&vec![false; n]).unwrap(), &token)
-            .unwrap();
+        let probe =
+            StructuralReference::new(&fp, &fp.embed(&vec![false; n]).unwrap(), &token).unwrap();
         let first = probe
             .identifiable()
             .iter()
@@ -645,12 +655,17 @@ mod tests {
         };
         let token = CancelToken::new();
         let card = run_battery(&base, &opts, &token).unwrap();
-        assert!(card.locations >= 100, "want ≥100 locations, got {}", card.locations);
+        assert!(
+            card.locations >= 100,
+            "want ≥100 locations, got {}",
+            card.locations
+        );
 
         // Nobody innocent is ever framed, whatever the coalition does.
         for cell in &card.collusion {
             assert_eq!(
-                cell.innocents_accused, 0,
+                cell.innocents_accused,
+                0,
                 "{} coalition of {} framed an innocent",
                 cell.strategy.name(),
                 cell.coalition
@@ -673,7 +688,10 @@ mod tests {
         );
 
         let opt = &card.resynth[0];
-        assert!(opt.wires_identifiable > 0, "nothing identifiable pre-attack");
+        assert!(
+            opt.wires_identifiable > 0,
+            "nothing identifiable pre-attack"
+        );
         assert!(opt.survival_rate > 0.5, "optimizer wiped the fingerprint");
         assert!(opt.victim_convicted, "victim escaped after plain optimize");
     }

@@ -142,10 +142,7 @@ impl StructuralReference {
             }
         }
         span.field("locations", mods.len());
-        span.field(
-            "identifiable",
-            identifiable.iter().filter(|&&b| b).count(),
-        );
+        span.field("identifiable", identifiable.iter().filter(|&&b| b).count());
         Ok(StructuralReference {
             engine,
             base_classes,
@@ -223,11 +220,7 @@ pub(super) fn attack_once(
 
     let verdict = index.verdict(&recovered, trace_params);
     let victim_convicted = verdict.convicted.iter().any(|s| s.buyer == 0);
-    let innocents_accused = verdict
-        .convicted
-        .iter()
-        .filter(|s| s.buyer != 0)
-        .count();
+    let innocents_accused = verdict.convicted.iter().filter(|s| s.buyer != 0).count();
 
     let report = ResynthAttackReport {
         level,

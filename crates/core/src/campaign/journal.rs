@@ -165,7 +165,11 @@ impl Record {
                 push_str(&mut b, "bits", bits);
                 let _ = write!(b, "\"millis\":{millis},");
             }
-            Record::JobFailed { job, attempt, error } => {
+            Record::JobFailed {
+                job,
+                attempt,
+                error,
+            } => {
                 push_str(&mut b, "t", "fail");
                 push_str(&mut b, "job", job);
                 let _ = write!(b, "\"attempt\":{attempt},");
@@ -776,11 +780,7 @@ mod tests {
     fn record_line_roundtrip_exactly() {
         for record in sample_records() {
             let line = record.to_line();
-            assert_eq!(
-                Record::parse_line(&line).as_ref(),
-                Some(&record),
-                "{line}"
-            );
+            assert_eq!(Record::parse_line(&line).as_ref(), Some(&record), "{line}");
             // The line must also survive a trailing newline.
             assert_eq!(Record::parse_line(&format!("{line}\n")), Some(record));
         }
@@ -1058,12 +1058,12 @@ mod tests {
     #[test]
     fn flat_parser_rejects_structural_garbage() {
         for bad in [
-            "\"t\":\"done\"",                      // no closing brace
-            "\"t\":\"done\",}",                    // trailing comma
-            "\"t\":{\"nested\":1}}",               // nested value
-            "\"t\":\"a\",\"t\":\"b\"}",            // duplicate key
-            "\"t\":-3}",                           // negative number
-            "\"t\":\"done\"}garbage",              // trailing garbage
+            "\"t\":\"done\"",           // no closing brace
+            "\"t\":\"done\",}",         // trailing comma
+            "\"t\":{\"nested\":1}}",    // nested value
+            "\"t\":\"a\",\"t\":\"b\"}", // duplicate key
+            "\"t\":-3}",                // negative number
+            "\"t\":\"done\"}garbage",   // trailing garbage
         ] {
             assert!(parse_flat_fields(bad).is_none(), "{bad}");
         }

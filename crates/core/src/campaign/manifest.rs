@@ -198,7 +198,10 @@ impl Manifest {
             let one = |what: &str| -> Result<&str, ManifestError> {
                 match rest.as_slice() {
                     [v] => Ok(v),
-                    _ => Err(err(lineno, format!("`{directive}` takes exactly one {what}"))),
+                    _ => Err(err(
+                        lineno,
+                        format!("`{directive}` takes exactly one {what}"),
+                    )),
                 }
             };
             match directive {
@@ -301,9 +304,8 @@ impl Manifest {
                 "window" => {
                     window = parse_u64(one("count")?)
                         .filter(|&n| (1..=1 << 20).contains(&n))
-                        .ok_or_else(|| {
-                            err(lineno, "`window` needs an integer in 1..=1048576")
-                        })? as usize;
+                        .ok_or_else(|| err(lineno, "`window` needs an integer in 1..=1048576"))?
+                        as usize;
                 }
                 other => {
                     return Err(err(lineno, format!("unknown directive {other:?}")));
@@ -417,8 +419,8 @@ window 512\n";
 
     #[test]
     fn jobs_expand_circuit_major_with_stable_ids() {
-        let m = Manifest::parse("circuit a path:a.v\ncircuit b path:b.v\nbuyers 2\n")
-            .expect("parse");
+        let m =
+            Manifest::parse("circuit a path:a.v\ncircuit b path:b.v\nbuyers 2\n").expect("parse");
         let ids: Vec<String> = m.jobs().into_iter().map(|j| j.id).collect();
         assert_eq!(ids, ["a#0", "a#1", "b#0", "b#1"]);
     }
@@ -441,7 +443,9 @@ window 512\n";
         assert_ne!(a.digest(), b.digest());
         assert_eq!(
             a.digest(),
-            Manifest::parse("circuit a path:a.v\n").expect("parse").digest()
+            Manifest::parse("circuit a path:a.v\n")
+                .expect("parse")
+                .digest()
         );
     }
 
@@ -454,8 +458,16 @@ window 512\n";
             ("circuit a/b path:x.v\n", "must be", 1),
             ("circuit a path:x.v\ncircuit a path:y.v\n", "duplicate", 2),
             ("circuit a path:x.v\nbuyers 0\n", "positive integer", 2),
-            ("circuit a path:x.v\nverify turbo\n", "unknown verify mode", 2),
-            ("circuit a path:x.v\nartifacts sparse\n", "unknown artifact mode", 2),
+            (
+                "circuit a path:x.v\nverify turbo\n",
+                "unknown verify mode",
+                2,
+            ),
+            (
+                "circuit a path:x.v\nartifacts sparse\n",
+                "unknown artifact mode",
+                2,
+            ),
             ("circuit a path:x.v\nwindow 0\n", "1..=1048576", 2),
             ("circuit a path:x.v\nwat 3\n", "unknown directive", 2),
             ("circuit a path:\n", "empty `path:`", 1),

@@ -471,7 +471,12 @@ pub fn run_cached(
         // Delta mode mints `path:` circuits in windows (below); only
         // probe circuits go through the per-job loop, keeping the fault
         // battery identical across artifact modes.
-        if delta && matches!(manifest.circuits[job.circuit].source, CircuitSource::Path(_)) {
+        if delta
+            && matches!(
+                manifest.circuits[job.circuit].source,
+                CircuitSource::Path(_)
+            )
+        {
             continue;
         }
         // Resume: honour terminal journal states.
@@ -494,7 +499,9 @@ pub fn run_cached(
                             .field("job", job.id.as_str())
                             .field("verdict", verdict.as_str())
                             .emit();
-                        on_event(&JobEvent::Skipped { job: job.id.clone() });
+                        on_event(&JobEvent::Skipped {
+                            job: job.id.clone(),
+                        });
                     }
                     terminal += 1;
                     progress(terminal, on_event);
@@ -502,13 +509,15 @@ pub fn run_cached(
                 }
                 // Journalled done, but the artifact is gone or corrupt:
                 // fall through and re-mint it.
-                on_event(&JobEvent::StaleArtifact { job: job.id.clone() });
+                on_event(&JobEvent::StaleArtifact {
+                    job: job.id.clone(),
+                });
             }
             Some(JobState::Poisoned { diagnostic }) => {
-                summary
-                    .poisoned
-                    .push((job.id.clone(), diagnostic.clone()));
-                on_event(&JobEvent::SkippedPoisoned { job: job.id.clone() });
+                summary.poisoned.push((job.id.clone(), diagnostic.clone()));
+                on_event(&JobEvent::SkippedPoisoned {
+                    job: job.id.clone(),
+                });
                 terminal += 1;
                 progress(terminal, on_event);
                 continue;
@@ -516,7 +525,10 @@ pub fn run_cached(
             Some(JobState::InFlight) | None => {}
         }
 
-        if options.stop_after.is_some_and(|cap| summary.executed >= cap) {
+        if options
+            .stop_after
+            .is_some_and(|cap| summary.executed >= cap)
+        {
             summary.remaining += 1;
             continue;
         }
@@ -692,10 +704,7 @@ fn run_job(
                 });
                 last_error = error;
                 if attempt < attempts {
-                    std::thread::sleep(retry_backoff(
-                        manifest.buyer_seed(job.buyer),
-                        attempt,
-                    ));
+                    std::thread::sleep(retry_backoff(manifest.buyer_seed(job.buyer), attempt));
                 }
             }
         }
@@ -827,8 +836,9 @@ pub fn retry_backoff(buyer_seed: u64, attempt: u32) -> Duration {
     let base = Duration::from_millis(10u64 << (attempt - 1).min(5)).min(BACKOFF_CAP);
     // Jitter in [base/2, 3*base/2): full decorrelation while keeping
     // the expected sleep equal to the un-jittered schedule.
-    let mut rng =
-        Xoshiro256::seed_from_u64(buyer_seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = Xoshiro256::seed_from_u64(
+        buyer_seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
     let base_us = base.as_micros() as u64;
     let jittered = base_us / 2 + rng.next_u64() % base_us.max(1);
     Duration::from_micros(jittered).min(BACKOFF_CAP)
@@ -988,9 +998,14 @@ mod tests {
     fn clean_campaign_completes_all_jobs_with_artifacts() {
         let dir = tmpdir("clean");
         let m = Manifest::parse(TWO_BUYERS).expect("manifest");
-        let summary =
-            run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-                .expect("run");
+        let summary = run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         assert_eq!(summary.total, 2);
         assert_eq!(summary.completed, 2);
         assert_eq!(summary.executed, 2);
@@ -1003,7 +1018,10 @@ mod tests {
         let state = JournalState::replay(&dir).expect("replay");
         assert_eq!(state.jobs.len(), 2);
         for (job, js) in &state.jobs {
-            let JobState::Done { artifact, digest, .. } = js else {
+            let JobState::Done {
+                artifact, digest, ..
+            } = js
+            else {
                 panic!("{job} not done: {js:?}");
             };
             assert!(artifact_intact(&dir, artifact, *digest), "{job}");
@@ -1015,8 +1033,14 @@ mod tests {
         // Reference: one uninterrupted run.
         let m = Manifest::parse(TWO_BUYERS).expect("manifest");
         let ref_dir = tmpdir("resume-ref");
-        run(&m, &ref_dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("reference run");
+        run(
+            &m,
+            &ref_dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("reference run");
 
         // Interrupted: stop after 1 job, then resume.
         let dir = tmpdir("resume-cut");
@@ -1050,7 +1074,9 @@ mod tests {
         assert_eq!(second.skipped, 1, "first job must not re-execute");
         assert_eq!(second.executed, 1);
         assert!(second.is_clean());
-        assert!(events.contains(&JobEvent::Skipped { job: "fig1#0".into() }));
+        assert!(events.contains(&JobEvent::Skipped {
+            job: "fig1#0".into()
+        }));
 
         // Artifacts are bit-identical to the uninterrupted run's.
         for buyer in 0..2 {
@@ -1067,8 +1093,14 @@ mod tests {
     fn corrupted_artifact_is_detected_and_reminted_on_resume() {
         let dir = tmpdir("stale");
         let m = Manifest::parse(TWO_BUYERS).expect("manifest");
-        run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         let victim = dir.join(format!("{ARTIFACT_DIR}/fig1_b1.v"));
         let original = fs::read(&victim).expect("artifact");
         fs::write(&victim, b"// tampered\n").expect("tamper");
@@ -1085,7 +1117,9 @@ mod tests {
             &mut |e| events.push(e.clone()),
         )
         .expect("resume");
-        assert!(events.contains(&JobEvent::StaleArtifact { job: "fig1#1".into() }));
+        assert!(events.contains(&JobEvent::StaleArtifact {
+            job: "fig1#1".into()
+        }));
         assert_eq!(summary.executed, 1, "only the tampered job re-runs");
         assert_eq!(summary.skipped, 1);
         assert_eq!(fs::read(&victim).expect("re-minted"), original);
@@ -1129,8 +1163,14 @@ mod tests {
         let dir = tmpdir("poison-resume");
         let m = Manifest::parse("circuit bomb probe:panic\ncircuit ok path:a.v\nretries 0\n")
             .expect("manifest");
-        run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         let mut events = Vec::new();
         let resumed = run(
             &m,
@@ -1145,7 +1185,9 @@ mod tests {
         .expect("resume");
         assert_eq!(resumed.executed, 0, "nothing re-runs");
         assert_eq!(resumed.poisoned.len(), 1);
-        assert!(events.contains(&JobEvent::SkippedPoisoned { job: "bomb#0".into() }));
+        assert!(events.contains(&JobEvent::SkippedPoisoned {
+            job: "bomb#0".into()
+        }));
     }
 
     #[test]
@@ -1154,8 +1196,14 @@ mod tests {
         let m = Manifest::parse("circuit slow probe:spin\ndeadline-ms 50\nretries 0\n")
             .expect("manifest");
         let started = Instant::now();
-        let summary = run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        let summary = run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         assert!(
             started.elapsed() < SPIN_PROBE_CAP,
             "deadline, not the hard cap, must stop the spin"
@@ -1172,10 +1220,22 @@ mod tests {
     fn existing_journal_without_resume_is_refused() {
         let dir = tmpdir("no-clobber");
         let m = Manifest::parse(TWO_BUYERS).expect("manifest");
-        run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
-        let e = run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect_err("must refuse");
+        run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
+        let e = run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect_err("must refuse");
         assert!(matches!(e, CampaignError::JournalExists(_)), "{e}");
     }
 
@@ -1183,8 +1243,14 @@ mod tests {
     fn resume_with_a_different_manifest_is_refused() {
         let dir = tmpdir("mismatch");
         let m = Manifest::parse(TWO_BUYERS).expect("manifest");
-        run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         let other = Manifest::parse("circuit fig1 path:fig1.v\nbuyers 3\n").expect("manifest");
         let e = run(
             &other,
@@ -1212,8 +1278,14 @@ mod tests {
                 load_fig1(c)
             }
         };
-        let summary = run(&m, &dir, &env(&load), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        let summary = run(
+            &m,
+            &dir,
+            &env(&load),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         assert_eq!(summary.completed, 1);
         assert_eq!(summary.poisoned.len(), 1);
         assert!(summary.poisoned[0].1.contains("synthetic parse error"));

@@ -145,7 +145,10 @@ fn delta_circuit(
     let batch = state.batches.get(name).cloned().unwrap_or_default();
     let mut done = batch.done;
     let setup_sentinel = format!("{name}#*");
-    for (job, js) in state.jobs.range(format!("{name}#")..format!("{name}#\u{10FFFF}")) {
+    for (job, js) in state
+        .jobs
+        .range(format!("{name}#")..format!("{name}#\u{10FFFF}"))
+    {
         if let JobState::Poisoned { diagnostic } = js {
             summary.poisoned.push((job.clone(), diagnostic.clone()));
             if job == &setup_sentinel {
@@ -183,7 +186,9 @@ fn delta_circuit(
     let mut ready = false;
     for attempt in 1..=attempts {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            setup_circuit(manifest, circuit, out_dir, env, cache, state, journal, on_event)
+            setup_circuit(
+                manifest, circuit, out_dir, env, cache, state, journal, on_event,
+            )
         }))
         .unwrap_or_else(|payload| Err(SetupFailure::Attempt(panic_text(payload))));
         match outcome {
@@ -225,7 +230,9 @@ fn delta_circuit(
             .field("attempts", u64::from(attempts))
             .field("diagnostic", diagnostic.as_str())
             .emit();
-        summary.poisoned.push((setup_sentinel.clone(), diagnostic.clone()));
+        summary
+            .poisoned
+            .push((setup_sentinel.clone(), diagnostic.clone()));
         on_event(&JobEvent::Poisoned {
             job: setup_sentinel,
             diagnostic,
@@ -513,9 +520,11 @@ fn fallback_buyer(
                 .map_err(|e| format!("embedding: {e}"))
                 .and_then(|(_, verdict)| {
                     if matches!(verdict, Verdict::Refuted { .. }) {
-                        Err("verification REFUTED the minted copy — embedding produced a \
+                        Err(
+                            "verification REFUTED the minted copy — embedding produced a \
                              non-equivalent netlist"
-                            .to_owned())
+                                .to_owned(),
+                        )
                     } else if token.is_cancelled() {
                         Err("deadline exceeded during embed/verify".to_owned())
                     } else {
@@ -542,10 +551,7 @@ fn fallback_buyer(
                 });
                 last_error = error;
                 if attempt < attempts {
-                    std::thread::sleep(retry_backoff(
-                        manifest.buyer_seed(buyer as usize),
-                        attempt,
-                    ));
+                    std::thread::sleep(retry_backoff(manifest.buyer_seed(buyer as usize), attempt));
                 }
             }
         }
@@ -619,7 +625,9 @@ mod tests {
     }
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("odcfp-population-tests").join(name);
+        let dir = std::env::temp_dir()
+            .join("odcfp-population-tests")
+            .join(name);
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -628,8 +636,7 @@ mod tests {
         |_| {}
     }
 
-    const DELTA: &str =
-        "circuit fig1 path:fig1.v\nbuyers 8\nseed 7\nretries 0\nverify strict\n\
+    const DELTA: &str = "circuit fig1 path:fig1.v\nbuyers 8\nseed 7\nretries 0\nverify strict\n\
          artifacts delta\nwindow 3\n";
     const FULL: &str = "circuit fig1 path:fig1.v\nbuyers 8\nseed 7\nretries 0\nverify strict\n";
 
@@ -651,24 +658,40 @@ mod tests {
         // Full-mode reference artifacts.
         let full_dir = tmpdir("expand-full");
         let mf = Manifest::parse(FULL).expect("manifest");
-        run(&mf, &full_dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("full run");
+        run(
+            &mf,
+            &full_dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("full run");
 
         // Delta campaign over the same circuits/seed.
         let dir = tmpdir("expand-delta");
         let md = Manifest::parse(DELTA).expect("manifest");
-        let summary =
-            run(&md, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-                .expect("delta run");
+        let summary = run(
+            &md,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("delta run");
         assert_eq!(summary.completed, 8);
         assert!(summary.is_clean());
         assert_eq!(summary.verdicts.get("proven"), Some(&8));
 
         // Golden artifact on disk matches its journalled digest.
-        let golden_text = fs::read(dir.join(format!("{ARTIFACT_DIR}/fig1.golden.v")))
-            .expect("golden artifact");
+        let golden_text =
+            fs::read(dir.join(format!("{ARTIFACT_DIR}/fig1.golden.v"))).expect("golden artifact");
         let (golden, codes) = read_codebook(&dir, "fig1");
-        let CodebookRecord::Golden { digest: gd, locations, .. } = golden else {
+        let CodebookRecord::Golden {
+            digest: gd,
+            locations,
+            ..
+        } = golden
+        else {
             unreachable!()
         };
         assert_eq!(Digest128::of(&golden_text), gd);
@@ -679,7 +702,13 @@ mod tests {
         let fp = Fingerprinter::new(fig1("fig1")).expect("fingerprinter");
         assert_eq!(fp.locations().len() as u64, locations);
         for (i, code) in codes.iter().enumerate() {
-            let CodebookRecord::Code { buyer, bits, verdict, digest } = code else {
+            let CodebookRecord::Code {
+                buyer,
+                bits,
+                verdict,
+                digest,
+            } = code
+            else {
                 panic!("non-code record {code:?}")
             };
             assert_eq!(*buyer, i as u64);
@@ -688,10 +717,8 @@ mod tests {
             assert_eq!(bits, mint_bits(&md, fp.locations().len(), *buyer));
             assert_eq!(*digest, artifact_identity(gd, &bits));
             let expanded = emit(fp.embed(&bits).expect("embed").netlist());
-            let full = fs::read_to_string(
-                full_dir.join(format!("{ARTIFACT_DIR}/fig1_b{buyer}.v")),
-            )
-            .expect("full artifact");
+            let full = fs::read_to_string(full_dir.join(format!("{ARTIFACT_DIR}/fig1_b{buyer}.v")))
+                .expect("full artifact");
             assert_eq!(expanded, full, "buyer {buyer}");
         }
     }
@@ -700,15 +727,24 @@ mod tests {
     fn interrupted_delta_campaign_resumes_to_byte_identical_codebook() {
         let md = Manifest::parse(DELTA).expect("manifest");
         let ref_dir = tmpdir("resume-ref");
-        run(&md, &ref_dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-            .expect("reference");
+        run(
+            &md,
+            &ref_dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("reference");
 
         let dir = tmpdir("resume-cut");
         let first = run(
             &md,
             &dir,
             &env(&load_fig1),
-            &CampaignOptions { stop_after: Some(1), ..CampaignOptions::default() },
+            &CampaignOptions {
+                stop_after: Some(1),
+                ..CampaignOptions::default()
+            },
             &mut quiet(),
         )
         .expect("first leg");
@@ -727,7 +763,10 @@ mod tests {
             &md,
             &dir,
             &env(&load_fig1),
-            &CampaignOptions { resume: true, ..CampaignOptions::default() },
+            &CampaignOptions {
+                resume: true,
+                ..CampaignOptions::default()
+            },
             &mut |e| events.push(e.clone()),
         )
         .expect("resume leg");
@@ -758,9 +797,14 @@ mod tests {
              retries 0\nartifacts delta\n",
         )
         .expect("manifest");
-        let summary =
-            run(&m, &dir, &env(&load_fig1), &CampaignOptions::default(), &mut quiet())
-                .expect("run");
+        let summary = run(
+            &m,
+            &dir,
+            &env(&load_fig1),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         assert_eq!(summary.completed, 2, "fig1 buyers complete");
         assert_eq!(summary.poisoned.len(), 2, "both bomb jobs quarantined");
         assert!(summary.poisoned.iter().all(|(j, _)| j.starts_with("bomb#")));
@@ -781,8 +825,14 @@ mod tests {
                 load_fig1(c)
             }
         };
-        let summary = run(&m, &dir, &env(&load), &CampaignOptions::default(), &mut quiet())
-            .expect("run");
+        let summary = run(
+            &m,
+            &dir,
+            &env(&load),
+            &CampaignOptions::default(),
+            &mut quiet(),
+        )
+        .expect("run");
         assert_eq!(summary.completed, 4, "good circuit unaffected");
         assert_eq!(summary.poisoned.len(), 1);
         assert_eq!(summary.poisoned[0].0, "bad#*");
@@ -793,7 +843,10 @@ mod tests {
             &m,
             &dir,
             &env(&load),
-            &CampaignOptions { resume: true, ..CampaignOptions::default() },
+            &CampaignOptions {
+                resume: true,
+                ..CampaignOptions::default()
+            },
             &mut quiet(),
         )
         .expect("resume");

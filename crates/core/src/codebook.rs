@@ -531,7 +531,9 @@ mod tests {
 
     #[test]
     fn writer_truncates_to_journalled_offset_on_reopen() {
-        let dir = std::env::temp_dir().join("odcfp-codebook-tests").join("trunc");
+        let dir = std::env::temp_dir()
+            .join("odcfp-codebook-tests")
+            .join("trunc");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let code = |buyer: u64| CodebookRecord::Code {
@@ -638,8 +640,16 @@ mod tests {
         base.set_primary_output(base.gate_output(gf));
 
         let mods = [
-            Modification::InsertTrigger { target: gx, trigger: y1, complement: false },
-            Modification::InsertTrigger { target: gx, trigger: y2, complement: false },
+            Modification::InsertTrigger {
+                target: gx,
+                trigger: y1,
+                complement: false,
+            },
+            Modification::InsertTrigger {
+                target: gx,
+                trigger: y2,
+                complement: false,
+            },
         ];
         let mut superposed = base.clone();
         let mut selectable = Vec::new();
@@ -647,7 +657,12 @@ mod tests {
             let pos = superposed.gate(gx).inputs().len();
             apply_modification(&mut superposed, m).unwrap();
             let neutral = superposed.gate_fn(gx).neutral_input_value().unwrap();
-            selectable.push(SelectableInput { gate: gx, position: pos, group, neutral });
+            selectable.push(SelectableInput {
+                gate: gx,
+                position: pos,
+                group,
+                neutral,
+            });
         }
         assert_eq!(superposed.gate(gx).inputs().len(), 4);
 
@@ -683,8 +698,17 @@ mod tests {
         let g2 = Digest128::of(b"golden two");
         let bits_a = vec![true, false, true];
         let bits_b = vec![true, true, true];
-        assert_eq!(artifact_identity(g1, &bits_a), artifact_identity(g1, &bits_a));
-        assert_ne!(artifact_identity(g1, &bits_a), artifact_identity(g1, &bits_b));
-        assert_ne!(artifact_identity(g1, &bits_a), artifact_identity(g2, &bits_a));
+        assert_eq!(
+            artifact_identity(g1, &bits_a),
+            artifact_identity(g1, &bits_a)
+        );
+        assert_ne!(
+            artifact_identity(g1, &bits_a),
+            artifact_identity(g1, &bits_b)
+        );
+        assert_ne!(
+            artifact_identity(g1, &bits_a),
+            artifact_identity(g2, &bits_a)
+        );
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::Netlist;
 
-use crate::{FingerprintError, Fingerprinter, FingerprintedCopy};
+use crate::{FingerprintError, FingerprintedCopy, Fingerprinter};
 
 /// What a collusion of copies reveals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,11 +160,7 @@ pub fn containment(forged: &[bool], buyer: &[bool]) -> f64 {
     if total == 0 {
         return 1.0;
     }
-    let covered = forged
-        .iter()
-        .zip(buyer)
-        .filter(|&(&f, &b)| f && b)
-        .count();
+    let covered = forged.iter().zip(buyer).filter(|&(&f, &b)| f && b).count();
     covered as f64 / total as f64
 }
 
@@ -419,8 +415,7 @@ impl TracerIndex {
                     // Additions first: the final value (= match count)
                     // is non-negative, but `len - total - pop` alone
                     // can underflow usize.
-                    let matches =
-                        (len + 2 * covered as usize) - total - self.pop[buyer] as usize;
+                    let matches = (len + 2 * covered as usize) - total - self.pop[buyer] as usize;
                     matches as f64 / len as f64
                 };
                 SuspectScore {
@@ -859,8 +854,7 @@ mod tests {
         let copies: Vec<_> = (0..n_buyers)
             .map(|s| fp.embed_seeded(s as u64 * 31 + 5).unwrap())
             .collect();
-        let registry: Vec<Vec<bool>> =
-            copies.iter().map(|c| c.bits().to_vec()).collect();
+        let registry: Vec<Vec<bool>> = copies.iter().map(|c| c.bits().to_vec()).collect();
         // Buyers 2 and 5 collude and clear what they can see.
         let forged = forge(
             &fp,
@@ -889,7 +883,11 @@ mod tests {
     fn containment_bounds() {
         assert_eq!(containment(&[true, true], &[true, true]), 1.0);
         assert_eq!(containment(&[true, true], &[true, false]), 0.5);
-        assert_eq!(containment(&[false, false], &[true, false]), 1.0, "no wires, no info");
+        assert_eq!(
+            containment(&[false, false], &[true, false]),
+            1.0,
+            "no wires, no info"
+        );
         // Buyer's extra wires do not hurt containment.
         assert_eq!(containment(&[true, false], &[true, true]), 1.0);
     }
@@ -961,7 +959,9 @@ mod tests {
         // The guard the CI job relies on: random coalitions up to n = 8,
         // all forge strategies, index ranking == pairwise oracle.
         let fp = engine();
-        let copies: Vec<_> = (0..12u64).map(|s| fp.embed_seeded(s * 13 + 3).unwrap()).collect();
+        let copies: Vec<_> = (0..12u64)
+            .map(|s| fp.embed_seeded(s * 13 + 3).unwrap())
+            .collect();
         let registry: Vec<Vec<bool>> = copies.iter().map(|c| c.bits().to_vec()).collect();
         let index = TracerIndex::from_registry(&registry);
         let mut rng = Xoshiro256::seed_from_u64(0xC0A1);
@@ -1002,7 +1002,10 @@ mod tests {
         for (seed, n, l) in [(11u64, 40usize, 33usize), (12, 65, 80), (13, 129, 129)] {
             let (registry, forged) = random_population(seed, n, l);
             let index = TracerIndex::from_registry(&registry);
-            let params = TraceParams { top_k: n, ..TraceParams::default() };
+            let params = TraceParams {
+                top_k: n,
+                ..TraceParams::default()
+            };
             let verdict = index.verdict(&forged, &params);
             let mut oracle = score_suspects(&forged, &registry);
             oracle.sort_by(|a, b| {
@@ -1041,7 +1044,9 @@ mod tests {
             "need a realistic code length, got {}",
             fp.locations().len()
         );
-        let copies: Vec<_> = (0..10u64).map(|s| fp.embed_seeded(s * 17 + 2).unwrap()).collect();
+        let copies: Vec<_> = (0..10u64)
+            .map(|s| fp.embed_seeded(s * 17 + 2).unwrap())
+            .collect();
         let registry: Vec<Vec<bool>> = copies.iter().map(|c| c.bits().to_vec()).collect();
         let index = TracerIndex::from_registry(&registry);
         let colluders = [1usize, 4];
@@ -1052,7 +1057,10 @@ mod tests {
         assert_eq!(verdict.outcome, TraceOutcome::Convicted, "{verdict:?}");
         let accused: Vec<usize> = verdict.convicted.iter().map(|s| s.buyer).collect();
         for b in &accused {
-            assert!(colluders.contains(b), "innocent buyer {b} accused: {verdict:?}");
+            assert!(
+                colluders.contains(b),
+                "innocent buyer {b} accused: {verdict:?}"
+            );
         }
         assert!(!accused.is_empty());
     }
@@ -1098,7 +1106,9 @@ mod tests {
     #[test]
     fn clear_exposed_colluders_have_full_containment() {
         let fp = engine();
-        let copies: Vec<_> = (0..6).map(|s| fp.embed_seeded(s * 7 + 1).unwrap()).collect();
+        let copies: Vec<_> = (0..6)
+            .map(|s| fp.embed_seeded(s * 7 + 1).unwrap())
+            .collect();
         let held: Vec<&Netlist> = copies[..3].iter().map(|c| c.netlist()).collect();
         let forged = forge(&fp, &held, ForgeStrategy::ClearExposed).unwrap();
         let recovered = fp.extract(forged.netlist());

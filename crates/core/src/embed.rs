@@ -77,7 +77,10 @@ impl FingerprintedCopy {
 
     /// The bit string rendered as `0`/`1` characters.
     pub fn bit_string(&self) -> String {
-        self.bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
+        self.bits
+            .iter()
+            .map(|&b| if b { '1' } else { '0' })
+            .collect()
     }
 }
 
@@ -111,10 +114,7 @@ impl Fingerprinter {
     /// # Errors
     ///
     /// Returns an error if the netlist fails validation.
-    pub fn with_policy(
-        base: Netlist,
-        policy: SelectionPolicy,
-    ) -> Result<Self, FingerprintError> {
+    pub fn with_policy(base: Netlist, policy: SelectionPolicy) -> Result<Self, FingerprintError> {
         base.validate()?;
         let all = find_locations(&base);
         let depths = base.gate_depths()?;
@@ -601,10 +601,7 @@ mod tests {
             !fp.locations().is_empty(),
             "expected locations in a 60-gate circuit"
         );
-        let copy = fp.embed_verified(
-            &vec![true; fp.locations().len()],
-            VerifyLevel::Sat,
-        );
+        let copy = fp.embed_verified(&vec![true; fp.locations().len()], VerifyLevel::Sat);
         copy.unwrap();
     }
 

@@ -252,14 +252,8 @@ mod tests {
         let mut inj = FaultInjector::new(1);
         let (faulty, net, value) = inj.random_stuck_at(&base).unwrap();
         faulty.validate().unwrap();
-        assert_eq!(
-            faulty.primary_inputs().len(),
-            base.primary_inputs().len()
-        );
-        assert_eq!(
-            faulty.primary_outputs().len(),
-            base.primary_outputs().len()
-        );
+        assert_eq!(faulty.primary_inputs().len(), base.primary_inputs().len());
+        assert_eq!(faulty.primary_outputs().len(), base.primary_outputs().len());
         // The stuck constant exists and carries the injected value.
         let name = format!("{}_sa{}", base.net(net).name(), u8::from(value));
         assert!(faulty.net_by_name(&name).is_some());
@@ -272,10 +266,7 @@ mod tests {
         let (faulty, gate) = inj.random_wrong_cell(&base).unwrap();
         faulty.validate().unwrap();
         assert_eq!(faulty.num_gates(), base.num_gates());
-        assert_eq!(
-            faulty.gate_fn(gate),
-            confused_function(base.gate_fn(gate))
-        );
+        assert_eq!(faulty.gate_fn(gate), confused_function(base.gate_fn(gate)));
         let changed = base
             .gates()
             .filter(|&(id, g)| g.cell() != faulty.gate(id).cell())
@@ -297,10 +288,7 @@ mod tests {
         let mut inj = FaultInjector::new(3);
         let (flipped, i) = inj.random_bit_flip(&bits).unwrap();
         assert_eq!(flipped[i], !bits[i]);
-        assert_eq!(
-            flipped.iter().zip(&bits).filter(|(a, b)| a != b).count(),
-            1
-        );
+        assert_eq!(flipped.iter().zip(&bits).filter(|(a, b)| a != b).count(), 1);
         let (dropped, j) = inj.drop_random_wire(&bits).unwrap();
         assert!(bits[j] && !dropped[j]);
         let (duped, k) = inj.duplicate_random_wire(&bits).unwrap();
@@ -319,7 +307,10 @@ mod tests {
         assert_eq!(a.2, b.2);
         let mut i1 = FaultInjector::new(10);
         let mut i2 = FaultInjector::new(10);
-        assert_eq!(i1.truncate_source("abcdefgh"), i2.truncate_source("abcdefgh"));
+        assert_eq!(
+            i1.truncate_source("abcdefgh"),
+            i2.truncate_source("abcdefgh")
+        );
     }
 
     #[test]

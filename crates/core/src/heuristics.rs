@@ -20,7 +20,7 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_netlist::Netlist;
 
 use crate::attack::SurvivalStats;
-use crate::{apply_modification, FingerprintError, Fingerprinter, FingerprintedCopy, VerifyLevel};
+use crate::{apply_modification, FingerprintError, FingerprintedCopy, Fingerprinter, VerifyLevel};
 
 /// Options for [`reactive_delay_reduction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,9 @@ impl ConstrainedEmbedding {
 }
 
 fn delay_of(netlist: &Netlist) -> f64 {
-    sta::analyze(netlist).expect("validated netlist").max_delay()
+    sta::analyze(netlist)
+        .expect("validated netlist")
+        .max_delay()
 }
 
 fn build(
@@ -121,13 +123,11 @@ pub fn reactive_delay_reduction(
             // Slack-guided: drop the kept modification whose target gate is
             // most timing-critical in the current circuit.
             let timing = sta::analyze(current.netlist()).expect("valid");
-            (0..n)
-                .filter(|&i| kept[i])
-                .min_by(|&a, &b| {
-                    let sa = timing.slack(fp.selected_modifications()[a].target());
-                    let sb = timing.slack(fp.selected_modifications()[b].target());
-                    sa.partial_cmp(&sb).expect("finite slack")
-                })
+            (0..n).filter(|&i| kept[i]).min_by(|&a, &b| {
+                let sa = timing.slack(fp.selected_modifications()[a].target());
+                let sb = timing.slack(fp.selected_modifications()[b].target());
+                sa.partial_cmp(&sb).expect("finite slack")
+            })
         } else {
             None
         };
@@ -255,8 +255,7 @@ pub fn proactive_robust_embedding(
         Some(f64::from(stats.survived[i]) / f64::from(stats.tested[i]))
     };
     let timing = sta::analyze(fp.base()).expect("valid base");
-    let mut order: Vec<(usize, f64)> =
-        (0..n).filter_map(|i| rank(i).map(|s| (i, s))).collect();
+    let mut order: Vec<(usize, f64)> = (0..n).filter_map(|i| rank(i).map(|s| (i, s))).collect();
     order.sort_by(|&(a, score_a), &(b, score_b)| {
         let slack_a = timing.slack(fp.selected_modifications()[a].target());
         let slack_b = timing.slack(fp.selected_modifications()[b].target());
@@ -331,8 +330,7 @@ mod tests {
         let fp = engine(100);
         assert!(!fp.locations().is_empty());
         for pct in [10.0, 5.0, 1.0] {
-            let r =
-                reactive_delay_reduction(&fp, pct, ReactiveOptions::default()).unwrap();
+            let r = reactive_delay_reduction(&fp, pct, ReactiveOptions::default()).unwrap();
             let oh = overhead_pct(&r.base_metrics, &r.metrics);
             assert!(oh <= pct + 1e-9, "constraint {pct}%: got {oh}%");
             assert!(r.fingerprint_reduction_pct >= 0.0);
@@ -359,10 +357,8 @@ mod tests {
     #[test]
     fn tighter_constraints_keep_fewer_locations() {
         let fp = engine(102);
-        let loose =
-            reactive_delay_reduction(&fp, 20.0, ReactiveOptions::default()).unwrap();
-        let tight =
-            reactive_delay_reduction(&fp, 1.0, ReactiveOptions::default()).unwrap();
+        let loose = reactive_delay_reduction(&fp, 20.0, ReactiveOptions::default()).unwrap();
+        let tight = reactive_delay_reduction(&fp, 1.0, ReactiveOptions::default()).unwrap();
         assert!(
             tight.kept_locations() <= loose.kept_locations(),
             "{} > {}",
@@ -387,8 +383,7 @@ mod tests {
         // small circuit.
         let fp = engine(104);
         let r = reactive_delay_reduction(&fp, 5.0, ReactiveOptions::default()).unwrap();
-        let verdict =
-            odcfp_sat::check_equivalence(fp.base(), r.copy.netlist(), None).unwrap();
+        let verdict = odcfp_sat::check_equivalence(fp.base(), r.copy.netlist(), None).unwrap();
         assert_eq!(verdict, odcfp_sat::EquivResult::Equivalent);
     }
 
@@ -458,9 +453,8 @@ mod tests {
             );
         }
 
-        let mean = |kept: &[usize]| {
-            kept.iter().map(|&i| stats.score(i)).sum::<f64>() / kept.len() as f64
-        };
+        let mean =
+            |kept: &[usize]| kept.iter().map(|&i| stats.score(i)).sum::<f64>() / kept.len() as f64;
         assert!(
             mean(&robust_kept) > mean(&plain_kept),
             "robust selection must shift toward surviving wires \

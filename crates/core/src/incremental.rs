@@ -29,7 +29,7 @@
 use odcfp_analysis::AnalysisEngine;
 use odcfp_netlist::{GateId, NetDriver, Netlist};
 
-use crate::embed::{check_verdict, Fingerprinter, FingerprintedCopy, VerifyLevel};
+use crate::embed::{check_verdict, FingerprintedCopy, Fingerprinter, VerifyLevel};
 use crate::location::{FingerprintLocation, LocationProbe};
 use crate::modify::{apply_modification, Modification};
 use crate::verify::verify_equivalent;
@@ -207,17 +207,15 @@ impl EmbedSession<'_> {
     /// Returns [`FingerprintError::CannotApply`] when the index is out of
     /// range or the bit is already set, and propagates application errors.
     pub fn set_bit(&mut self, index: usize) -> Result<(), FingerprintError> {
-        let m = self
-            .fp
-            .selected_modifications()
-            .get(index)
-            .ok_or_else(|| FingerprintError::CannotApply {
+        let m = self.fp.selected_modifications().get(index).ok_or_else(|| {
+            FingerprintError::CannotApply {
                 gate: GateId::from_index(0),
                 reason: format!(
                     "location index {index} out of range ({} locations)",
                     self.bits.len()
                 ),
-            })?;
+            }
+        })?;
         if self.bits[index] {
             return Err(FingerprintError::CannotApply {
                 gate: m.target(),

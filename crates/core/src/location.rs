@@ -469,10 +469,8 @@ mod tests {
         for m in &reroutes {
             assert!(m.complemented());
         }
-        let sources: std::collections::HashSet<Vec<NetId>> = reroutes
-            .iter()
-            .map(|m| m.added_nets().to_vec())
-            .collect();
+        let sources: std::collections::HashSet<Vec<NetId>> =
+            reroutes.iter().map(|m| m.added_nets().to_vec()).collect();
         assert!(sources.contains(&vec![a]));
         assert!(sources.contains(&vec![b]));
         assert!(sources.contains(&vec![a, b]));

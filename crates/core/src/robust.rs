@@ -23,7 +23,7 @@
 //! here carries the SECDED overall-parity bit.)
 
 use crate::verify::{verify_equivalent, Verdict, VerifyPolicy};
-use crate::{FingerprintError, Fingerprinter, FingerprintedCopy};
+use crate::{FingerprintError, FingerprintedCopy, Fingerprinter};
 
 /// The error-correcting code protecting a fingerprint payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +84,16 @@ pub struct DecodedFingerprint {
 /// Returns [`FingerprintError::BitLengthMismatch`] when the payload
 /// exceeds the code's capacity for `locations`, and panics if a
 /// repetition factor is even or < 3.
-pub fn encode(code: Code, payload: &[bool], locations: usize) -> Result<Vec<bool>, FingerprintError> {
+pub fn encode(
+    code: Code,
+    payload: &[bool],
+    locations: usize,
+) -> Result<Vec<bool>, FingerprintError> {
     if let Code::Repetition(r) = code {
-        assert!(r >= 3 && r % 2 == 1, "repetition factor must be odd and >= 3");
+        assert!(
+            r >= 3 && r % 2 == 1,
+            "repetition factor must be odd and >= 3"
+        );
     }
     let capacity = code.payload_capacity(locations);
     if payload.len() > capacity {
@@ -408,7 +415,10 @@ mod tests {
         assert_eq!(d.status, DecodeStatus::Ambiguous);
         // Sanity: clean decode is Clean and within-tolerance r=5 decodes
         // with a confident margin.
-        assert_eq!(decode(Code::Repetition(3), &bits, 2).status, DecodeStatus::Clean);
+        assert_eq!(
+            decode(Code::Repetition(3), &bits, 2).status,
+            DecodeStatus::Clean
+        );
         let wide = encode(Code::Repetition(5), &payload, 10).unwrap();
         let mut one_flip = wide.clone();
         one_flip[2] = !one_flip[2];
@@ -458,8 +468,7 @@ mod tests {
         bits[2] = !bits[2];
         bits[10] = !bits[10];
         let tampered_copy = fp.embed(&bits).unwrap();
-        let recovered =
-            extract_payload(&fp, Code::Hamming, tampered_copy.netlist(), payload_len);
+        let recovered = extract_payload(&fp, Code::Hamming, tampered_copy.netlist(), payload_len);
         assert_eq!(recovered.payload, payload, "payload survives tampering");
         assert_eq!(recovered.tampered_locations, vec![2, 10]);
         assert_eq!(recovered.status, DecodeStatus::Corrected);

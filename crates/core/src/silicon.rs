@@ -215,12 +215,14 @@ fn attach_fused_literal(
                 (PrimitiveFn::Nor, vec![net, inv])
             }
         };
-        let cell2 = netlist.library().cell_for(f, 2).ok_or_else(|| {
-            FingerprintError::CannotApply {
-                gate: target,
-                reason: format!("library lacks {f}2 for fuse gating"),
-            }
-        })?;
+        let cell2 =
+            netlist
+                .library()
+                .cell_for(f, 2)
+                .ok_or_else(|| FingerprintError::CannotApply {
+                    gate: target,
+                    reason: format!("library lacks {f}2 for fuse gating"),
+                })?;
         let name = format!("fuse_mix_{}", netlist.num_gates());
         let g = netlist.add_gate(name, cell2, &ins);
         new_inputs.push(netlist.gate_output(g));
@@ -293,9 +295,7 @@ mod tests {
     fn all_connected_fuses_match_embed_all() {
         let fp = engine(62);
         let flexible = FlexibleDesign::build(&fp).unwrap();
-        let programmed = flexible
-            .program(&vec![true; fp.locations().len()])
-            .unwrap();
+        let programmed = flexible.program(&vec![true; fp.locations().len()]).unwrap();
         let embedded = fp.embed_all().unwrap();
         assert_eq!(
             check_equivalence(&programmed, embedded.netlist(), None).unwrap(),

@@ -14,7 +14,7 @@
 
 use odcfp_netlist::Netlist;
 
-use crate::{FingerprintError, Fingerprinter, FingerprintedCopy};
+use crate::{FingerprintError, FingerprintedCopy, Fingerprinter};
 
 /// Fraction of locations reserved for the watermark, in percent.
 const WATERMARK_SHARE_PCT: usize = 25;
@@ -130,7 +130,9 @@ impl ProtectedIp {
     /// Propagates embedding errors.
     pub fn mint_seeded(&self, buyer_seed: u64) -> Result<FingerprintedCopy, FingerprintError> {
         let mut rng = odcfp_logic::rng::Xoshiro256::seed_from_u64(buyer_seed);
-        let bits: Vec<bool> = (0..self.fingerprint_len()).map(|_| rng.next_bool()).collect();
+        let bits: Vec<bool> = (0..self.fingerprint_len())
+            .map(|_| rng.next_bool())
+            .collect();
         self.mint(&bits)
     }
 

@@ -10,9 +10,7 @@
 //! single-threaded, so the verdicts must not move.
 
 use odcfp_core::faults::substitute_cell;
-use odcfp_core::{
-    CancelToken, CodeSpace, CodeSpaceOutcome, Fingerprinter, Verdict, VerifySession,
-};
+use odcfp_core::{CancelToken, CodeSpace, CodeSpaceOutcome, Fingerprinter, Verdict, VerifySession};
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::{sim, PrimitiveFn};
 use odcfp_netlist::{CellLibrary, GateId, NetDriver, Netlist};

@@ -311,10 +311,7 @@ mod tests {
         let sop = Sop::new(2, vec!["11".parse().unwrap()], false);
         assert!(sop.eval(&[false, true]));
         assert!(!sop.eval(&[true, true]));
-        assert_eq!(
-            sop.truth_table(),
-            crate::PrimitiveFn::Nand.truth_table(2)
-        );
+        assert_eq!(sop.truth_table(), crate::PrimitiveFn::Nand.truth_table(2));
     }
 
     #[test]
@@ -336,7 +333,10 @@ mod tests {
         assert_eq!(sop.num_cubes(), 1);
         assert!(sop.output_value());
         assert_eq!(sop.cubes().len(), 1);
-        let err = ParseCubeError { found: 'z', position: 4 };
+        let err = ParseCubeError {
+            found: 'z',
+            position: 4,
+        };
         assert!(err.to_string().contains("'z'"));
     }
 

@@ -313,7 +313,11 @@ mod tests {
     #[test]
     fn eval_matches_truth_tables() {
         for f in PrimitiveFn::ALL {
-            let arities: &[usize] = if f.is_single_input() { &[1] } else { &[2, 3, 4] };
+            let arities: &[usize] = if f.is_single_input() {
+                &[1]
+            } else {
+                &[2, 3, 4]
+            };
             for &n in arities {
                 let tt = f.truth_table(n);
                 for i in 0..(1usize << n) {

@@ -170,7 +170,11 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle should move things");
+        assert_ne!(
+            xs,
+            (0..50).collect::<Vec<_>>(),
+            "shuffle should move things"
+        );
     }
 
     #[test]

@@ -28,9 +28,7 @@ impl Default for Criterion {
     fn default() -> Self {
         // `cargo bench -- <filter>` passes the filter as a free argument;
         // flags the real criterion accepts (e.g. `--bench`) are ignored.
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Criterion {
             sample_size: 30,
             filter,
@@ -44,7 +42,12 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(&name.to_string(), self.sample_size, self.filter.as_deref(), f);
+        run_one(
+            &name.to_string(),
+            self.sample_size,
+            self.filter.as_deref(),
+            f,
+        );
         self
     }
 

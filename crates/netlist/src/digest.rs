@@ -207,11 +207,11 @@ mod tests {
         for bad in [
             "",
             "fnv1a64:",
-            "fnv1a64:123",                      // too short
-            "fnv1a64:00000000000000000",        // too long
-            "fnv1a64:00000000000000zz",         // non-hex
-            "sha256:0000000000000000",          // wrong scheme
-            "0000000000000000",                 // no scheme
+            "fnv1a64:123",               // too short
+            "fnv1a64:00000000000000000", // too long
+            "fnv1a64:00000000000000zz",  // non-hex
+            "sha256:0000000000000000",   // wrong scheme
+            "0000000000000000",          // no scheme
         ] {
             assert_eq!(Digest::parse(bad), None, "{bad:?}");
         }

@@ -33,7 +33,11 @@ pub struct ParseGenlibError {
 
 impl fmt::Display for ParseGenlibError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "genlib parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "genlib parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -131,7 +135,9 @@ enum ParsedGate {
 
 fn parse_gate(stmt: &str, line: usize) -> Result<ParsedGate, ParseGenlibError> {
     // GATE <name> <area> <out>=<expr> ; [PIN ...]
-    let body = stmt.strip_prefix("GATE").expect("statement starts with GATE");
+    let body = stmt
+        .strip_prefix("GATE")
+        .expect("statement starts with GATE");
     let (head, tail) = match body.find(';') {
         Some(p) => (&body[..p], &body[p + 1..]),
         None => return Err(err(line, "missing ';' after gate function")),
@@ -344,7 +350,10 @@ impl ExprParser<'_> {
             other => {
                 return Err(err(
                     self.line,
-                    format!("unexpected {:?} in expression", other.copied().unwrap_or(' ')),
+                    format!(
+                        "unexpected {:?} in expression",
+                        other.copied().unwrap_or(' ')
+                    ),
                 ))
             }
         };
@@ -386,7 +395,10 @@ GATE ONE     0    Y=CONST1;
         assert!(lib.cell_for(PrimitiveFn::And, 3).is_some());
         assert!(lib.cell_for(PrimitiveFn::Xor, 2).is_some());
         let names: Vec<&str> = report.skipped.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"AOI21"), "AOI is not a primitive: {names:?}");
+        assert!(
+            names.contains(&"AOI21"),
+            "AOI is not a primitive: {names:?}"
+        );
         assert!(names.contains(&"ONE"), "constants are skipped: {names:?}");
     }
 
@@ -404,32 +416,20 @@ GATE ONE     0    Y=CONST1;
 
     #[test]
     fn xor_via_sop_is_recognized() {
-        let report = parse_genlib(
-            "GATE X 1 Y=A'*B + A*B';\n",
-            "t",
-        )
-        .unwrap();
+        let report = parse_genlib("GATE X 1 Y=A'*B + A*B';\n", "t").unwrap();
         assert!(report.library.cell_for(PrimitiveFn::Xor, 2).is_some());
     }
 
     #[test]
     fn xnor_and_buffer_forms() {
-        let report = parse_genlib(
-            "GATE XN 1 Y=!(A^B);\nGATE BUFX 1 Y=A;\n",
-            "t",
-        )
-        .unwrap();
+        let report = parse_genlib("GATE XN 1 Y=!(A^B);\nGATE BUFX 1 Y=A;\n", "t").unwrap();
         assert!(report.library.cell_for(PrimitiveFn::Xnor, 2).is_some());
         assert!(report.library.cell_for(PrimitiveFn::Buf, 1).is_some());
     }
 
     #[test]
     fn duplicate_function_first_wins() {
-        let report = parse_genlib(
-            "GATE N1 1 Y=!(A*B);\nGATE N2 2 Y=!(B*A);\n",
-            "t",
-        )
-        .unwrap();
+        let report = parse_genlib("GATE N1 1 Y=!(A*B);\nGATE N2 2 Y=!(B*A);\n", "t").unwrap();
         let id = report.library.cell_for(PrimitiveFn::Nand, 2).unwrap();
         assert_eq!(report.library.cell(id).name(), "N1");
         assert_eq!(report.skipped.len(), 1);

@@ -300,7 +300,12 @@ mod tests {
     #[test]
     fn wider_cells_are_bigger_and_slower() {
         let lib = CellLibrary::standard();
-        for f in [PrimitiveFn::Nand, PrimitiveFn::Nor, PrimitiveFn::And, PrimitiveFn::Or] {
+        for f in [
+            PrimitiveFn::Nand,
+            PrimitiveFn::Nor,
+            PrimitiveFn::And,
+            PrimitiveFn::Or,
+        ] {
             for n in 2..4 {
                 let small = lib.cell(lib.cell_for(f, n).unwrap());
                 let big = lib.cell(lib.cell_for(f, n + 1).unwrap());

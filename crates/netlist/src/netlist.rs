@@ -668,8 +668,7 @@ mod tests {
     fn topo_order_respects_dependencies() {
         let n = fig1_left();
         let order = n.topo_order().unwrap();
-        let pos: HashMap<GateId, usize> =
-            order.iter().enumerate().map(|(i, &g)| (g, i)).collect();
+        let pos: HashMap<GateId, usize> = order.iter().enumerate().map(|(i, &g)| (g, i)).collect();
         for (g, gate) in n.gates() {
             for &i in gate.inputs() {
                 if let NetDriver::Gate(src) = n.net(i).driver() {

@@ -342,7 +342,8 @@ mod tests {
         ev.t_us = 1_000_001;
         ev.dur_us = Some(530);
         ev.self_us = Some(120);
-        ev.fields.push(("verdict".into(), Value::Str("proven".into())));
+        ev.fields
+            .push(("verdict".into(), Value::Str("proven".into())));
         ev.fields.push(("conflicts".into(), Value::U64(17)));
         ev.fields.push(("delta".into(), Value::I64(-3)));
         ev.fields.push(("capped".into(), Value::Bool(true)));

@@ -192,8 +192,7 @@ impl<'a> Parser<'a> {
                             if !(0xDC00..0xE000).contains(&lo) {
                                 return None;
                             }
-                            let code =
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                             char::from_u32(code)?
                         } else {
                             char::from_u32(hi)?
@@ -292,7 +291,9 @@ mod tests {
     #[test]
     fn parses_nested_structures() {
         let v = parse("{\"a\":[1,{\"b\":false}],\"c\":\"x\"}").expect("valid");
-        let Json::Obj(pairs) = v else { panic!("object") };
+        let Json::Obj(pairs) = v else {
+            panic!("object")
+        };
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[1], ("c".to_owned(), Json::Str("x".into())));
     }

@@ -270,7 +270,13 @@ fn summarize_attack(trace: &TraceData, out: &mut String) {
             };
             out.push_str(&format!(
                 "  {:<8}  {:>6}  {:>6}/{:<5}  {:>8.1}%  {:>8}  {:>9}\n",
-                level, agg.passes, agg.surviving, agg.identifiable, rate, agg.phantom, agg.convicted
+                level,
+                agg.passes,
+                agg.surviving,
+                agg.identifiable,
+                rate,
+                agg.phantom,
+                agg.convicted
             ));
         }
     }
@@ -313,7 +319,13 @@ fn summarize_attack(trace: &TraceData, out: &mut String) {
             let outcomes: Vec<String> = agg
                 .outcomes
                 .iter()
-                .map(|(o, c)| if *c == 1 { o.clone() } else { format!("{o}×{c}") })
+                .map(|(o, c)| {
+                    if *c == 1 {
+                        o.clone()
+                    } else {
+                        format!("{o}×{c}")
+                    }
+                })
                 .collect();
             out.push_str(&format!(
                 "  {:<4}  {:<10}  {:>9}  {:>9}  {}\n",
@@ -415,7 +427,10 @@ mod tests {
         assert_eq!(data.skipped_lines, 2);
         let s = summarize(&data);
         assert!(s.contains("2 unparseable lines skipped"));
-        assert!(s.contains("x  4") || s.contains("x 4"), "counter summed: {s}");
+        assert!(
+            s.contains("x  4") || s.contains("x 4"),
+            "counter summed: {s}"
+        );
     }
 
     #[test]
@@ -446,7 +461,8 @@ mod tests {
         let mut det = Event::new(Kind::Point, "verify.verdict", true);
         det.seq = 5;
         det.t_us = 123;
-        det.fields.push(("verdict".into(), Value::Str("proven".into())));
+        det.fields
+            .push(("verdict".into(), Value::Str("proven".into())));
         let nondet = span_ev("verify.sat", 100, 80);
         let lines = payload_lines(&[nondet, det]);
         assert_eq!(lines.len(), 1);
@@ -482,16 +498,20 @@ mod tests {
             let mut e = Event::new(Kind::Point, "attack.resynth.survival", true);
             e.fields.push(("level".into(), Value::Str(level.into())));
             e.fields.push(("surviving".into(), Value::U64(surviving)));
-            e.fields.push(("identifiable".into(), Value::U64(identifiable)));
+            e.fields
+                .push(("identifiable".into(), Value::U64(identifiable)));
             e.fields.push(("phantom".into(), Value::U64(0)));
-            e.fields.push(("victim_convicted".into(), Value::Bool(convicted)));
+            e.fields
+                .push(("victim_convicted".into(), Value::Bool(convicted)));
             e.to_json_line()
         };
         let collusion = {
             let mut e = Event::new(Kind::Point, "attack.collusion.verdict", true);
             e.fields.push(("coalition".into(), Value::U64(4)));
-            e.fields.push(("strategy".into(), Value::Str("random".into())));
-            e.fields.push(("outcome".into(), Value::Str("convicted".into())));
+            e.fields
+                .push(("strategy".into(), Value::Str("random".into())));
+            e.fields
+                .push(("outcome".into(), Value::Str("convicted".into())));
             e.fields.push(("colluders_convicted".into(), Value::U64(2)));
             e.fields.push(("innocents_accused".into(), Value::U64(0)));
             e.to_json_line()
@@ -517,9 +537,15 @@ mod tests {
         assert!(s.contains("attack resynthesis survival (2 passes)"), "{s}");
         assert!(s.contains("opt"), "{s}");
         assert!(s.contains("95.9%"), "opt row 70/73:\n{s}");
-        assert!(s.contains("attack collusion verdicts (1 cell, 0 innocents accused)"), "{s}");
+        assert!(
+            s.contains("attack collusion verdicts (1 cell, 0 innocents accused)"),
+            "{s}"
+        );
         assert!(s.contains("random"), "{s}");
-        assert!(s.contains("attack side-channel: 1/1 copies detectable"), "{s}");
+        assert!(
+            s.contains("attack side-channel: 1/1 copies detectable"),
+            "{s}"
+        );
         assert!(s.contains("137 ppm"), "{s}");
     }
 

@@ -448,11 +448,8 @@ mod tests {
 
     #[test]
     fn oneof_and_map_compose() {
-        let strat = prop::collection::vec(
-            prop_oneof![Just("a".to_owned()), "[bc]{1,2}"],
-            0..4,
-        )
-        .prop_map(|parts| parts.join(""));
+        let strat = prop::collection::vec(prop_oneof![Just("a".to_owned()), "[bc]{1,2}"], 0..4)
+            .prop_map(|parts| parts.join(""));
         let mut rng = TestRng::seed(3);
         for _ in 0..100 {
             let s = Strategy::generate(&strat, &mut rng);

@@ -131,7 +131,10 @@ mod tests {
     #[test]
     fn default_is_modern() {
         assert_eq!(SolverConfig::default(), SolverConfig::modern());
-        assert_eq!(SolverConfig::from_profile("modern"), Some(SolverConfig::default()));
+        assert_eq!(
+            SolverConfig::from_profile("modern"),
+            Some(SolverConfig::default())
+        );
     }
 
     #[test]

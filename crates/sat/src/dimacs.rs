@@ -16,7 +16,11 @@ pub struct ParseDimacsError {
 
 impl fmt::Display for ParseDimacsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DIMACS parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "DIMACS parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 

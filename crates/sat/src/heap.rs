@@ -28,9 +28,7 @@ impl VarHeap {
     }
 
     pub(crate) fn contains(&self, v: Var) -> bool {
-        self.position
-            .get(v.index())
-            .is_some_and(|&p| p != ABSENT)
+        self.position.get(v.index()).is_some_and(|&p| p != ABSENT)
     }
 
     pub(crate) fn grow(&mut self, n: usize) {

@@ -61,7 +61,12 @@ fn xor_miter(width: usize) -> CnfBuilder {
 fn instances() -> Vec<(String, CnfBuilder)> {
     let mut all: Vec<(String, CnfBuilder)> = CORPUS
         .iter()
-        .map(|(name, text)| ((*name).to_string(), parse_dimacs(text).expect("corpus parses")))
+        .map(|(name, text)| {
+            (
+                (*name).to_string(),
+                parse_dimacs(text).expect("corpus parses"),
+            )
+        })
         .collect();
     for width in [8, 16, 24] {
         all.push((format!("xor_miter_{width}"), xor_miter(width)));

@@ -130,7 +130,10 @@ mod tests {
         for &b in line.iter() {
             d.push(&[b], &mut events);
         }
-        assert_eq!(events, vec![FrameEvent::Frame("{\"v\":2,\"op\":\"ping\"}".into())]);
+        assert_eq!(
+            events,
+            vec![FrameEvent::Frame("{\"v\":2,\"op\":\"ping\"}".into())]
+        );
         assert_eq!(d.buffered(), 0);
     }
 
@@ -147,7 +150,10 @@ mod tests {
             ]
         );
         assert_eq!(d.buffered(), 7);
-        assert_eq!(drive(&mut d, b"-done\n"), vec![FrameEvent::Frame("partial-done".into())]);
+        assert_eq!(
+            drive(&mut d, b"-done\n"),
+            vec![FrameEvent::Frame("partial-done".into())]
+        );
     }
 
     #[test]
@@ -184,7 +190,10 @@ mod tests {
     #[test]
     fn eof_mid_skip_discards_quietly() {
         let mut d = FrameDecoder::new(4);
-        assert_eq!(drive(&mut d, b"oversized-tail"), vec![FrameEvent::Oversized]);
+        assert_eq!(
+            drive(&mut d, b"oversized-tail"),
+            vec![FrameEvent::Oversized]
+        );
         assert_eq!(d.finish(), None);
     }
 }

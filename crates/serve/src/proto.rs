@@ -241,10 +241,7 @@ fn get_bool(pairs: &[(String, Json)], key: &str) -> Option<bool> {
 
 /// Extracts a [`DesignRef`] from `<prefix>_text`/`<prefix>_format` or
 /// `<prefix>_path` fields.
-fn get_design(
-    pairs: &[(String, Json)],
-    prefix: &str,
-) -> Result<DesignRef, String> {
+fn get_design(pairs: &[(String, Json)], prefix: &str) -> Result<DesignRef, String> {
     let text_key = format!("{prefix}_text");
     let path_key = format!("{prefix}_path");
     match (get_str(pairs, &text_key), get_str(pairs, &path_key)) {
@@ -276,7 +273,11 @@ impl Request {
             message,
         };
         let Some(Json::Obj(pairs)) = json::parse(line) else {
-            return Err(bad("", MIN_PROTO_VERSION, "request line is not a JSON object".into()));
+            return Err(bad(
+                "",
+                MIN_PROTO_VERSION,
+                "request line is not a JSON object".into(),
+            ));
         };
         let id = get_str(&pairs, "id").unwrap_or_default();
         let version = match get_u64(&pairs, "v") {
@@ -310,7 +311,9 @@ impl Request {
         let op = match op_name.as_str() {
             "ping" => Op::Ping,
             "shutdown" => Op::Shutdown,
-            "locations" => Op::Locations { design: design("design")? },
+            "locations" => Op::Locations {
+                design: design("design")?,
+            },
             "embed" => {
                 let seed = get_u64(&pairs, "seed");
                 let bits = get_str(&pairs, "bits");
@@ -646,7 +649,10 @@ impl Frame {
                 let digest = reply.field_str("digest")?.to_owned();
                 let mut reply = reply;
                 reply.fields.retain(|(k, _)| {
-                    !matches!(k.as_str(), "frame" | "stream" | "chunks" | "bytes" | "digest")
+                    !matches!(
+                        k.as_str(),
+                        "frame" | "stream" | "chunks" | "bytes" | "digest"
+                    )
                 });
                 Some(Frame::Done {
                     reply,
@@ -780,12 +786,21 @@ mod tests {
             ],
         );
         let req = Request::parse_line(&line).expect("parses");
-        let Op::Verify { golden, candidate, policy, candidate_bits } = req.op else {
+        let Op::Verify {
+            golden,
+            candidate,
+            policy,
+            candidate_bits,
+        } = req.op
+        else {
             panic!("wrong op");
         };
         assert_eq!(
             golden,
-            DesignRef::Text { text: "module m; endmodule".into(), format: "v".into() }
+            DesignRef::Text {
+                text: "module m; endmodule".into(),
+                format: "v".into()
+            }
         );
         assert_eq!(candidate, Some(DesignRef::Path("cand.v".into())));
         assert_eq!(candidate_bits, None);
@@ -841,7 +856,8 @@ mod tests {
 
     #[test]
     fn v1_requests_parse_and_replies_mirror_version() {
-        let req = Request::parse_line("{\"v\":1,\"id\":\"old\",\"op\":\"ping\"}").expect("v1 parses");
+        let req =
+            Request::parse_line("{\"v\":1,\"id\":\"old\",\"op\":\"ping\"}").expect("v1 parses");
         assert_eq!(req.version, 1);
         let line = Reply::ok(&req.id, "ping").versioned(req.version).to_line();
         assert!(line.starts_with("{\"v\":1,"), "{line}");
@@ -853,7 +869,12 @@ mod tests {
     fn verify_accepts_code_bits_exclusively() {
         let line = "{\"v\":2,\"id\":\"c\",\"op\":\"verify\",\"golden_path\":\"g.v\",\"candidate_bits\":\"0110\"}";
         let req = Request::parse_line(line).expect("parses");
-        let Op::Verify { candidate, candidate_bits, .. } = req.op else {
+        let Op::Verify {
+            candidate,
+            candidate_bits,
+            ..
+        } = req.op
+        else {
             panic!("wrong op");
         };
         assert_eq!(candidate, None);
@@ -876,10 +897,18 @@ mod tests {
             }
             other => panic!("not a chunk: {other:?}"),
         }
-        let trailer = Reply::ok("s1", "embed").field("verdict", "proven").field("cache", "hit");
+        let trailer = Reply::ok("s1", "embed")
+            .field("verdict", "proven")
+            .field("cache", "hit");
         let done = done_line(&trailer, "netlist", 4, 123, &payload_digest(b"payload"));
         match Frame::parse_line(&done).expect("done parses") {
-            Frame::Done { reply, stream, chunks, bytes, digest } => {
+            Frame::Done {
+                reply,
+                stream,
+                chunks,
+                bytes,
+                digest,
+            } => {
                 assert_eq!(stream, "netlist");
                 assert_eq!((chunks, bytes), (4, 123));
                 assert_eq!(digest, payload_digest(b"payload"));

@@ -112,13 +112,19 @@ impl<T> FairQueue<T> {
 
     /// Stops admission. Queued work still drains; blocked `pop`s wake.
     pub fn close(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.ready.notify_all();
     }
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).len
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len
     }
 
     /// `true` when nothing is queued.

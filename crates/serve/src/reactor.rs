@@ -41,6 +41,7 @@
 #![allow(unsafe_code)]
 
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -48,7 +49,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use std::collections::VecDeque;
 
 use crate::executor::{admit, Admit, ReplyTo, Response};
 use crate::frame::{FrameDecoder, FrameEvent};
@@ -292,8 +292,7 @@ pub(crate) fn run_reactor(listener: TcpListener, shared: &Arc<Shared>) -> std::i
                 && shared.in_flight.load(Ordering::SeqCst) == 0
                 && mailbox.is_empty();
             let flushed = conns.values().all(|c| c.pending_out() == 0);
-            let expired =
-                started.elapsed() >= shared.config.drain_deadline + FLUSH_GRACE;
+            let expired = started.elapsed() >= shared.config.drain_deadline + FLUSH_GRACE;
             if (work_done && flushed) || expired {
                 break;
             }
@@ -468,10 +467,7 @@ fn read_ready(shared: &Arc<Shared>, mailbox: &Arc<Mailbox>, id: u64, conn: &mut 
                             conn.push_line(&Reply::err(
                                 "",
                                 ErrorCode::BadRequest,
-                                format!(
-                                    "request line exceeds {} bytes",
-                                    shared.config.max_line
-                                ),
+                                format!("request line exceeds {} bytes", shared.config.max_line),
                             ));
                         }
                     }

@@ -118,7 +118,9 @@ mod tests {
     #[test]
     fn chunks_reassemble_and_digest_matches() {
         let payload = "héllo wörld — ".repeat(100);
-        let trailer = Reply::ok("s", "embed").field("verdict", "proven").versioned(2);
+        let trailer = Reply::ok("s", "embed")
+            .field("verdict", "proven")
+            .versioned(2);
         let mut sender = StreamSender::new(trailer, "netlist", payload.clone(), 37);
         let mut assembled = String::new();
         let mut chunks = 0u64;
@@ -130,7 +132,13 @@ mod tests {
                     chunks += 1;
                     assembled.push_str(&data);
                 }
-                Frame::Done { reply, stream, chunks: n, bytes, digest } => {
+                Frame::Done {
+                    reply,
+                    stream,
+                    chunks: n,
+                    bytes,
+                    digest,
+                } => {
                     assert_eq!(stream, "netlist");
                     assert_eq!(n, chunks);
                     assert_eq!(bytes as usize, payload.len());
@@ -147,8 +155,12 @@ mod tests {
 
     #[test]
     fn empty_payload_still_emits_done() {
-        let mut sender =
-            StreamSender::new(Reply::ok("e", "report").versioned(2), "summary", String::new(), 8);
+        let mut sender = StreamSender::new(
+            Reply::ok("e", "report").versioned(2),
+            "summary",
+            String::new(),
+            8,
+        );
         let line = sender.next_line().expect("done");
         match Frame::parse_line(line.trim_end()).expect("parses") {
             Frame::Done { chunks, bytes, .. } => assert_eq!((chunks, bytes), (0, 0)),

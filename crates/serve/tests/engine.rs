@@ -84,8 +84,7 @@ impl Client {
     fn read_frame(&mut self) -> Frame {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read frame");
-        Frame::parse_line(line.trim_end())
-            .unwrap_or_else(|| panic!("parseable frame: {line:?}"))
+        Frame::parse_line(line.trim_end()).unwrap_or_else(|| panic!("parseable frame: {line:?}"))
     }
 
     /// Reads one complete reply that may arrive chunked: collects
@@ -282,11 +281,19 @@ fn cancelled_code_verify_does_not_pin_an_undecided_proof() {
 
     let cancelled = c.roundtrip(&request_line("c1", "t", Some(0), "verify", &code_args));
     assert!(!cancelled.ok, "{cancelled:?}");
-    assert_eq!(cancelled.error.as_deref(), Some("deadline"), "{cancelled:?}");
+    assert_eq!(
+        cancelled.error.as_deref(),
+        Some("deadline"),
+        "{cancelled:?}"
+    );
 
     let next = c.roundtrip(&request_line("c2", "t", None, "verify", &code_args));
     assert!(next.ok, "{next:?}");
-    assert_eq!(next.field_str("cache"), Some("hit"), "same warm entry: {next:?}");
+    assert_eq!(
+        next.field_str("cache"),
+        Some("hit"),
+        "same warm entry: {next:?}"
+    );
     assert_eq!(next.field_str("code_space"), Some("proven_all"), "{next:?}");
     assert_eq!(next.field_str("verdict"), Some("proven"), "{next:?}");
     srv.shutdown();
@@ -328,7 +335,10 @@ fn panic_probe_is_isolated_and_counted() {
     assert!(!boom.ok);
     assert_eq!(boom.error.as_deref(), Some("panic"));
     assert!(
-        boom.message.as_deref().unwrap().contains("deliberate panic"),
+        boom.message
+            .as_deref()
+            .unwrap()
+            .contains("deliberate panic"),
         "diagnostic carries the payload: {boom:?}"
     );
 
@@ -390,11 +400,18 @@ fn overload_sheds_with_structured_replies_and_recovers() {
         &verify_args(&golden, &golden),
     ));
     assert!(!rejected.ok);
-    assert_eq!(rejected.error.as_deref(), Some("overloaded"), "{rejected:?}");
+    assert_eq!(
+        rejected.error.as_deref(),
+        Some("overloaded"),
+        "{rejected:?}"
+    );
     assert!(rejected.message.as_deref().unwrap().contains("queue full"));
 
     // Inline control ops still answer under full load.
-    assert!(shed.roundtrip(&request_line("p", "light", None, "ping", &[])).ok);
+    assert!(
+        shed.roundtrip(&request_line("p", "light", None, "ping", &[]))
+            .ok
+    );
 
     // Once the spin probes hit their deadlines, capacity returns.
     assert_eq!(blocker.read_reply().error.as_deref(), Some("deadline"));
@@ -608,7 +625,10 @@ fn streamed_reply_reassembles_and_matches_inline_payload() {
         }
     };
     assert!(streamed.ok);
-    assert!(streamed.field_str("bits").is_some(), "scalars ride the done frame");
+    assert!(
+        streamed.field_str("bits").is_some(),
+        "scalars ride the done frame"
+    );
     streaming.shutdown();
 
     // The reassembled payload is byte-identical to what a non-streaming
@@ -666,7 +686,13 @@ fn slow_reader_backpressure_never_blocks_the_worker_pool() {
     let mut slow = srv.connect();
     let mut burst = String::new();
     for i in 0..5 {
-        burst.push_str(&request_line(&format!("slow{i}"), "a", None, "embed", &args));
+        burst.push_str(&request_line(
+            &format!("slow{i}"),
+            "a",
+            None,
+            "embed",
+            &args,
+        ));
         burst.push('\n');
     }
     slow.stream.write_all(burst.as_bytes()).expect("burst");
@@ -734,9 +760,27 @@ fn concurrent_mixed_verifies_answer_per_request() {
         reply.field_str("bits").expect("bits minted").to_owned()
     };
     let requests: Vec<String> = vec![
-        request_line("q0", "t0", None, "verify", &verify_blif_args(&golden, &golden)),
-        request_line("q1", "t1", None, "verify", &verify_blif_args(&golden, &mutant)),
-        request_line("q2", "t2", None, "verify", &verify_blif_args(&golden, &golden)),
+        request_line(
+            "q0",
+            "t0",
+            None,
+            "verify",
+            &verify_blif_args(&golden, &golden),
+        ),
+        request_line(
+            "q1",
+            "t1",
+            None,
+            "verify",
+            &verify_blif_args(&golden, &mutant),
+        ),
+        request_line(
+            "q2",
+            "t2",
+            None,
+            "verify",
+            &verify_blif_args(&golden, &golden),
+        ),
         request_line(
             "q3",
             "t3",
@@ -748,7 +792,13 @@ fn concurrent_mixed_verifies_answer_per_request() {
                 ("candidate_bits", bits.as_str().into()),
             ],
         ),
-        request_line("q4", "t4", None, "verify", &verify_blif_args(&golden, &mutant)),
+        request_line(
+            "q4",
+            "t4",
+            None,
+            "verify",
+            &verify_blif_args(&golden, &mutant),
+        ),
     ];
     let mut conns: Vec<Client> = requests.iter().map(|_| srv.connect()).collect();
     for (c, r) in conns.iter_mut().zip(&requests) {

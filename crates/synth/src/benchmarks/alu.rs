@@ -180,11 +180,7 @@ pub fn alu(library: Arc<CellLibrary>, p: AluParams) -> Netlist {
 /// Generates a C432-class priority interrupt controller: `channels` request
 /// lines split into `groups` groups with in-group and cross-group priority,
 /// per-group enable inputs, an encoded grant index and a valid flag.
-pub fn priority_controller(
-    library: Arc<CellLibrary>,
-    channels: usize,
-    groups: usize,
-) -> Netlist {
+pub fn priority_controller(library: Arc<CellLibrary>, channels: usize, groups: usize) -> Netlist {
     assert!(groups >= 1 && channels >= groups && channels.is_multiple_of(groups));
     let per_group = channels / groups;
     let mut b = CircuitBuilder::new("prio", library);
@@ -334,7 +330,10 @@ mod tests {
         bits.push(false);
         bits.push(false);
         let out = n.eval(&bits);
-        assert!(out[5], "zero flag expected (output order: word, carry, zero, parity)");
+        assert!(
+            out[5],
+            "zero flag expected (output order: word, carry, zero, parity)"
+        );
     }
 
     #[test]

@@ -129,11 +129,7 @@ mod tests {
         let lib = CellLibrary::standard();
         let n = random_dag(lib, DagParams::small(4));
         for (_, g) in n.gates() {
-            assert!(
-                n.net(g.output()).fanout() > 0,
-                "gate {} dangles",
-                g.name()
-            );
+            assert!(n.net(g.output()).fanout() > 0, "gate {} dangles", g.name());
         }
     }
 

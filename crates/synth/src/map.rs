@@ -63,10 +63,7 @@ const DETECT_LIMIT: usize = 12;
 /// # Errors
 ///
 /// Returns [`MapError::Network`] if the network fails validation.
-pub fn map_network(
-    network: &LogicNetwork,
-    library: Arc<CellLibrary>,
-) -> Result<Netlist, MapError> {
+pub fn map_network(network: &LogicNetwork, library: Arc<CellLibrary>) -> Result<Netlist, MapError> {
     network.validate()?;
     let mut b = CircuitBuilder::new(network.name(), library);
     let mut signals: HashMap<&str, NetId> = HashMap::new();
@@ -197,9 +194,9 @@ fn map_node(b: &mut CircuitBuilder, cover: &Sop, fanins: &[NetId]) -> NetId {
 mod tests {
     use super::*;
     use odcfp_blif::parse_blif;
+    use odcfp_blif::LogicNode;
     use odcfp_logic::rng::Xoshiro256;
     use odcfp_logic::Cube;
-    use odcfp_blif::LogicNode;
 
     fn assert_matches_network(net: &LogicNetwork, mapped: &Netlist) {
         let k = net.inputs().len();

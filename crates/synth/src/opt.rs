@@ -372,7 +372,7 @@ mod tests {
         // The flagship use: program the flexible design's fuses, optimize,
         // and land near the plain embedded netlist — while staying
         // SAT-equivalent.
-        use odcfp_core::{FlexibleDesign, Fingerprinter};
+        use odcfp_core::{Fingerprinter, FlexibleDesign};
         use odcfp_synth_test_helpers::small_dag;
         let base = small_dag(77);
         let fp = Fingerprinter::new(base).unwrap();
@@ -439,7 +439,9 @@ mod odcfp_synth_test_helpers {
         let lib = CellLibrary::standard();
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC0);
         let mut n = Netlist::new("cmix", lib);
-        let mut signals: Vec<_> = (0..6).map(|i| n.add_primary_input(format!("x{i}"))).collect();
+        let mut signals: Vec<_> = (0..6)
+            .map(|i| n.add_primary_input(format!("x{i}")))
+            .collect();
         signals.push(n.add_constant("c0", false));
         signals.push(n.add_constant("c1", true));
         for k in 0..40 {

@@ -50,7 +50,10 @@ impl fmt::Display for ResynthError {
         match self {
             ResynthError::Cyclic => write!(f, "netlist has a combinational cycle"),
             ResynthError::ReservedName { name } => {
-                write!(f, "primary input {name:?} collides with the reserved {RESERVED} prefix")
+                write!(
+                    f,
+                    "primary input {name:?} collides with the reserved {RESERVED} prefix"
+                )
             }
             ResynthError::Map(e) => write!(f, "remap failed: {e}"),
         }
@@ -85,8 +88,11 @@ pub enum ResynthLevel {
 
 impl ResynthLevel {
     /// All levels, in escalating order.
-    pub const ALL: [ResynthLevel; 3] =
-        [ResynthLevel::Opt, ResynthLevel::Remap, ResynthLevel::RemapTwice];
+    pub const ALL: [ResynthLevel; 3] = [
+        ResynthLevel::Opt,
+        ResynthLevel::Remap,
+        ResynthLevel::RemapTwice,
+    ];
 
     /// Stable lowercase name (used in traces, scorecards, and the CLI).
     pub fn name(self) -> &'static str {
@@ -153,18 +159,18 @@ fn primitive_cover(f: PrimitiveFn, arity: usize) -> Sop {
     match f {
         PrimitiveFn::Buf => Sop::new(arity, vec![lit(0, CubeLit::One)], true),
         PrimitiveFn::Inv => Sop::new(arity, vec![lit(0, CubeLit::Zero)], true),
-        PrimitiveFn::And => {
-            Sop::new(arity, vec![Cube::new(vec![CubeLit::One; arity])], true)
-        }
-        PrimitiveFn::Nand => {
-            Sop::new(arity, vec![Cube::new(vec![CubeLit::One; arity])], false)
-        }
-        PrimitiveFn::Or => {
-            Sop::new(arity, (0..arity).map(|i| lit(i, CubeLit::One)).collect(), true)
-        }
-        PrimitiveFn::Nor => {
-            Sop::new(arity, (0..arity).map(|i| lit(i, CubeLit::One)).collect(), false)
-        }
+        PrimitiveFn::And => Sop::new(arity, vec![Cube::new(vec![CubeLit::One; arity])], true),
+        PrimitiveFn::Nand => Sop::new(arity, vec![Cube::new(vec![CubeLit::One; arity])], false),
+        PrimitiveFn::Or => Sop::new(
+            arity,
+            (0..arity).map(|i| lit(i, CubeLit::One)).collect(),
+            true,
+        ),
+        PrimitiveFn::Nor => Sop::new(
+            arity,
+            (0..arity).map(|i| lit(i, CubeLit::One)).collect(),
+            false,
+        ),
         PrimitiveFn::Xor | PrimitiveFn::Xnor => {
             // Minterm expansion of odd parity; the mapper's XOR-detection
             // peephole recovers a balanced XOR2 tree from exactly this

@@ -388,10 +388,7 @@ impl<'a> Parser<'a> {
 /// errors, unknown cells/pins, arity mismatches, multiply-driven nets, and
 /// unsupported constructs. A character outside the subset is reported
 /// wherever it is, ahead of any other error.
-pub fn parse_verilog(
-    src: &str,
-    library: Arc<CellLibrary>,
-) -> Result<Netlist, ParseVerilogError> {
+pub fn parse_verilog(src: &str, library: Arc<CellLibrary>) -> Result<Netlist, ParseVerilogError> {
     let mut p = Parser::new(src);
     parse_module(&mut p, library).map_err(|e| p.bad_char_in_rest().unwrap_or(e))
 }
@@ -819,8 +816,7 @@ endmodule
 
     #[test]
     fn unknown_pin_rejected() {
-        let src =
-            "module m (a, y);\ninput a;\noutput y;\nINV u1 (.Q(y), .A(a));\nendmodule\n";
+        let src = "module m (a, y);\ninput a;\noutput y;\nINV u1 (.Q(y), .A(a));\nendmodule\n";
         let e = parse_verilog(src, lib()).unwrap_err();
         assert!(matches!(e.kind, ParseVerilogErrorKind::UnknownPin(_)));
     }

@@ -18,14 +18,7 @@ use crate::input_pin_name;
 pub fn write_verilog(netlist: &Netlist) -> String {
     let mut namer = Namer::with_capacity(netlist.num_nets() + netlist.num_gates());
     // Reserve language keywords and cell names up front.
-    for kw in [
-        "module",
-        "endmodule",
-        "input",
-        "output",
-        "wire",
-        "assign",
-    ] {
+    for kw in ["module", "endmodule", "input", "output", "wire", "assign"] {
         namer.reserve(kw);
     }
     for (_, cell) in netlist.library().iter() {
@@ -134,7 +127,13 @@ fn sanitize(name: &str) -> Cow<'_, str> {
     }
     let mut s: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if s.is_empty() || s.starts_with(|c: char| c.is_ascii_digit()) {
         s.insert(0, 'n');

@@ -44,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Technology-map onto the standard-cell library (the ABC step).
     let mapped = map_network(&network, CellLibrary::standard())?;
-    println!("mapped to {} gates:\n{}", mapped.num_gates(), mapped.stats());
+    println!(
+        "mapped to {} gates:\n{}",
+        mapped.num_gates(),
+        mapped.stats()
+    );
 
     // 3. Fingerprint.
     let fp = Fingerprinter::new(mapped)?;

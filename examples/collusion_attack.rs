@@ -52,7 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ranking = trace_suspects(&recovered, &registry);
     println!("tracing ranking (agreement with the forged copy):");
     for &(idx, score) in ranking.iter().take(6) {
-        let mark = if colluders.contains(&idx) { "  <- colluder" } else { "" };
+        let mark = if colluders.contains(&idx) {
+            "  <- colluder"
+        } else {
+            ""
+        };
         println!("  buyer {idx}: {:>6.2}%{mark}", score * 100.0);
     }
     let top3: Vec<usize> = ranking.iter().take(3).map(|&(i, _)| i).collect();

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example custom_library`
 
-use odcfp_core::{FlexibleDesign, Fingerprinter};
+use odcfp_core::{Fingerprinter, FlexibleDesign};
 use odcfp_netlist::genlib::parse_genlib;
 use odcfp_sat::{check_equivalence, EquivResult};
 use odcfp_synth::benchmarks::random::{random_dag, DagParams};
@@ -71,6 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fuse programming and netlist rewiring implement the same copy"
     );
     println!("fuse-programmed die proven equivalent to the rewired netlist");
-    println!("recovered bits match: {}", fp.extract(embedded.netlist()) == buyer_bits);
+    println!(
+        "recovered bits match: {}",
+        fp.extract(embedded.netlist()) == buyer_bits
+    );
     Ok(())
 }

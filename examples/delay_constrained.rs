@@ -15,8 +15,8 @@ use odcfp_synth::benchmarks;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "c499".to_owned());
     let lib = CellLibrary::standard();
-    let base = benchmarks::generate(&name, lib)
-        .unwrap_or_else(|| panic!("unknown benchmark {name:?}"));
+    let base =
+        benchmarks::generate(&name, lib).unwrap_or_else(|| panic!("unknown benchmark {name:?}"));
     let fp = Fingerprinter::new(base)?;
     let base_metrics = DesignMetrics::measure(fp.base());
     let total = fp.locations().len();

@@ -51,7 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         buyer_id & ((1u32 << payload_len) - 1)
     };
     println!("recovered buyer id: {recovered_id:#010x}");
-    println!("tampered locations identified: {:?}", recovered.tampered_locations);
+    println!(
+        "tampered locations identified: {:?}",
+        recovered.tampered_locations
+    );
     assert_eq!(recovered_id, expected_id, "payload must survive tampering");
     assert_eq!(recovered.tampered_locations.len(), blocks);
     assert_eq!(recovered.status, DecodeStatus::Corrected);

@@ -20,7 +20,9 @@ fn hard_pair() -> (Fingerprinter, odcfp_netlist::Netlist) {
     let base = odcfp_synth::benchmarks::generate("c6288", CellLibrary::standard())
         .expect("known benchmark");
     let fp = Fingerprinter::new(base).expect("analysable");
-    let copy = fp.embed(&vec![true; fp.locations().len()]).expect("embeddable");
+    let copy = fp
+        .embed(&vec![true; fp.locations().len()])
+        .expect("embeddable");
     (fp, copy.into_netlist())
 }
 

@@ -12,8 +12,8 @@ use odcfp_netlist::{CellLibrary, Netlist};
 pub fn load_blif(src: &str) -> Result<Netlist, String> {
     let network = odcfp_blif::parse_blif(src).map_err(|e| e.to_string())?;
     network.validate().map_err(|e| e.to_string())?;
-    let netlist = odcfp_synth::map_network(&network, CellLibrary::standard())
-        .map_err(|e| e.to_string())?;
+    let netlist =
+        odcfp_synth::map_network(&network, CellLibrary::standard()).map_err(|e| e.to_string())?;
     netlist.validate().map_err(|e| e.to_string())?;
     Ok(netlist)
 }
@@ -36,8 +36,7 @@ pub fn blif_fixtures() -> Vec<(&'static str, String, &'static str)> {
         ),
         (
             "combinational_cycle",
-            ".model c\n.inputs a\n.outputs y\n.names a x y\n11 1\n.names y x\n1 1\n.end\n"
-                .into(),
+            ".model c\n.inputs a\n.outputs y\n.names a x y\n11 1\n.names y x\n1 1\n.end\n".into(),
             "cycle",
         ),
         (
@@ -115,7 +114,9 @@ pub fn verilog_fixtures() -> Vec<(&'static str, String, &'static str)> {
             // Concatenated files must not silently half-parse as the
             // first module.
             "second_module",
-            format!("{GOOD}module m2 (b, z);\ninput b;\noutput z;\nINV u2 (.A(b), .Y(z));\nendmodule\n"),
+            format!(
+                "{GOOD}module m2 (b, z);\ninput b;\noutput z;\nINV u2 (.A(b), .Y(z));\nendmodule\n"
+            ),
             "trailing input after endmodule",
         ),
         (

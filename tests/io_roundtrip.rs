@@ -77,9 +77,7 @@ fn verilog_roundtrip_preserves_fingerprint_structure() {
     let mapped = map_network(&net, CellLibrary::standard()).unwrap();
     let fp = Fingerprinter::new(mapped).unwrap();
     let marked = fp.embed_seeded(7).unwrap();
-    let unmarked = fp
-        .embed(&vec![false; fp.locations().len()])
-        .unwrap();
+    let unmarked = fp.embed(&vec![false; fp.locations().len()]).unwrap();
 
     let v_marked = write_verilog(marked.netlist());
     let v_unmarked = write_verilog(unmarked.netlist());
@@ -93,8 +91,7 @@ fn verilog_roundtrip_preserves_fingerprint_structure() {
 
 #[test]
 fn generated_benchmark_survives_verilog_roundtrip() {
-    let base =
-        odcfp_synth::benchmarks::generate("c432", CellLibrary::standard()).unwrap();
+    let base = odcfp_synth::benchmarks::generate("c432", CellLibrary::standard()).unwrap();
     let text = write_verilog(&base);
     let back = parse_verilog(&text, base.library().clone()).unwrap();
     assert_eq!(back.num_gates(), base.num_gates());

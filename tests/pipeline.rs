@@ -17,7 +17,10 @@ fn engine(name: &str) -> Fingerprinter {
 #[test]
 fn c432_full_embedding_is_sat_equivalent() {
     let fp = engine("c432");
-    assert!(fp.locations().len() >= 20, "c432-class should offer many locations");
+    assert!(
+        fp.locations().len() >= 20,
+        "c432-class should offer many locations"
+    );
     let copy = fp
         .embed_verified(&vec![true; fp.locations().len()], VerifyLevel::Sat)
         .expect("equivalence must hold");
@@ -31,7 +34,11 @@ fn c880_random_copies_are_equivalent_and_distinct() {
     let b = fp.embed_seeded(2).unwrap();
     assert!(probably_equivalent(fp.base(), a.netlist(), 32, 5).unwrap());
     assert!(probably_equivalent(a.netlist(), b.netlist(), 32, 5).unwrap());
-    assert_ne!(a.bits(), b.bits(), "distinct seeds give distinct fingerprints");
+    assert_ne!(
+        a.bits(),
+        b.bits(),
+        "distinct seeds give distinct fingerprints"
+    );
     // Distinctness requirement: the copies are structurally distinguishable.
     assert_ne!(fp.extract(a.netlist()), fp.extract(b.netlist()));
 }
@@ -116,7 +123,10 @@ fn collusion_and_tracing_on_real_benchmark() {
     let held: Vec<&Netlist> = copies[..3].iter().map(|c| c.netlist()).collect();
 
     let report = analyze_collusion(&fp, &held);
-    assert!(!report.exposed.is_empty(), "three copies must differ somewhere");
+    assert!(
+        !report.exposed.is_empty(),
+        "three copies must differ somewhere"
+    );
     assert!(!report.hidden.is_empty(), "residue must remain for tracing");
 
     let forged = forge(&fp, &held, ForgeStrategy::ClearExposed).unwrap();
@@ -125,7 +135,10 @@ fn collusion_and_tracing_on_real_benchmark() {
     let ranking = trace_suspects(&fp.extract(forged.netlist()), &registry);
     let top3: Vec<usize> = ranking.iter().take(3).map(|&(i, _)| i).collect();
     for colluder in 0..3 {
-        assert!(top3.contains(&colluder), "colluder {colluder} not traced: {ranking:?}");
+        assert!(
+            top3.contains(&colluder),
+            "colluder {colluder} not traced: {ranking:?}"
+        );
     }
 }
 
@@ -175,7 +188,10 @@ fn configuration_vectors_realize_extra_capacity() {
             }
         }
     }
-    assert!(succeeded >= 3, "only {succeeded} configuration vectors embedded");
+    assert!(
+        succeeded >= 3,
+        "only {succeeded} configuration vectors embedded"
+    );
 }
 
 #[test]

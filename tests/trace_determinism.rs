@@ -58,8 +58,14 @@ fn traced_pipeline(tag: &str) -> Vec<String> {
             load: &|_c| Ok(random_dag(CellLibrary::standard(), DagParams::small(9))),
             emit: &|n| format!("// {} gates\n", n.num_gates()),
         };
-        run(&manifest, &dir, &env, &CampaignOptions::default(), &mut |_| {})
-            .expect("campaign");
+        run(
+            &manifest,
+            &dir,
+            &env,
+            &CampaignOptions::default(),
+            &mut |_| {},
+        )
+        .expect("campaign");
     })
     .expect("no competing sink installed");
     odcfp_obs::payload_lines(&events)
@@ -98,17 +104,24 @@ fn det_payload_bit_identical_across_thread_counts() {
 
 #[test]
 fn quarantine_emits_structured_event_with_panic_payload() {
-    let dir = std::env::temp_dir().join("odcfp-trace-det").join("quarantine");
+    let dir = std::env::temp_dir()
+        .join("odcfp-trace-det")
+        .join("quarantine");
     let _ = std::fs::remove_dir_all(&dir);
     let ((), events) = odcfp_obs::capture(|| {
-        let manifest =
-            Manifest::parse("circuit bomb probe:panic\nretries 1\n").expect("manifest");
+        let manifest = Manifest::parse("circuit bomb probe:panic\nretries 1\n").expect("manifest");
         let env = CampaignEnv {
             load: &|_c| Err("probes never load".into()),
             emit: &|_n| String::new(),
         };
-        run(&manifest, &dir, &env, &CampaignOptions::default(), &mut |_| {})
-            .expect("campaign survives the poisoned job");
+        run(
+            &manifest,
+            &dir,
+            &env,
+            &CampaignOptions::default(),
+            &mut |_| {},
+        )
+        .expect("campaign survives the poisoned job");
     })
     .expect("no competing sink installed");
 
