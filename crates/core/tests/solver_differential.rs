@@ -1,7 +1,8 @@
 //! Verify-ladder differential suite for the solver tier: on
 //! fault-battery circuits, every solver heuristic combination and every
-//! analysis thread count must produce the **same verdict** — and that
-//! verdict must match brute-force ground truth.
+//! analysis thread count must produce the **same verdict** through the
+//! ladder and through a cold whole-circuit miter — and that verdict must
+//! match brute-force ground truth.
 //!
 //! This is the end-to-end face of the contract unit-tested in
 //! `crates/sat/tests/differential.rs`: heuristics change the search,
@@ -13,7 +14,7 @@ use odcfp_core::faults::FaultInjector;
 use odcfp_core::{verify_equivalent, Verdict, VerifyPolicy};
 use odcfp_logic::sim;
 use odcfp_netlist::{CellLibrary, Netlist};
-use odcfp_sat::SolverConfig;
+use odcfp_sat::{Limits, Miter, MiterOutcome, SolverConfig};
 use odcfp_synth::benchmarks::random::{random_dag, DagParams};
 
 /// Brute-force functional comparison — the independent ground truth.
@@ -79,14 +80,14 @@ fn heuristic_combinations() -> [(&'static str, SolverConfig); 5] {
 /// Verdicts compare by kind; refutations also prove themselves on the
 /// netlists, so two refuting configurations agree even when their
 /// counterexamples differ.
-fn check(golden: &Netlist, candidate: &Netlist, policy: &VerifyPolicy, label: &str) -> bool {
+fn check(golden: &Netlist, candidate: &Netlist, outcome: MiterOutcome, label: &str) -> bool {
     let truth = ground_truth_equal(golden, candidate);
-    match verify_equivalent(golden, candidate, policy).expect("valid pair") {
-        Verdict::Proven => {
+    match outcome {
+        MiterOutcome::Equivalent => {
             assert!(truth, "{label}: proved a function-changing fault");
             true
         }
-        Verdict::Refuted { counterexample } => {
+        MiterOutcome::Counterexample(counterexample) => {
             assert!(!truth, "{label}: refuted a harmless pair");
             assert_ne!(
                 golden.eval(&counterexample),
@@ -95,8 +96,28 @@ fn check(golden: &Netlist, candidate: &Netlist, policy: &VerifyPolicy, label: &s
             );
             false
         }
-        other => panic!("{label}: unbounded verify returned {other}"),
+        MiterOutcome::Undecided => panic!("{label}: an unbounded solve was undecided"),
     }
+}
+
+/// The ladder's verdict as the outcome of a miter.
+fn ladder(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterOutcome {
+    let policy = VerifyPolicy {
+        solver: config,
+        ..VerifyPolicy::strict()
+    };
+    match verify_equivalent(golden, candidate, &policy).expect("valid pair") {
+        Verdict::Proven => MiterOutcome::Equivalent,
+        Verdict::Refuted { counterexample } => MiterOutcome::Counterexample(counterexample),
+        other => panic!("strict verify returned {other}"),
+    }
+}
+
+/// A cold whole-circuit miter's verdict, the ladder's reference.
+fn cold(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterOutcome {
+    Miter::build_with(golden, candidate, config)
+        .expect("same interface")
+        .solve(&Limits::default())
 }
 
 /// One test (not one per axis) so the global thread override is never
@@ -104,31 +125,24 @@ fn check(golden: &Netlist, candidate: &Netlist, policy: &VerifyPolicy, label: &s
 #[test]
 fn profiles_and_thread_counts_agree_with_ground_truth() {
     let pairs = battery();
-    // The ladder is exercised on both rungs: the sweep fast path and the
-    // cold whole-circuit miter.
-    let mut policies: Vec<(String, VerifyPolicy)> = Vec::new();
-    for (profile, config) in heuristic_combinations() {
-        for fast in [true, false] {
-            policies.push((
-                format!("{profile}/{}", if fast { "fast" } else { "cold" }),
-                VerifyPolicy {
-                    use_fast_path: fast,
-                    solver: config,
-                    ..VerifyPolicy::strict()
-                },
-            ));
-        }
-    }
     for threads in [1usize, 8] {
         set_thread_override(Some(threads));
         for (name, golden, candidate) in &pairs {
             let mut reference: Option<bool> = None;
-            for (policy_name, policy) in &policies {
-                let label = format!("{name} @{threads}t {policy_name}");
-                let equal = check(golden, candidate, policy, &label);
-                match reference {
-                    None => reference = Some(equal),
-                    Some(expect) => assert_eq!(equal, expect, "{label}: verdict flipped"),
+            for (profile, config) in heuristic_combinations() {
+                // Each configuration decides the pair twice: through the
+                // ladder and through a cold whole-circuit miter.
+                let outcomes = [
+                    ("ladder", ladder(golden, candidate, config)),
+                    ("cold", cold(golden, candidate, config)),
+                ];
+                for (path, outcome) in outcomes {
+                    let label = format!("{name} @{threads}t {profile}/{path}");
+                    let equal = check(golden, candidate, outcome, &label);
+                    match reference {
+                        None => reference = Some(equal),
+                        Some(expect) => assert_eq!(equal, expect, "{label}: verdict flipped"),
+                    }
                 }
             }
         }

@@ -1,14 +1,13 @@
 //! Miter-based combinational equivalence checking.
 
 use std::fmt;
-use std::time::Instant;
 
 use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 
 use crate::tseitin::encode_netlist;
-use crate::{CnfBuilder, Lit, SolveResult, Solver, SolverConfig, Var};
+use crate::{CnfBuilder, Limits, Lit, SolveResult, Solver, SolverConfig, Var};
 
 /// Why two netlists could not be compared.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +102,11 @@ pub fn check_equivalence(
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, EquivError> {
     let mut miter = Miter::build(left, right)?;
-    match miter.solve(conflict_budget, None) {
+    let limits = Limits {
+        conflicts: conflict_budget,
+        ..Limits::default()
+    };
+    match miter.solve(&limits) {
         MiterOutcome::Equivalent => Ok(EquivResult::Equivalent),
         MiterOutcome::Counterexample(inputs) => Ok(EquivResult::Counterexample(inputs)),
         MiterOutcome::Undecided => Err(EquivError::BudgetExhausted),
@@ -122,19 +125,21 @@ pub enum MiterOutcome {
     Undecided,
 }
 
-/// An incremental equivalence miter: built once, solvable repeatedly under
-/// escalating conflict budgets.
+/// A whole-circuit equivalence miter: built once, solvable repeatedly
+/// under per-call [`Limits`].
 ///
 /// Learnt clauses are retained inside the embedded [`Solver`] across
 /// [`Miter::solve`] calls, so a retry with a larger budget resumes from the
 /// accumulated knowledge of earlier attempts rather than starting over.
-/// This is the engine behind budget-escalation verification policies.
+/// The verify ladder does not use it (its SAT rung is the
+/// [`SweepEngine`](crate::SweepEngine)); it is the cold reference that
+/// [`check_equivalence`] and the differential tests solve directly.
 ///
 /// # Example
 ///
 /// ```
 /// use odcfp_netlist::{CellLibrary, Netlist};
-/// use odcfp_sat::{Miter, MiterOutcome};
+/// use odcfp_sat::{Limits, Miter, MiterOutcome};
 /// use odcfp_logic::PrimitiveFn;
 ///
 /// let lib = CellLibrary::standard();
@@ -149,7 +154,7 @@ pub enum MiterOutcome {
 /// };
 /// let (left, right) = (build(), build());
 /// let mut miter = Miter::build(&left, &right)?;
-/// assert_eq!(miter.solve(None, None), MiterOutcome::Equivalent);
+/// assert_eq!(miter.solve(&Limits::default()), MiterOutcome::Equivalent);
 /// # Ok::<(), odcfp_sat::EquivError>(())
 /// ```
 #[derive(Debug)]
@@ -237,27 +242,15 @@ impl Miter {
         })
     }
 
-    /// Attempts to decide the miter under an optional conflict budget and
-    /// wall-clock deadline.
+    /// Attempts to decide the miter within `limits`.
     ///
     /// On [`MiterOutcome::Undecided`], the solver state (including learnt
     /// clauses) is preserved; calling `solve` again continues the search.
-    pub fn solve(
-        &mut self,
-        conflict_budget: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> MiterOutcome {
+    pub fn solve(&mut self, limits: &Limits) -> MiterOutcome {
         if self.trivially_equivalent {
             return MiterOutcome::Equivalent;
         }
-        self.solver.clear_limits();
-        if let Some(b) = conflict_budget {
-            self.solver.set_conflict_budget(b);
-        }
-        if let Some(d) = deadline {
-            self.solver.set_deadline(d);
-        }
-        match self.solver.solve() {
+        match self.solver.solve_under(&[], limits) {
             SolveResult::Unsat => MiterOutcome::Equivalent,
             SolveResult::Sat(model) => MiterOutcome::Counterexample(
                 self.input_vars.iter().map(|&v| model.value(v)).collect(),
@@ -275,14 +268,6 @@ impl Miter {
     /// [`Miter::solve`] calls.
     pub fn stats(&self) -> crate::SolverStats {
         self.solver.stats()
-    }
-
-    /// Arms a cooperative interrupt on the embedded solver: when `flag`
-    /// reads `true` at a conflict point, the running [`Miter::solve`]
-    /// aborts with [`MiterOutcome::Undecided`]. Stays armed across solve
-    /// attempts — batch runners set it once from their job cancel flag.
-    pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.solver.set_interrupt(flag);
     }
 }
 
@@ -408,6 +393,13 @@ mod tests {
         ));
     }
 
+    fn capped(conflicts: u64) -> Limits {
+        Limits {
+            conflicts: Some(conflicts),
+            ..Limits::default()
+        }
+    }
+
     /// XOR chain over `width` inputs, associated left-to-right or
     /// right-to-left; the two orders are equivalent but proving it takes
     /// real search, which makes the pair a good budget-starvation fixture.
@@ -436,10 +428,10 @@ mod tests {
         let right = xor_chain(10, true);
         let mut miter = Miter::build(&left, &right).unwrap();
         // A zero conflict budget aborts at the first conflict.
-        assert_eq!(miter.solve(Some(0), None), MiterOutcome::Undecided);
+        assert_eq!(miter.solve(&capped(0)), MiterOutcome::Undecided);
         let spent_early = miter.conflicts_spent();
         // Resuming without a budget finishes the proof on the same solver.
-        assert_eq!(miter.solve(None, None), MiterOutcome::Equivalent);
+        assert_eq!(miter.solve(&Limits::default()), MiterOutcome::Equivalent);
         assert!(miter.conflicts_spent() >= spent_early);
     }
 
@@ -450,9 +442,9 @@ mod tests {
         let mut miter = Miter::build(&left, &right).unwrap();
         let vars_before = miter.solver.num_vars();
         let problem_before = miter.solver.num_problem_clauses();
-        assert_eq!(miter.solve(Some(0), None), MiterOutcome::Undecided);
-        assert_eq!(miter.solve(Some(5), None), MiterOutcome::Undecided);
-        assert_eq!(miter.solve(None, None), MiterOutcome::Equivalent);
+        assert_eq!(miter.solve(&capped(0)), MiterOutcome::Undecided);
+        assert_eq!(miter.solve(&capped(5)), MiterOutcome::Undecided);
+        assert_eq!(miter.solve(&Limits::default()), MiterOutcome::Equivalent);
         assert_eq!(
             miter.solver.num_vars(),
             vars_before,
@@ -471,10 +463,16 @@ mod tests {
         let left = xor_chain(10, false);
         let right = xor_chain(10, true);
         let mut miter = Miter::build(&left, &right).unwrap();
-        let past = Instant::now() - std::time::Duration::from_secs(1);
-        assert_eq!(miter.solve(None, Some(past)), MiterOutcome::Undecided);
+        let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
+        assert_eq!(
+            miter.solve(&Limits {
+                deadline: Some(past),
+                ..Limits::default()
+            }),
+            MiterOutcome::Undecided
+        );
         // Limits do not stick: the next call runs to completion.
-        assert_eq!(miter.solve(None, None), MiterOutcome::Equivalent);
+        assert_eq!(miter.solve(&Limits::default()), MiterOutcome::Equivalent);
     }
 
     #[test]
@@ -491,7 +489,7 @@ mod tests {
         wrong.set_primary_output(wrong.gate_output(x));
 
         let mut miter = Miter::build(&base, &wrong).unwrap();
-        match miter.solve(None, None) {
+        match miter.solve(&Limits::default()) {
             MiterOutcome::Counterexample(inputs) => {
                 assert_eq!(inputs.len(), base.primary_inputs().len());
                 assert_ne!(base.eval(&inputs), wrong.eval(&inputs));
@@ -507,7 +505,7 @@ mod tests {
         for (name, config) in crate::config::heuristic_combinations() {
             let mut miter = Miter::build_with(&left, &right, config).unwrap();
             assert_eq!(
-                miter.solve(None, None),
+                miter.solve(&Limits::default()),
                 MiterOutcome::Equivalent,
                 "profile {name}"
             );

@@ -54,9 +54,6 @@
 //! [`SharedMiter::add_selectable_variant`]: crate::SharedMiter::add_selectable_variant
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use odcfp_logic::sim::{exhaustive_word, Block, BLOCK_LANES, ZERO_BLOCK};
 use odcfp_logic::PrimitiveFn;
@@ -64,7 +61,7 @@ use odcfp_netlist::{GateId, NetDriver, NetId, Netlist};
 
 use crate::shared::SelectableInput;
 use crate::tseitin::encode_gate;
-use crate::{Lit, SolveResult, Solver, SolverConfig, Var};
+use crate::{Limits, Lit, SolveResult, Solver, SolverConfig, Var};
 
 /// Obligations with at most this many free variables (cut nets plus
 /// selectors) are discharged by exhaustive simulation, without a solver.
@@ -92,20 +89,6 @@ pub(crate) const WINDOW_SLACK: usize = 8;
 /// A sweep window with at most this many leaves fits one 64-row word,
 /// so it is checked after every expansion.
 pub(crate) const WINDOW_CHEAP_LEAVES: usize = 6;
-
-/// Limits for [`prove_locally`]. The default is unlimited, on the
-/// default [`SolverConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct LocalLimits {
-    /// Configuration of the per-obligation solvers.
-    pub solver: SolverConfig,
-    /// Total conflicts the SAT-discharged obligations may spend.
-    pub conflict_budget: Option<u64>,
-    /// Wall-clock deadline for the whole pass.
-    pub deadline: Option<Instant>,
-    /// Cooperative interrupt: the pass stops when it reads `true`.
-    pub interrupt: Option<Arc<AtomicBool>>,
-}
 
 /// What [`prove_locally`] established: `proven`, a `witness`, or
 /// neither when the budget, the deadline or the interrupt ran out first.
@@ -153,6 +136,10 @@ pub struct Witness {
 /// one code — against `base` by local obligations; see the module docs
 /// for the argument.
 ///
+/// The per-obligation solvers run `config`. `limits.conflicts` bounds
+/// the conflicts of all SAT-discharged obligations together, and the
+/// deadline and interrupt stop the whole pass.
+///
 /// # Panics
 ///
 /// Panics if either netlist has a combinational cycle, if `selectable`
@@ -167,7 +154,8 @@ pub fn prove_locally(
     selectable: &[SelectableInput],
     groups: usize,
     code: Option<&[bool]>,
-    limits: &LocalLimits,
+    config: SolverConfig,
+    limits: &Limits,
 ) -> LocalProof {
     if let Some(code) = code {
         assert_eq!(code.len(), groups, "code length must match selector groups");
@@ -199,6 +187,7 @@ pub fn prove_locally(
         settled: vec![false; variant.num_nets()],
         variant_pos: topo_positions(variant),
         base_pos: topo_positions(base),
+        config,
         limits,
         proof: LocalProof::default(),
         work: 0,
@@ -235,7 +224,9 @@ struct Pass<'a> {
     settled: Vec<bool>,
     variant_pos: Vec<usize>,
     base_pos: Vec<usize>,
-    limits: &'a LocalLimits,
+    /// Configuration of the per-obligation solvers.
+    config: SolverConfig,
+    limits: &'a Limits,
     proof: LocalProof,
     /// Gates visited by obligations so far, against a total cap.
     work: usize,
@@ -256,15 +247,7 @@ impl Pass<'_> {
     /// Conflicts left in the budget.
     fn remaining(&self) -> Option<u64> {
         let spent = self.proof.conflicts;
-        self.limits.conflict_budget.map(|b| b.saturating_sub(spent))
-    }
-
-    fn interrupted(&self) -> bool {
-        self.limits
-            .interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-            || self.limits.deadline.is_some_and(|d| Instant::now() >= d)
+        self.limits.conflicts.map(|b| b.saturating_sub(spent))
     }
 
     /// Settles every primary output, or stops with the witness of a
@@ -326,7 +309,7 @@ impl Pass<'_> {
             if !claiming {
                 continue;
             }
-            if self.interrupted() {
+            if self.limits.stopped() {
                 return Err(None);
             }
             match self.claim(out) {
@@ -342,7 +325,7 @@ impl Pass<'_> {
             if self.settled[po.index()] {
                 continue;
             }
-            if self.interrupted() {
+            if self.limits.stopped() {
                 return Err(None);
             }
             if self.proof.escalated == 0 {
@@ -529,7 +512,11 @@ impl Pass<'_> {
             };
         }
         self.proof.solved += 1;
-        let (check, conflicts) = self.program.solve(self.limits, allowance);
+        let limits = Limits {
+            conflicts: allowance,
+            ..self.limits.clone()
+        };
+        let (check, conflicts) = self.program.solve(self.config, &limits);
         self.proof.conflicts += conflicts;
         check
     }
@@ -776,11 +763,11 @@ impl Program {
         None
     }
 
-    /// A fresh miter over just this obligation, within `allowance`
-    /// conflicts: UNSAT means it holds, a model gives the differing free
-    /// values. Returns the conflicts spent too.
-    fn solve(&self, limits: &LocalLimits, allowance: Option<u64>) -> (Check, u64) {
-        let mut solver = Solver::with_config(limits.solver);
+    /// A fresh miter over just this obligation, within `limits`: UNSAT
+    /// means it holds, a model gives the differing free values. Returns
+    /// the conflicts spent too.
+    fn solve(&self, config: SolverConfig, limits: &Limits) -> (Check, u64) {
+        let mut solver = Solver::with_config(config);
         let vars: Vec<Var> = (0..self.slots).map(|_| solver.new_var()).collect();
         for op in &self.ops {
             match op {
@@ -818,16 +805,7 @@ impl Program {
         let (a, b) = (vars[self.left as usize], vars[self.right as usize]);
         solver.add_clause([Lit::pos(a), Lit::pos(b)]);
         solver.add_clause([Lit::neg(a), Lit::neg(b)]);
-        if let Some(allowance) = allowance {
-            solver.set_conflict_budget(allowance);
-        }
-        if let Some(d) = limits.deadline {
-            solver.set_deadline(d);
-        }
-        if let Some(flag) = &limits.interrupt {
-            solver.set_interrupt(Arc::clone(flag));
-        }
-        let check = match solver.solve() {
+        let check = match solver.solve_under(&[], limits) {
             SolveResult::Unsat => Check::Holds,
             SolveResult::Sat(model) => {
                 Check::Differs(vars[..self.free].iter().map(|&v| model.value(v)).collect())
@@ -840,6 +818,9 @@ impl Program {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
     use super::*;
     use crate::{MiterOutcome, SharedMiter};
     use odcfp_netlist::CellLibrary;
@@ -883,7 +864,15 @@ mod tests {
         groups: usize,
         code: Option<&[bool]>,
     ) -> LocalProof {
-        prove_locally(base, variant, sel, groups, code, &LocalLimits::default())
+        prove_locally(
+            base,
+            variant,
+            sel,
+            groups,
+            code,
+            SolverConfig::default(),
+            &Limits::default(),
+        )
     }
 
     fn monolithic(
@@ -1090,11 +1079,19 @@ mod tests {
         );
         // Proving it takes conflicts: with none left the escalation is
         // undecided.
-        let limits = LocalLimits {
-            conflict_budget: Some(0),
-            ..LocalLimits::default()
+        let limits = Limits {
+            conflicts: Some(0),
+            ..Limits::default()
         };
-        let proof = prove_locally(&base, &variant, &[], 0, None, &limits);
+        let proof = prove_locally(
+            &base,
+            &variant,
+            &[],
+            0,
+            None,
+            SolverConfig::default(),
+            &limits,
+        );
         assert_eq!(
             (proof.proven, proof.witness, proof.escalated),
             (false, None, 1)
@@ -1126,12 +1123,20 @@ mod tests {
     fn interrupted_pass_proves_nothing_and_blames_no_gate() {
         let (base, _) = fig1(false);
         let (variant, gx) = fig1(true);
-        let limits = LocalLimits {
+        let limits = Limits {
             interrupt: Some(Arc::new(AtomicBool::new(true))),
-            ..LocalLimits::default()
+            ..Limits::default()
         };
         let sel = [selectable(gx, 2, 0, true)];
-        let proof = prove_locally(&base, &variant, &sel, 1, None, &limits);
+        let proof = prove_locally(
+            &base,
+            &variant,
+            &sel,
+            1,
+            None,
+            SolverConfig::default(),
+            &limits,
+        );
         assert!(!proof.proven);
         assert_eq!(proof.witness, None);
         assert_eq!(proof.unsettled, None);
