@@ -1,18 +1,15 @@
 //! Solver-tier benchmark: regenerates `BENCH_sat.json` at the
-//! repository root, measuring the CDCL profiles the verify ladder runs
-//! on.
+//! repository root, measuring the CDCL search the verify ladder runs on.
 //!
 //! Usage: `cargo run --release -p odcfp-bench --bin bench_sat
 //! [--fast] [--check]`
 //!
 //! Three sections:
 //!
-//! 1. **profiles** — the hard-instance set (pigeonhole formulas, a
-//!    deep xor-chain miter) solved unbounded under the `legacy` and
-//!    `modern` profiles, recording conflicts, wall time and
-//!    conflicts/sec. The headline number is the aggregate wall-time
-//!    speedup of `modern` (LBD-guided learnt-DB reduction + phase
-//!    saving) over `legacy` (the pre-trait fixed-heuristic solver).
+//! 1. **hard_set** — pigeonhole formulas, a deep xor-chain miter and a
+//!    phase-transition random 3-SAT instance solved unbounded, recording
+//!    verdict, conflicts, wall time and conflicts/sec. The search is
+//!    deterministic, so each verdict and conflict count is pinned.
 //! 2. **des_sweep** — a strict verify sweep (the ladder's sweeping SAT
 //!    rung) over fingerprinted `des` buyers; the Undecided-rate must be
 //!    zero.
@@ -24,18 +21,18 @@
 //!    propagation slowdown) fails CI even though the verdict is
 //!    honestly `undecided` at the cap.
 //!
-//! `--check` exits non-zero if: the modern/legacy aggregate speedup
-//! falls below 2x (full mode only), any des verdict is Undecided, or the
-//! capped c6288 miter misses its wall ceiling. `--fast` trims section 1
-//! to its quickest instance and the des sweep to two buyers; the JSON
-//! records which mode produced it.
+//! `--check` exits non-zero if: a hard-set verdict or conflict count
+//! differs from its pin, any des verdict is Undecided, or the capped
+//! c6288 miter misses its wall ceiling. `--fast` trims section 1 to its
+//! quickest instance and the des sweep to two buyers; the JSON records
+//! which mode produced it.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use odcfp_bench::netlist_for;
 use odcfp_core::{Fingerprinter, Verdict, VerifyPolicy, VerifySession};
-use odcfp_sat::{CnfBuilder, Limits, Lit, Miter, MiterOutcome, SolveResult, Solver, SolverConfig};
+use odcfp_sat::{CnfBuilder, Limits, Lit, Miter, MiterOutcome, SolveResult, Solver};
 
 /// Wall-clock ceiling for the conflict-capped c6288 miter. The cap
 /// bounds the search at 2000 conflicts; at sane propagation speed that
@@ -49,8 +46,8 @@ const C6288_CEILING_MS: f64 = 60_000.0;
 
 /// Pigeonhole formula PHP(p, h): `p` pigeons into `h` holes, UNSAT for
 /// p > h. Variable (i, j) = pigeon i in hole j. Resolution-hard, so the
-/// learnt DB grows without bound — exactly the regime where the modern
-/// profile's LBD-guided reduction pays off.
+/// learnt DB grows without bound — exactly the regime where LBD-guided
+/// reduction pays off.
 fn pigeonhole(pigeons: usize, holes: usize) -> CnfBuilder {
     let mut cnf = CnfBuilder::new();
     let vars: Vec<Vec<_>> = (0..pigeons).map(|_| cnf.new_vars(holes)).collect();
@@ -95,9 +92,8 @@ fn xor_miter(width: usize) -> CnfBuilder {
 }
 
 /// Deterministic random 3-SAT at the phase-transition ratio (m/n =
-/// 4.26), xorshift64* keyed by `seed`. The profile rows' conflict
-/// counts depend on the exact bytes it produces, so they must never
-/// change.
+/// 4.26), xorshift64* keyed by `seed`. Its pinned conflict count
+/// depends on the exact bytes it produces, so they must never change.
 fn rand3sat(n: usize, m: usize, seed: u64) -> CnfBuilder {
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed.wrapping_mul(0x0DCF_5EED);
     if state == 0 {
@@ -149,18 +145,19 @@ fn buyer_bits(buyer: u64, n: usize) -> Vec<bool> {
 }
 
 // ---------------------------------------------------------------------
-// Section 1: profile comparison on the hard set.
+// Section 1: the hard set against its pins.
 // ---------------------------------------------------------------------
 
-struct ProfileRun {
-    instance: String,
-    profile: &'static str,
+struct HardRun {
+    instance: &'static str,
     verdict: &'static str,
     conflicts: u64,
     wall_ms: f64,
+    /// The verdict and conflict count `--check` requires.
+    pinned: (&'static str, u64),
 }
 
-impl ProfileRun {
+impl HardRun {
     fn conflicts_per_sec(&self) -> f64 {
         if self.wall_ms > 0.0 {
             self.conflicts as f64 / (self.wall_ms / 1e3)
@@ -178,51 +175,33 @@ fn result_name(r: &SolveResult) -> &'static str {
     }
 }
 
-fn profile_runs(fast: bool) -> Vec<ProfileRun> {
-    let mut set: Vec<(String, CnfBuilder)> = vec![("php_8_7".into(), pigeonhole(8, 7))];
+fn hard_runs(fast: bool) -> Vec<HardRun> {
+    let mut set = vec![("php_8_7", pigeonhole(8, 7), ("unsat", 3_311))];
     if !fast {
-        set.push(("php_9_8".into(), pigeonhole(9, 8)));
-        set.push(("xor_miter_64".into(), xor_miter(64)));
-        set.push(("rand3sat_n200_m852_s5".into(), rand3sat(200, 852, 5)));
+        set.push(("php_9_8", pigeonhole(9, 8), ("unsat", 33_168)));
+        set.push(("xor_miter_64", xor_miter(64), ("unsat", 1_108)));
+        set.push((
+            "rand3sat_n200_m852_s5",
+            rand3sat(200, 852, 5),
+            ("sat", 8_128),
+        ));
     }
-    let mut runs = Vec::new();
-    for (name, cnf) in &set {
-        for (profile, config) in [
-            (
-                "legacy",
-                SolverConfig::from_profile("legacy").expect("profile"),
-            ),
-            (
-                "modern",
-                SolverConfig::from_profile("modern").expect("profile"),
-            ),
-        ] {
-            eprintln!("profiles: {name} under {profile}...");
-            let mut solver = Solver::from_cnf_with(cnf, config);
+    set.into_iter()
+        .map(|(instance, cnf, pinned)| {
+            eprintln!("hard set: {instance}...");
+            let mut solver = Solver::from_cnf(&cnf);
             let t0 = Instant::now();
             let result = solver.solve();
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            runs.push(ProfileRun {
-                instance: name.clone(),
-                profile,
+            HardRun {
+                instance,
                 verdict: result_name(&result),
                 conflicts: solver.stats().conflicts,
                 wall_ms,
-            });
-        }
-    }
-    runs
-}
-
-/// Aggregate wall-time speedup of `modern` over `legacy` on the set.
-fn speedup(runs: &[ProfileRun]) -> f64 {
-    let wall = |p: &str| -> f64 {
-        runs.iter()
-            .filter(|r| r.profile == p)
-            .map(|r| r.wall_ms)
-            .sum()
-    };
-    wall("legacy") / wall("modern").max(1e-9)
+                pinned,
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -323,22 +302,19 @@ fn hard_miter() -> HardMiter {
 // Report.
 // ---------------------------------------------------------------------
 
-fn write_json(fast: bool, runs: &[ProfileRun], speedup: f64, des: &DesSweep, hard: &HardMiter) {
-    let undecided_rate =
-        runs.iter().filter(|r| r.verdict == "unknown").count() as f64 / runs.len().max(1) as f64;
+fn write_json(fast: bool, runs: &[HardRun], des: &DesSweep, hard: &HardMiter) {
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"odcfp-bench-sat/2\",\n");
+    json.push_str("{\n  \"schema\": \"odcfp-bench-sat/3\",\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if fast { "fast" } else { "full" }
     ));
-    json.push_str("  \"profiles\": [\n");
+    json.push_str("  \"hard_set\": [\n");
     for (i, r) in runs.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"instance\": \"{}\", \"profile\": \"{}\", \"verdict\": \"{}\", \
+            "    {{ \"instance\": \"{}\", \"verdict\": \"{}\", \
              \"conflicts\": {}, \"wall_ms\": {:.3}, \"conflicts_per_sec\": {:.0} }}{}\n",
             r.instance,
-            r.profile,
             r.verdict,
             r.conflicts,
             r.wall_ms,
@@ -347,10 +323,6 @@ fn write_json(fast: bool, runs: &[ProfileRun], speedup: f64, des: &DesSweep, har
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"profile_undecided_rate\": {undecided_rate:.3},\n  \
-         \"profile_speedup_modern_vs_legacy\": {speedup:.2},\n"
-    ));
     json.push_str(&format!(
         "  \"des_sweep\": {{ \"buyers\": {}, \"proven\": {}, \"undecided\": {}, \
          \"undecided_rate\": {:.3}, \"wall_ms\": {:.3} }},\n",
@@ -383,16 +355,20 @@ fn main() {
     let fast = args.iter().any(|a| a == "--fast");
     let check = args.iter().any(|a| a == "--check");
 
-    let runs = profile_runs(fast);
-    let speedup = speedup(&runs);
+    let runs = hard_runs(fast);
     let des = des_sweep(if fast { 2 } else { 4 });
     let hard = hard_miter();
 
-    write_json(fast, &runs, speedup, &des, &hard);
+    write_json(fast, &runs, &des, &hard);
 
     println!("| section | result |");
     println!("|---------|--------|");
-    println!("| modern vs legacy wall speedup | {speedup:.2}x |");
+    for r in &runs {
+        println!(
+            "| {} | {}, {} conflicts in {:.0} ms |",
+            r.instance, r.verdict, r.conflicts, r.wall_ms
+        );
+    }
     println!(
         "| des sweep | {}/{} proven, {} undecided |",
         des.proven, des.buyers, des.undecided
@@ -406,13 +382,14 @@ fn main() {
 
     if check {
         let mut failures = Vec::new();
-        // The smoke thresholds from the acceptance criteria. The
-        // speedup check only runs on the full set: --fast keeps the one
-        // instance where legacy and modern behave alike.
-        if !fast && speedup < 2.0 {
-            failures.push(format!(
-                "modern profile speedup {speedup:.2}x is below the 2x floor"
-            ));
+        for r in &runs {
+            let (verdict, conflicts) = r.pinned;
+            if (r.verdict, r.conflicts) != r.pinned {
+                failures.push(format!(
+                    "{}: {} after {} conflicts, pinned {verdict} after {conflicts}",
+                    r.instance, r.verdict, r.conflicts
+                ));
+            }
         }
         if des.undecided != 0 {
             failures.push(format!(

@@ -11,10 +11,9 @@
 //! odcfp extract    <base.(blif|v)> <suspect.v>   recover a fingerprint
 //! odcfp verify     <golden.(blif|v)> <candidate.(blif|v)>
 //!                  [--verify-budget N] [--verify-timeout SECS] [--stats]
-//!                  [--solver-profile legacy|modern]
 //! odcfp solve      <in.dimacs>                    decide one DIMACS CNF
-//!                  [--solver-profile legacy|modern] (debug tool;
-//!                  exit codes 0 sat / 1 unsat / 2 undecided)
+//!                  [--verify-budget N] [--verify-timeout SECS] [--stats]
+//!                  (debug tool; exit codes 0 sat / 1 unsat / 2 undecided)
 //! odcfp constrain  <in.(blif|v)> -o <out.v>      delay-constrained embedding
 //!                  --delay-pct P [--method reactive|proactive]
 //! odcfp dot        <in.(blif|v)> -o <out.dot>    Graphviz export
@@ -86,7 +85,7 @@ use odcfp_core::{
     verify_equivalent_report, Fingerprinter, Verdict, VerifyLevel, VerifyPolicy, VerifyStats,
 };
 use odcfp_netlist::{genlib, CellLibrary, Netlist};
-use odcfp_sat::{parse_dimacs, Limits, SolveResult, Solver, SolverConfig, SolverStats, Var};
+use odcfp_sat::{parse_dimacs, Limits, SolveResult, Solver, SolverStats, Var};
 use odcfp_verilog::{parse_verilog, write_verilog};
 
 /// A CLI failure: message already formatted for the user, plus the process
@@ -211,33 +210,12 @@ struct Options {
     detect_threshold: Option<f64>,
     survival_out: Option<String>,
     robust_locations: Option<String>,
-    // solver tier (verify / solve).
-    solver_profile: Option<String>,
 }
 
 impl Options {
-    /// The solver configuration `--solver-profile` names (default
-    /// profile when the flag is absent).
-    fn solver_config(&self) -> Result<SolverConfig, CliError> {
-        match &self.solver_profile {
-            None => Ok(SolverConfig::default()),
-            Some(name) => SolverConfig::from_profile(name).ok_or_else(|| {
-                usage(format!(
-                    "unknown solver profile {name:?} (expected one of: {})",
-                    SolverConfig::profiles()
-                        .into_iter()
-                        .map(|(n, _)| n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            }),
-        }
-    }
-
     /// The equivalence-checking policy the flags ask for: `--verify-budget`
-    /// overrides `base`, `--verify-timeout` adds a deadline, and
-    /// `--solver-profile` configures the SAT tier.
-    fn verify_policy(&self, base: VerifyPolicy) -> Result<VerifyPolicy, CliError> {
+    /// overrides `base` and `--verify-timeout` adds a deadline.
+    fn verify_policy(&self, base: VerifyPolicy) -> VerifyPolicy {
         let mut policy = match self.verify_budget {
             Some(budget) => VerifyPolicy::budgeted(budget),
             None => base,
@@ -245,8 +223,7 @@ impl Options {
         if let Some(secs) = self.verify_timeout {
             policy = policy.with_time_limit(Duration::from_secs_f64(secs));
         }
-        policy.solver = self.solver_config()?;
-        Ok(policy)
+        policy
     }
 }
 
@@ -292,7 +269,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         detect_threshold: None,
         survival_out: None,
         robust_locations: None,
-        solver_profile: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -486,7 +462,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 o.detect_threshold = Some(t);
             }
             "--survival-out" => o.survival_out = Some(take("--survival-out")?),
-            "--solver-profile" => o.solver_profile = Some(take("--solver-profile")?),
             "--robust-locations" => o.robust_locations = Some(take("--robust-locations")?),
             "--threads" => {
                 let n: usize = take("--threads")?
@@ -628,7 +603,7 @@ pub fn run(command: &str, args: &[String], out: &mut impl std::io::Write) -> Res
                 None => fp.embed_verified(&bits, VerifyLevel::None)?,
                 Some(level_policy) => {
                     let (copy, verdict) =
-                        fp.embed_with_policy(&bits, &o.verify_policy(level_policy)?)?;
+                        fp.embed_with_policy(&bits, &o.verify_policy(level_policy))?;
                     if let Verdict::Undecided { .. } = verdict {
                         eprintln!("warning: equivalence {verdict}; output is unverified");
                         code = verdict_exit_code(&verdict);
@@ -661,7 +636,7 @@ pub fn run(command: &str, args: &[String], out: &mut impl std::io::Write) -> Res
             let report = verify_equivalent_report(
                 &golden,
                 &candidate,
-                &o.verify_policy(VerifyPolicy::strict())?,
+                &o.verify_policy(VerifyPolicy::strict()),
             )?;
             writeln!(out, "{}", report.verdict)?;
             if o.stats {
@@ -1072,9 +1047,8 @@ fn report_trace(o: &Options, path: &str, out: &mut impl std::io::Write) -> Resul
     Ok(0)
 }
 
-/// The `solve` subcommand: decide one DIMACS CNF file with the configured
-/// solver (`--solver-profile`), bounded by `--verify-budget` conflicts
-/// and `--verify-timeout` seconds.
+/// The `solve` subcommand: decide one DIMACS CNF file, bounded by
+/// `--verify-budget` conflicts and `--verify-timeout` seconds.
 ///
 /// This is a solver debug tool, so unlike the netlist commands it uses
 /// the SAT-competition exit-code convention: `0` satisfiable, `1`
@@ -1090,7 +1064,7 @@ fn run_solve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliError
             .map(|secs| Instant::now() + Duration::from_secs_f64(secs)),
         interrupt: None,
     };
-    let mut solver = Solver::from_cnf_with(&cnf, o.solver_config()?);
+    let mut solver = Solver::from_cnf(&cnf);
     let code = match &solver.solve_under(&[], &limits) {
         SolveResult::Sat(model) => {
             writeln!(out, "s SATISFIABLE")?;
@@ -1195,10 +1169,8 @@ commands:
   extract   <base.(blif|v)> <suspect.v>         recover a fingerprint
   verify    <golden.(blif|v)> <candidate.(blif|v)>   equivalence check
             [--verify-budget N] [--verify-timeout SECS] [--stats]
-            [--solver-profile legacy|modern]
   solve     <in.dimacs>                         decide one DIMACS CNF (debug)
-            [--solver-profile legacy|modern] [--verify-budget N]
-            [--verify-timeout SECS] [--stats]
+            [--verify-budget N] [--verify-timeout SECS] [--stats]
             (SAT-competition exit codes: 0 sat, 1 unsat, 2 undecided)
   constrain <in.(blif|v)> --delay-pct P         delay-constrained embedding
             [--method reactive|proactive] [-o out.v]
@@ -1237,8 +1209,7 @@ options: --genlib <file> to use a custom cell library
          --trace-out <path> records a structured JSONL trace of the run
                      (ODCFP_TRACE is the lower-precedence equivalent)
          --verify-budget / --verify-timeout bound SAT effort (embed, verify)
-         --solver-profile picks the CDCL heuristics profile (verify, solve)
-         --stats prints verification effort accounting (verify)
+         --stats prints effort accounting (verify) or solver counters (solve)
 exit codes: 0 ok/proven, 1 error, 2 usage,
             3 refuted, 4 undecided, 5 probably-equivalent,
             6 campaign completed with quarantined jobs";
@@ -1797,15 +1768,6 @@ mod tests {
         .unwrap();
         assert_eq!(code, 2, "{}", String::from_utf8_lossy(&out));
         assert!(String::from_utf8_lossy(&out).contains("s UNKNOWN"));
-
-        // Unknown profiles are usage errors.
-        let e = run(
-            "solve",
-            &[unsat, "--solver-profile".into(), "psychic".into()],
-            &mut Vec::new(),
-        )
-        .expect_err("unknown profile must fail");
-        assert_eq!(e.exit_code(), 2, "{}", e.0);
     }
 
     #[test]
@@ -1830,43 +1792,22 @@ mod tests {
         let text = fs::read_to_string(&copy).unwrap();
         let broken = tmp("prof_bad.v", &text.replacen("  AND2 ", "  NAND2 ", 1));
         for (candidate, want) in [(copy, 0), (broken, 3)] {
-            for profile in ["legacy", "modern"] {
-                let mut out = Vec::new();
-                let code = run(
-                    "verify",
-                    &[
-                        golden.clone(),
-                        candidate.clone(),
-                        "--solver-profile".into(),
-                        profile.into(),
-                    ],
-                    &mut out,
-                )
-                .unwrap();
-                assert_eq!(code, want, "{profile}: {}", String::from_utf8_lossy(&out));
-            }
+            let mut out = Vec::new();
+            let code = run("verify", &[golden.clone(), candidate], &mut out).unwrap();
+            assert_eq!(code, want, "{}", String::from_utf8_lossy(&out));
         }
 
-        // The profile reaches the search: only `modern` scores LBD and
-        // rephases.
+        // The search scores LBD: `solve --stats` reports a non-zero average.
         let hard = tmp("prof_hard.dimacs", &xor_miter_dimacs(12));
-        let heuristics = |profile: &str| {
-            let mut out = Vec::new();
-            let args = [
-                hard.clone(),
-                "--stats".into(),
-                "--solver-profile".into(),
-                profile.into(),
-            ];
-            assert_eq!(run("solve", &args, &mut out).unwrap(), 1);
-            let text = String::from_utf8(out).unwrap();
-            text.lines()
-                .find(|l| l.starts_with("heuristics:"))
-                .unwrap_or_else(|| panic!("no heuristics line:\n{text}"))
-                .to_owned()
-        };
-        assert!(heuristics("legacy").contains("avg-lbd=0.00"));
-        assert!(!heuristics("modern").contains("avg-lbd=0.00"));
+        let mut out = Vec::new();
+        let args = [hard, "--stats".into()];
+        assert_eq!(run("solve", &args, &mut out).unwrap(), 1);
+        let text = String::from_utf8(out).unwrap();
+        let heuristics = text
+            .lines()
+            .find(|l| l.starts_with("heuristics:"))
+            .unwrap_or_else(|| panic!("no heuristics line:\n{text}"));
+        assert!(!heuristics.contains("avg-lbd=0.00"), "{heuristics}");
     }
 
     #[test]
@@ -1878,7 +1819,12 @@ mod tests {
             ("solve", vec![cnf]),
         ];
         for (command, inputs) in cases {
-            for flag in [["--portfolio", "2"], ["--solver-profile", "glucose"]] {
+            for flag in [
+                ["--portfolio", "2"],
+                ["--solver-profile", "glucose"],
+                ["--solver-profile", "legacy"],
+                ["--solver-profile", "modern"],
+            ] {
                 let mut args = inputs.clone();
                 args.extend(flag.map(String::from));
                 let e = run(command, &args, &mut Vec::new())

@@ -43,8 +43,7 @@ use odcfp_logic::rng::Xoshiro256;
 use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 use odcfp_sat::{
-    EquivError, Limits, MiterOutcome, SelectableInput, SolverConfig, SolverStats, SweepEngine,
-    SweepOptions,
+    EquivError, Limits, MiterOutcome, SelectableInput, SolverStats, SweepEngine, SweepOptions,
 };
 
 use crate::codebook::CodeSpace;
@@ -71,11 +70,6 @@ pub struct VerifyPolicy {
     pub sat: SatBudget,
     /// Wall-clock limit for the whole verification run.
     pub time_limit: Option<Duration>,
-    /// Solver configuration for the sweep engine the one-shot ladder
-    /// builds; a [`VerifySession`] fixes its own at construction.
-    /// Verdicts are identical for every configuration; the knob only
-    /// trades search heuristics.
-    pub solver: SolverConfig,
 }
 
 /// The SAT rung's share of a [`VerifyPolicy`].
@@ -111,7 +105,6 @@ impl VerifyPolicy {
             exhaustive_max_inputs: 12,
             sat: SatBudget::Unbounded,
             time_limit: None,
-            solver: SolverConfig::default(),
         }
     }
 
@@ -321,14 +314,7 @@ pub fn verify_equivalent_report(
 ) -> Result<VerifyReport, FingerprintError> {
     golden.validate()?;
     candidate.validate()?;
-    run_ladder(
-        golden,
-        candidate,
-        policy,
-        &CancelToken::new(),
-        &mut None,
-        policy.solver,
-    )
+    run_ladder(golden, candidate, policy, &CancelToken::new(), &mut None)
 }
 
 /// The ladder behind every entry point, for an already validated pair:
@@ -340,14 +326,13 @@ pub fn verify_equivalent_report(
 ///
 /// The SAT rung runs on `sweep`, which is built on first use and kept:
 /// a [`VerifySession`] passes its own engine, a one-shot caller a fresh
-/// `None`. `solver` configures the engine when this call builds it.
+/// `None`.
 fn run_ladder(
     golden: &Netlist,
     candidate: &Netlist,
     policy: &VerifyPolicy,
     token: &CancelToken,
     sweep: &mut Option<SweepEngine>,
-    solver: SolverConfig,
 ) -> Result<VerifyReport, FingerprintError> {
     let start = Instant::now();
     check_interfaces(golden, candidate)?;
@@ -359,15 +344,8 @@ fn run_ladder(
             let mut span = odcfp_obs::span("verify.sat");
             // Trace readers key on this field; the sweep is the one SAT rung.
             span.field("fast_path", true);
-            let engine = sweep.get_or_insert_with(|| {
-                SweepEngine::new(
-                    golden,
-                    SweepOptions {
-                        solver,
-                        ..SweepOptions::default()
-                    },
-                )
-            });
+            let engine =
+                sweep.get_or_insert_with(|| SweepEngine::new(golden, SweepOptions::default()));
             let report = engine
                 .check(candidate, &limits(policy.sat.cap(), &token))
                 .map_err(FingerprintError::Verification)?;
@@ -657,7 +635,6 @@ fn sim_scan(
 #[derive(Debug)]
 pub struct VerifySession {
     golden: Netlist,
-    solver: SolverConfig,
     sweep: Option<SweepEngine>,
 }
 
@@ -727,23 +704,9 @@ impl VerifySession {
     ///
     /// Returns an error if `golden` fails validation.
     pub fn new(golden: &Netlist) -> Result<Self, FingerprintError> {
-        Self::with_solver(golden, SolverConfig::default())
-    }
-
-    /// Creates a session whose SAT engines (the persistent sweep engine
-    /// and the code-space obligations' solvers) use `solver`. The sweep
-    /// engine lives for the session's lifetime, so the configuration is
-    /// fixed at construction rather than taken from each
-    /// [`VerifyPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `golden` fails validation.
-    pub fn with_solver(golden: &Netlist, solver: SolverConfig) -> Result<Self, FingerprintError> {
         golden.validate()?;
         Ok(Self {
             golden: golden.clone(),
-            solver,
             sweep: None,
         })
     }
@@ -784,14 +747,7 @@ impl VerifySession {
         token: &CancelToken,
     ) -> Result<VerifyReport, FingerprintError> {
         candidate.validate()?;
-        run_ladder(
-            &self.golden,
-            candidate,
-            policy,
-            token,
-            &mut self.sweep,
-            self.solver,
-        )
+        run_ladder(&self.golden, candidate, policy, token, &mut self.sweep)
     }
 
     /// Proves the *code space* of a fingerprinter: given the superposed
@@ -843,7 +799,6 @@ impl VerifySession {
             selectable,
             groups,
             None,
-            self.solver,
             &limits(budget, token),
         );
         span.field("obligations", local.obligations);
@@ -913,7 +868,6 @@ impl VerifySession {
             space.selectable(),
             space.num_groups(),
             Some(code),
-            self.solver,
             &limits(budget, token),
         );
         let outcome = match local.witness {

@@ -1,20 +1,18 @@
 //! Verify-ladder differential suite for the solver tier: on
-//! fault-battery circuits, every solver heuristic combination and every
-//! analysis thread count must produce the **same verdict** through the
-//! ladder and through a cold whole-circuit miter — and that verdict must
-//! match brute-force ground truth.
+//! fault-battery circuits, the ladder and a cold whole-circuit miter must
+//! both match brute-force ground truth at every analysis thread count.
 //!
-//! This is the end-to-end face of the contract unit-tested in
-//! `crates/sat/tests/differential.rs`: heuristics change the search,
-//! never the conclusion, so campaign journals and attack scorecards stay
-//! byte-identical whichever solver configuration runs.
+//! This is the end-to-end face of `crates/sat/tests/differential.rs`:
+//! the thread count changes how the analysis is scheduled, never the
+//! conclusion, so campaign journals and attack scorecards stay
+//! byte-identical at any `ODCFP_THREADS`.
 
 use odcfp_analysis::engine::set_thread_override;
 use odcfp_core::faults::FaultInjector;
 use odcfp_core::{verify_equivalent, Verdict, VerifyPolicy};
 use odcfp_logic::sim;
 use odcfp_netlist::{CellLibrary, Netlist};
-use odcfp_sat::{Limits, Miter, MiterOutcome, SolverConfig};
+use odcfp_sat::{Limits, Miter, MiterOutcome};
 use odcfp_synth::benchmarks::random::{random_dag, DagParams};
 
 /// Brute-force functional comparison — the independent ground truth.
@@ -46,46 +44,14 @@ fn battery() -> Vec<(String, Netlist, Netlist)> {
     pairs
 }
 
-/// Both named profiles plus `legacy` with one heuristic family switched
-/// on: the five points of the feature cube the suite sweeps.
-fn heuristic_combinations() -> [(&'static str, SolverConfig); 5] {
-    [
-        ("legacy", SolverConfig::legacy()),
-        ("modern", SolverConfig::modern()),
-        (
-            "lbd+db-reduction",
-            SolverConfig {
-                lbd_tracking: true,
-                db_reduction: true,
-                ..SolverConfig::legacy()
-            },
-        ),
-        (
-            "rephasing",
-            SolverConfig {
-                rephasing: true,
-                ..SolverConfig::legacy()
-            },
-        ),
-        (
-            "chrono-backtrack",
-            SolverConfig {
-                chrono_backtrack: true,
-                ..SolverConfig::legacy()
-            },
-        ),
-    ]
-}
-
 /// Verdicts compare by kind; refutations also prove themselves on the
-/// netlists, so two refuting configurations agree even when their
-/// counterexamples differ.
-fn check(golden: &Netlist, candidate: &Netlist, outcome: MiterOutcome, label: &str) -> bool {
+/// netlists, so two refuting paths agree even when their counterexamples
+/// differ.
+fn check(golden: &Netlist, candidate: &Netlist, outcome: MiterOutcome, label: &str) {
     let truth = ground_truth_equal(golden, candidate);
     match outcome {
         MiterOutcome::Equivalent => {
             assert!(truth, "{label}: proved a function-changing fault");
-            true
         }
         MiterOutcome::Counterexample(counterexample) => {
             assert!(!truth, "{label}: refuted a harmless pair");
@@ -94,19 +60,14 @@ fn check(golden: &Netlist, candidate: &Netlist, outcome: MiterOutcome, label: &s
                 candidate.eval(&counterexample),
                 "{label}: counterexample does not witness the difference"
             );
-            false
         }
         MiterOutcome::Undecided => panic!("{label}: an unbounded solve was undecided"),
     }
 }
 
 /// The ladder's verdict as the outcome of a miter.
-fn ladder(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterOutcome {
-    let policy = VerifyPolicy {
-        solver: config,
-        ..VerifyPolicy::strict()
-    };
-    match verify_equivalent(golden, candidate, &policy).expect("valid pair") {
+fn ladder(golden: &Netlist, candidate: &Netlist) -> MiterOutcome {
+    match verify_equivalent(golden, candidate, &VerifyPolicy::strict()).expect("valid pair") {
         Verdict::Proven => MiterOutcome::Equivalent,
         Verdict::Refuted { counterexample } => MiterOutcome::Counterexample(counterexample),
         other => panic!("strict verify returned {other}"),
@@ -114,8 +75,8 @@ fn ladder(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterO
 }
 
 /// A cold whole-circuit miter's verdict, the ladder's reference.
-fn cold(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterOutcome {
-    Miter::build_with(golden, candidate, config)
+fn cold(golden: &Netlist, candidate: &Netlist) -> MiterOutcome {
+    Miter::build(golden, candidate)
         .expect("same interface")
         .solve(&Limits::default())
 }
@@ -123,27 +84,24 @@ fn cold(golden: &Netlist, candidate: &Netlist, config: SolverConfig) -> MiterOut
 /// One test (not one per axis) so the global thread override is never
 /// mutated concurrently by the harness's parallel test runner.
 #[test]
-fn profiles_and_thread_counts_agree_with_ground_truth() {
+fn thread_counts_agree_with_ground_truth() {
     let pairs = battery();
     for threads in [1usize, 8] {
         set_thread_override(Some(threads));
         for (name, golden, candidate) in &pairs {
-            let mut reference: Option<bool> = None;
-            for (profile, config) in heuristic_combinations() {
-                // Each configuration decides the pair twice: through the
-                // ladder and through a cold whole-circuit miter.
-                let outcomes = [
-                    ("ladder", ladder(golden, candidate, config)),
-                    ("cold", cold(golden, candidate, config)),
-                ];
-                for (path, outcome) in outcomes {
-                    let label = format!("{name} @{threads}t {profile}/{path}");
-                    let equal = check(golden, candidate, outcome, &label);
-                    match reference {
-                        None => reference = Some(equal),
-                        Some(expect) => assert_eq!(equal, expect, "{label}: verdict flipped"),
-                    }
-                }
+            // Each pair is decided twice: through the ladder and through
+            // a cold whole-circuit miter.
+            let outcomes = [
+                ("ladder", ladder(golden, candidate)),
+                ("cold", cold(golden, candidate)),
+            ];
+            for (path, outcome) in outcomes {
+                check(
+                    golden,
+                    candidate,
+                    outcome,
+                    &format!("{name} @{threads}t {path}"),
+                );
             }
         }
     }

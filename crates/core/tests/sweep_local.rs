@@ -267,13 +267,7 @@ fn sweep_verdicts_match_exhaustive_ground_truth() {
         // One session per DAG, as campaigns run it: merges and learnt
         // clauses persist from copy to copy.
         let mut session = VerifySession::new(&golden).expect("session");
-        let mut starved = SweepEngine::new(
-            &golden,
-            SweepOptions {
-                sim_words: 1,
-                ..SweepOptions::default()
-            },
-        );
+        let mut starved = SweepEngine::new(&golden, SweepOptions { sim_words: 1 });
         let mut limited = SweepEngine::new(&golden, SweepOptions::default());
         let interrupt = Arc::new(AtomicBool::new(false));
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x00B0_D6E7);

@@ -7,7 +7,7 @@ use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 
 use crate::tseitin::encode_netlist;
-use crate::{CnfBuilder, Limits, Lit, SolveResult, Solver, SolverConfig, Var};
+use crate::{CnfBuilder, Limits, Lit, SolveResult, Solver, Var};
 
 /// Why two netlists could not be compared.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,19 +165,8 @@ pub struct Miter {
 }
 
 impl Miter {
-    /// Builds the miter with the default [`SolverConfig`]; see
-    /// [`Miter::build_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the interfaces don't match.
-    pub fn build(left: &Netlist, right: &Netlist) -> Result<Self, EquivError> {
-        Miter::build_with(left, right, SolverConfig::default())
-    }
-
     /// Builds the miter CNF over `left` and `right` (shared inputs by
-    /// position, XOR-compared outputs by position) on a solver running
-    /// `config`.
+    /// position, XOR-compared outputs by position) on a fresh solver.
     ///
     /// Primary inputs and outputs are matched **by position**, which is the
     /// natural convention here: fingerprinted copies are clones of a base
@@ -186,11 +175,7 @@ impl Miter {
     /// # Errors
     ///
     /// Returns an error if the interfaces don't match.
-    pub fn build_with(
-        left: &Netlist,
-        right: &Netlist,
-        config: SolverConfig,
-    ) -> Result<Self, EquivError> {
+    pub fn build(left: &Netlist, right: &Netlist) -> Result<Self, EquivError> {
         if left.primary_inputs().len() != right.primary_inputs().len() {
             return Err(EquivError::InputCountMismatch {
                 left: left.primary_inputs().len(),
@@ -236,7 +221,7 @@ impl Miter {
             .map(|&pi| enc_l.var(pi))
             .collect();
         Ok(Miter {
-            solver: Solver::from_cnf_with(&cnf, config),
+            solver: Solver::from_cnf(&cnf),
             input_vars,
             trivially_equivalent,
         })
@@ -495,20 +480,6 @@ mod tests {
                 assert_ne!(base.eval(&inputs), wrong.eval(&inputs));
             }
             other => panic!("expected counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn build_with_profile_reaches_same_verdicts() {
-        let left = xor_chain(10, false);
-        let right = xor_chain(10, true);
-        for (name, config) in crate::config::heuristic_combinations() {
-            let mut miter = Miter::build_with(&left, &right, config).unwrap();
-            assert_eq!(
-                miter.solve(&Limits::default()),
-                MiterOutcome::Equivalent,
-                "profile {name}"
-            );
         }
     }
 

@@ -6,10 +6,10 @@
 //!
 //! * [`Solver`] — a conflict-driven clause-learning SAT solver with
 //!   two-literal watching, VSIDS branching, phase saving, first-UIP clause
-//!   learning and Luby restarts, plus the switchable heuristics of
-//!   [`SolverConfig`]. It is the only solver type: [`Miter`],
-//!   [`SharedMiter`] and [`SweepEngine`] each own one and call it
-//!   directly;
+//!   learning and Luby restarts, plus LBD-guided learnt-DB reduction,
+//!   rephasing and chronological backtracking. It is the only solver
+//!   type: [`Miter`], [`SharedMiter`] and [`SweepEngine`] each own one
+//!   and call it directly;
 //! * [`prove_locally`] — decides a superposed fingerprint variant's whole
 //!   code space (or one pinned code) as small per-location obligations,
 //!   by exhaustive simulation or a tiny miter each, escalating an output

@@ -61,7 +61,7 @@ use odcfp_netlist::{GateId, NetDriver, NetId, Netlist};
 
 use crate::shared::SelectableInput;
 use crate::tseitin::encode_gate;
-use crate::{Limits, Lit, SolveResult, Solver, SolverConfig, Var};
+use crate::{Limits, Lit, SolveResult, Solver, Var};
 
 /// Obligations with at most this many free variables (cut nets plus
 /// selectors) are discharged by exhaustive simulation, without a solver.
@@ -136,9 +136,9 @@ pub struct Witness {
 /// one code — against `base` by local obligations; see the module docs
 /// for the argument.
 ///
-/// The per-obligation solvers run `config`. `limits.conflicts` bounds
-/// the conflicts of all SAT-discharged obligations together, and the
-/// deadline and interrupt stop the whole pass.
+/// `limits.conflicts` bounds the conflicts of all SAT-discharged
+/// obligations together, and the deadline and interrupt stop the whole
+/// pass.
 ///
 /// # Panics
 ///
@@ -154,7 +154,6 @@ pub fn prove_locally(
     selectable: &[SelectableInput],
     groups: usize,
     code: Option<&[bool]>,
-    config: SolverConfig,
     limits: &Limits,
 ) -> LocalProof {
     if let Some(code) = code {
@@ -187,7 +186,6 @@ pub fn prove_locally(
         settled: vec![false; variant.num_nets()],
         variant_pos: topo_positions(variant),
         base_pos: topo_positions(base),
-        config,
         limits,
         proof: LocalProof::default(),
         work: 0,
@@ -224,8 +222,6 @@ struct Pass<'a> {
     settled: Vec<bool>,
     variant_pos: Vec<usize>,
     base_pos: Vec<usize>,
-    /// Configuration of the per-obligation solvers.
-    config: SolverConfig,
     limits: &'a Limits,
     proof: LocalProof,
     /// Gates visited by obligations so far, against a total cap.
@@ -516,7 +512,7 @@ impl Pass<'_> {
             conflicts: allowance,
             ..self.limits.clone()
         };
-        let (check, conflicts) = self.program.solve(self.config, &limits);
+        let (check, conflicts) = self.program.solve(&limits);
         self.proof.conflicts += conflicts;
         check
     }
@@ -766,8 +762,8 @@ impl Program {
     /// A fresh miter over just this obligation, within `limits`: UNSAT
     /// means it holds, a model gives the differing free values. Returns
     /// the conflicts spent too.
-    fn solve(&self, config: SolverConfig, limits: &Limits) -> (Check, u64) {
-        let mut solver = Solver::with_config(config);
+    fn solve(&self, limits: &Limits) -> (Check, u64) {
+        let mut solver = Solver::new();
         let vars: Vec<Var> = (0..self.slots).map(|_| solver.new_var()).collect();
         for op in &self.ops {
             match op {
@@ -864,15 +860,7 @@ mod tests {
         groups: usize,
         code: Option<&[bool]>,
     ) -> LocalProof {
-        prove_locally(
-            base,
-            variant,
-            sel,
-            groups,
-            code,
-            SolverConfig::default(),
-            &Limits::default(),
-        )
+        prove_locally(base, variant, sel, groups, code, &Limits::default())
     }
 
     fn monolithic(
@@ -1083,15 +1071,7 @@ mod tests {
             conflicts: Some(0),
             ..Limits::default()
         };
-        let proof = prove_locally(
-            &base,
-            &variant,
-            &[],
-            0,
-            None,
-            SolverConfig::default(),
-            &limits,
-        );
+        let proof = prove_locally(&base, &variant, &[], 0, None, &limits);
         assert_eq!(
             (proof.proven, proof.witness, proof.escalated),
             (false, None, 1)
@@ -1128,15 +1108,7 @@ mod tests {
             ..Limits::default()
         };
         let sel = [selectable(gx, 2, 0, true)];
-        let proof = prove_locally(
-            &base,
-            &variant,
-            &sel,
-            1,
-            None,
-            SolverConfig::default(),
-            &limits,
-        );
+        let proof = prove_locally(&base, &variant, &sel, 1, None, &limits);
         assert!(!proof.proven);
         assert_eq!(proof.witness, None);
         assert_eq!(proof.unsettled, None);

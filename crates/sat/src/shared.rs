@@ -149,25 +149,23 @@ pub struct SharedMiter {
 }
 
 impl SharedMiter {
-    /// Tseitin-encodes `base` once into a fresh persistent solver running
-    /// the default [`SolverConfig`].
+    /// [`SharedMiter::build`] under a [`SolverConfig`], which has nothing
+    /// to configure and is ignored.
+    ///
+    /// # Panics
+    ///
+    /// As [`SharedMiter::build`].
+    pub fn build_with(base: &Netlist, _config: SolverConfig) -> SharedMiter {
+        SharedMiter::build(base)
+    }
+
+    /// Tseitin-encodes `base` once into a fresh persistent solver.
     ///
     /// # Panics
     ///
     /// Panics if `base` has undriven nets or a combinational cycle
     /// (validate first).
     pub fn build(base: &Netlist) -> SharedMiter {
-        SharedMiter::build_with(base, SolverConfig::default())
-    }
-
-    /// Tseitin-encodes `base` once into a fresh persistent solver running
-    /// `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` has undriven nets or a combinational cycle
-    /// (validate first).
-    pub fn build_with(base: &Netlist, config: SolverConfig) -> SharedMiter {
         let mut cnf = CnfBuilder::new();
         let enc = encode_netlist(&mut cnf, base);
         let base_vars: Vec<Var> = (0..base.num_nets())
@@ -189,7 +187,7 @@ impl SharedMiter {
             })
             .collect();
         SharedMiter {
-            solver: Solver::from_cnf_with(&cnf, config),
+            solver: Solver::from_cnf(&cnf),
             base_vars,
             base_shapes,
             input_vars: base.primary_inputs().iter().map(|&p| enc.var(p)).collect(),

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::config::{splitmix64, SolverConfig};
+use crate::config::splitmix64;
 use crate::heap::VarHeap;
 use crate::{CnfBuilder, Lit, Var};
 
@@ -151,11 +151,10 @@ const UNASSIGNED: i8 = -1;
 /// activities with an indexed heap, phase saving, first-UIP conflict
 /// analysis and Luby-sequence restarts — plus a modern-CDCL feature set
 /// (glucose-style LBD scoring, tiered learnt-DB reduction, best-phase
-/// rephasing, chronological backtracking) gated per-feature by a
-/// [`SolverConfig`]. See the [crate documentation](crate) for an example.
+/// rephasing, chronological backtracking), always on. See the
+/// [crate documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    config: SolverConfig,
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watch>>,
     /// Per-variable assignment: `UNASSIGNED`, 0 (false) or 1 (true).
@@ -189,16 +188,9 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with no variables, using the default
-    /// ([modern](SolverConfig::modern)) configuration.
+    /// Creates an empty solver with no variables.
     pub fn new() -> Self {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
         Solver {
-            config,
             clauses: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
@@ -226,26 +218,15 @@ impl Solver {
         }
     }
 
-    /// Builds a solver loaded with the formula in `cnf`, using the
-    /// default configuration.
+    /// Builds a solver loaded with the formula in `cnf`.
     pub fn from_cnf(cnf: &CnfBuilder) -> Self {
-        Solver::from_cnf_with(cnf, SolverConfig::default())
-    }
-
-    /// Builds a solver loaded with the formula in `cnf` under `config`.
-    pub fn from_cnf_with(cnf: &CnfBuilder, config: SolverConfig) -> Self {
-        let mut s = Solver::with_config(config);
+        let mut s = Solver::new();
         s.reserve_vars(cnf.num_vars());
         for clause in cnf.clauses() {
             s.add_clause(clause.iter().copied());
         }
         s.first_learnt = s.clauses.len();
         s
-    }
-
-    /// The configuration this solver runs under.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// Search statistics so far.
@@ -757,7 +738,7 @@ impl Solver {
                 // Target-phase snapshot: remember the polarities of the
                 // deepest trail reached — the closest the search came to a
                 // full assignment — as the rephasing anchor.
-                if self.config.rephasing && self.trail.len() > self.best_trail {
+                if self.trail.len() > self.best_trail {
                     self.best_trail = self.trail.len();
                     for (i, &a) in self.assign.iter().enumerate() {
                         if a != UNASSIGNED {
@@ -766,14 +747,9 @@ impl Solver {
                     }
                 }
                 let (learnt, bt) = self.analyze(confl);
-                let lbd = if self.config.lbd_tracking || self.config.db_reduction {
-                    let d = self.compute_lbd(&learnt);
-                    self.stats.lbd_sum += u64::from(d);
-                    self.stats.lbd_samples += 1;
-                    d
-                } else {
-                    0
-                };
+                let lbd = self.compute_lbd(&learnt);
+                self.stats.lbd_sum += u64::from(lbd);
+                self.stats.lbd_samples += 1;
                 // Chronological backtracking: when the backjump would
                 // discard a long suffix of still-useful levels, step back
                 // one level instead. The learnt clause is still unit there
@@ -782,10 +758,7 @@ impl Solver {
                 // after the full jump. Unit learnts always go to level 0 —
                 // a reason-less literal above level 0 would be
                 // unanalyzable.
-                let target = if self.config.chrono_backtrack
-                    && learnt.len() >= 2
-                    && self.decision_level() - bt > CHRONO_JUMP
-                {
+                let target = if learnt.len() >= 2 && self.decision_level() - bt > CHRONO_JUMP {
                     self.stats.chrono_backtracks += 1;
                     self.decision_level() - 1
                 } else {
@@ -816,19 +789,16 @@ impl Solver {
                     // Restart points are the safe moments for database
                     // maintenance: the trail holds only the permanent
                     // level-0 prefix.
-                    if self.config.db_reduction {
-                        let live = self
-                            .clauses
+                    let live =
+                        self.clauses
                             .len()
                             .saturating_sub(self.first_learnt)
-                            .saturating_sub(self.learnt_tombstones)
-                            as u64;
-                        if live >= self.reduce_limit {
-                            self.reduce_db();
-                            self.reduce_limit += REDUCE_GROWTH;
-                        }
+                            .saturating_sub(self.learnt_tombstones) as u64;
+                    if live >= self.reduce_limit {
+                        self.reduce_db();
+                        self.reduce_limit += REDUCE_GROWTH;
                     }
-                    if self.config.rephasing && self.stats.conflicts >= self.next_rephase {
+                    if self.stats.conflicts >= self.next_rephase {
                         self.rephase();
                         self.rephase_interval += self.rephase_interval / 2;
                         self.next_rephase = self.stats.conflicts + self.rephase_interval;
@@ -899,7 +869,6 @@ fn luby(i: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::heuristic_combinations;
 
     fn lit(i: i64) -> Lit {
         let v = Var::from_index((i.unsigned_abs() - 1) as usize);
@@ -1277,37 +1246,27 @@ mod tests {
                 let assignment: Vec<bool> = (0..num_vars).map(|v| (m >> v) & 1 == 1).collect();
                 cnf.eval(&assignment)
             });
-            for (name, config) in heuristic_combinations() {
-                let mut s = Solver::from_cnf_with(&cnf, config);
-                match s.solve() {
-                    SolveResult::Sat(model) => {
-                        assert!(brute_sat, "round {round} {name}: SAT vs brute UNSAT");
-                        let assignment: Vec<bool> =
-                            (0..num_vars).map(|v| model.value(vars[v])).collect();
-                        assert!(cnf.eval(&assignment), "model violates formula");
-                        // model_value reports the same assignment.
-                        for (k, &v) in vars.iter().enumerate() {
-                            assert_eq!(s.model_value(v), Some(assignment[k]));
-                        }
+            let mut s = Solver::from_cnf(&cnf);
+            match s.solve() {
+                SolveResult::Sat(model) => {
+                    assert!(brute_sat, "round {round}: SAT vs brute UNSAT");
+                    let assignment: Vec<bool> =
+                        (0..num_vars).map(|v| model.value(vars[v])).collect();
+                    assert!(cnf.eval(&assignment), "model violates formula");
+                    // model_value reports the same assignment.
+                    for (k, &v) in vars.iter().enumerate() {
+                        assert_eq!(s.model_value(v), Some(assignment[k]));
                     }
-                    SolveResult::Unsat => {
-                        assert!(!brute_sat, "round {round} {name}: UNSAT vs brute SAT")
-                    }
-                    SolveResult::Unknown => panic!("no budget set"),
                 }
+                SolveResult::Unsat => assert!(!brute_sat, "round {round}: UNSAT vs brute SAT"),
+                SolveResult::Unknown => panic!("no budget set"),
             }
         }
     }
 
     #[test]
     fn db_reduction_fires_and_search_stays_sound() {
-        let cnf = xor_miter_cnf(40);
-        let glucose = SolverConfig {
-            lbd_tracking: true,
-            db_reduction: true,
-            ..SolverConfig::legacy()
-        };
-        let mut s = Solver::from_cnf_with(&cnf, glucose);
+        let mut s = Solver::from_cnf(&xor_miter_cnf(40));
         s.reduce_limit = 1; // force a reduction at every restart
                             // Starve it first so the reduced database must survive a resume.
         let starved = Limits {
@@ -1344,12 +1303,7 @@ mod tests {
 
     #[test]
     fn rephasing_fires_and_search_stays_sound() {
-        let cnf = xor_miter_cnf(12);
-        let phased = SolverConfig {
-            rephasing: true,
-            ..SolverConfig::legacy()
-        };
-        let mut s = Solver::from_cnf_with(&cnf, phased);
+        let mut s = Solver::from_cnf(&xor_miter_cnf(12));
         s.next_rephase = 1;
         s.rephase_interval = 1;
         assert_eq!(s.solve(), SolveResult::Unsat);
@@ -1361,32 +1315,23 @@ mod tests {
         // Wide xor miters build trails deep enough for chronological
         // backtracking to be reachable; whatever it does, the verdict
         // must not change.
-        let chrono = SolverConfig {
-            chrono_backtrack: true,
-            ..SolverConfig::legacy()
-        };
         for width in [12usize, 40, 120] {
-            let cnf = xor_miter_cnf(width);
-            let mut s = Solver::from_cnf_with(&cnf, chrono);
+            let mut s = Solver::from_cnf(&xor_miter_cnf(width));
             assert_eq!(s.solve(), SolveResult::Unsat, "width {width}");
         }
     }
 
     #[test]
-    fn legacy_profile_reproduces_original_search_exactly() {
-        // The legacy profile must be byte-identical to the pre-profile
-        // solver: same conflicts, decisions, propagations, restarts on a
-        // nontrivial proof.
+    fn search_is_deterministic() {
+        // Two fresh solves of one formula take the same search: same
+        // conflicts, decisions, propagations, restarts and learnt
+        // database on a nontrivial proof.
         let cnf = xor_miter_cnf(11);
-        let mut a = Solver::from_cnf_with(&cnf, SolverConfig::legacy());
-        let mut b = Solver::from_cnf_with(&cnf, SolverConfig::legacy());
+        let mut a = Solver::from_cnf(&cnf);
+        let mut b = Solver::from_cnf(&cnf);
         assert_eq!(a.solve(), SolveResult::Unsat);
         assert_eq!(b.solve(), SolveResult::Unsat);
         assert_eq!(a.stats(), b.stats());
-        let st = a.stats();
-        assert_eq!(st.lbd_samples, 0, "legacy must not score LBD");
-        assert_eq!(st.db_reductions, 0);
-        assert_eq!(st.rephases, 0);
-        assert_eq!(st.chrono_backtracks, 0);
+        assert!(a.stats().lbd_samples > 0, "{:?}", a.stats());
     }
 }

@@ -63,7 +63,7 @@ use odcfp_netlist::{NetDriver, Netlist};
 use crate::equiv::{EquivError, MiterOutcome};
 use crate::local::{Program, SIM_VARS, WINDOW_CHEAP_LEAVES, WINDOW_EXPANSIONS, WINDOW_SLACK};
 use crate::tseitin::encode_gate;
-use crate::{Limits, Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
+use crate::{Limits, Lit, SolveResult, Solver, SolverStats, Var};
 
 /// The semantic class of a strash node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -354,33 +354,26 @@ enum Query {
     Unknown,
 }
 
+/// Seed for the signature pattern generator.
+const SIG_SEED: u64 = 0x0DCF_5EED;
+/// Per-candidate-pair conflict budget for interior cut-point queries.
+/// A pair whose query exceeds this is skipped, never mis-merged.
+const CUT_CONFLICTS: u64 = 2_000;
+/// Cap on candidate pairs drawn from one signature group, guarding
+/// against quadratic blowup on degenerate signatures.
+const MAX_PAIRS_PER_GROUP: usize = 8;
+
 /// Tuning knobs for [`SweepEngine`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Random 64-bit pattern words per node signature (the cut-point
     /// grouping key). More words mean fewer false candidates.
     pub sim_words: usize,
-    /// Seed for the signature pattern generator.
-    pub seed: u64,
-    /// Per-candidate-pair conflict budget for interior cut-point queries.
-    /// A pair whose query exceeds this is skipped, never mis-merged.
-    pub cut_conflicts: u64,
-    /// Cap on candidate pairs drawn from one signature group, guarding
-    /// against quadratic blowup on degenerate signatures.
-    pub max_pairs_per_group: usize,
-    /// Configuration of the persistent solver answering the SAT queries.
-    pub solver: SolverConfig,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
-        SweepOptions {
-            sim_words: 64,
-            seed: 0x0DCF_5EED,
-            cut_conflicts: 2_000,
-            max_pairs_per_group: 8,
-            solver: SolverConfig::default(),
-        }
+        SweepOptions { sim_words: 64 }
     }
 }
 
@@ -508,11 +501,11 @@ impl SweepEngine {
     /// (validate first), or if `opts.sim_words` is zero.
     pub fn new(golden: &Netlist, opts: SweepOptions) -> SweepEngine {
         assert!(opts.sim_words > 0, "signatures need at least one word");
-        let solver = Solver::with_config(opts.solver);
+        let solver = Solver::new();
         // The golden's inputs, constants and gates bound its node count.
         let nodes = golden.primary_inputs().len() + golden.num_gates() + 2;
         let mut eng = SweepEngine {
-            rng: Xoshiro256::seed_from_u64(opts.seed),
+            rng: Xoshiro256::seed_from_u64(SIG_SEED),
             kind: Vec::with_capacity(nodes),
             child_off: Vec::with_capacity(nodes + 1),
             child_arena: Vec::new(),
@@ -657,8 +650,8 @@ impl SweepEngine {
             let spent = self.solver.stats().conflicts - start_conflicts;
             let pair_budget = match limits.conflicts {
                 Some(total) if spent >= total => break,
-                Some(total) => self.opts.cut_conflicts.min(total - spent),
-                None => self.opts.cut_conflicts,
+                Some(total) => CUT_CONFLICTS.min(total - spent),
+                None => CUT_CONFLICTS,
             };
             if self.settle_locally(ra, rb) {
                 self.union(ra, rb);
@@ -1138,10 +1131,7 @@ impl SweepEngine {
             let run_ends = i == cone.len() || !same_sig(cone[i], cone[run_start]);
             if run_ends {
                 let anchor = cone[run_start].1;
-                for &(_, other) in cone[run_start + 1..i]
-                    .iter()
-                    .take(self.opts.max_pairs_per_group)
-                {
+                for &(_, other) in cone[run_start + 1..i].iter().take(MAX_PAIRS_PER_GROUP) {
                     pairs.push((anchor, other));
                 }
                 run_start = i;
