@@ -1097,8 +1097,7 @@ fn run_solve(o: &Options, out: &mut impl std::io::Write) -> Result<i32, CliError
 }
 
 /// Prints the one-line solver block: classic counters plus the modern-CDCL
-/// heuristics accounting (learnt-DB reductions, average LBD, rephasings,
-/// chronological backtracks).
+/// heuristics accounting (average LBD, learnt-DB reductions, rephasings).
 fn write_solver_line(out: &mut impl std::io::Write, s: &SolverStats) -> Result<(), CliError> {
     writeln!(
         out,
@@ -1107,13 +1106,11 @@ fn write_solver_line(out: &mut impl std::io::Write, s: &SolverStats) -> Result<(
     )?;
     writeln!(
         out,
-        "heuristics: avg-lbd={:.2} db-reductions={} learnt-deleted={} rephases={} \
-         chrono-backtracks={}",
+        "heuristics: avg-lbd={:.2} db-reductions={} learnt-deleted={} rephases={}",
         s.avg_lbd(),
         s.db_reductions,
         s.learnt_deleted,
         s.rephases,
-        s.chrono_backtracks,
     )?;
     Ok(())
 }

@@ -296,8 +296,7 @@ fn verify_stats_pin_sweep_and_solver_work_counters() {
             [
                 "sweep: strash-proven=0 cut-points proven=481 simulated=462 refuted=0 skipped=0",
                 "solver: conflicts=93 decisions=1099 propagations=11606 restarts=0 learnt=6252",
-                "heuristics: avg-lbd=2.30 db-reductions=0 learnt-deleted=0 rephases=0 \
-                 chrono-backtracks=0",
+                "heuristics: avg-lbd=2.30 db-reductions=0 learnt-deleted=0 rephases=0",
             ],
         ),
         (
@@ -305,8 +304,7 @@ fn verify_stats_pin_sweep_and_solver_work_counters() {
             [
                 "sweep: strash-proven=2 cut-points proven=368 simulated=336 refuted=1 skipped=0",
                 "solver: conflicts=607 decisions=3156 propagations=198560 restarts=3 learnt=7611",
-                "heuristics: avg-lbd=7.98 db-reductions=3 learnt-deleted=204 rephases=0 \
-                 chrono-backtracks=0",
+                "heuristics: avg-lbd=7.98 db-reductions=3 learnt-deleted=204 rephases=0",
             ],
         ),
     ];

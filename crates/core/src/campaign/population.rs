@@ -79,15 +79,6 @@ pub struct CampaignCache {
     circuits: std::collections::HashMap<String, CircuitCache>,
 }
 
-impl CampaignCache {
-    /// Drops cached state for circuits not named by `manifest` (a
-    /// resident server reuses one cache across campaigns).
-    pub fn retain_manifest(&mut self, manifest: &Manifest) {
-        self.circuits
-            .retain(|name, _| manifest.circuits.iter().any(|c| &c.name == name));
-    }
-}
-
 /// Deterministic buyer bits — must mint exactly what full mode's
 /// `attempt_job` mints, so the two artifact modes are interchangeable.
 fn mint_bits(manifest: &Manifest, locations: usize, buyer: u64) -> Vec<bool> {

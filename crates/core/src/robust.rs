@@ -22,7 +22,6 @@
 //! indistinguishable from a single one — which is why the Hamming code
 //! here carries the SECDED overall-parity bit.)
 
-use crate::verify::{verify_equivalent, Verdict, VerifyPolicy};
 use crate::{FingerprintError, FingerprintedCopy, Fingerprinter};
 
 /// The error-correcting code protecting a fingerprint payload.
@@ -214,23 +213,6 @@ pub fn embed_payload(
     fp.embed(&bits)
 }
 
-/// Embeds an error-correction-coded payload under an explicit
-/// [`VerifyPolicy`], returning the copy alongside the earned verdict.
-///
-/// # Errors
-///
-/// Propagates capacity and embedding errors; a refuted equivalence check
-/// is promoted to [`FingerprintError::NotEquivalent`].
-pub fn embed_payload_with_policy(
-    fp: &Fingerprinter,
-    code: Code,
-    payload: &[bool],
-    policy: &VerifyPolicy,
-) -> Result<(FingerprintedCopy, Verdict), FingerprintError> {
-    let bits = encode(code, payload, fp.locations().len())?;
-    fp.embed_with_policy(&bits, policy)
-}
-
 /// Extracts and decodes a payload from a suspect copy.
 pub fn extract_payload(
     fp: &Fingerprinter,
@@ -239,30 +221,6 @@ pub fn extract_payload(
     payload_len: usize,
 ) -> DecodedFingerprint {
     decode(code, &fp.extract(suspect), payload_len)
-}
-
-/// Extracts and decodes a payload *and* checks that the suspect still
-/// computes the base function.
-///
-/// Fingerprint modifications never change the function, so an
-/// inequivalent suspect means the adversary edited more than fingerprint
-/// wires — evidence worth having next to the decoded payload. The verdict
-/// is returned as data (including [`Verdict::Refuted`]): a tampered
-/// suspect is precisely the input this decoder exists for.
-///
-/// # Errors
-///
-/// Returns an error only when the comparison itself is impossible
-/// (invalid netlist, mismatched interface).
-pub fn extract_payload_verified(
-    fp: &Fingerprinter,
-    code: Code,
-    suspect: &odcfp_netlist::Netlist,
-    payload_len: usize,
-    policy: &VerifyPolicy,
-) -> Result<(DecodedFingerprint, Verdict), FingerprintError> {
-    let verdict = verify_equivalent(fp.base(), suspect, policy)?;
-    Ok((extract_payload(fp, code, suspect, payload_len), verdict))
 }
 
 /// What a SECDED block decode concluded.
@@ -316,6 +274,7 @@ fn hamming84_decode(mut c: [bool; 8]) -> ([bool; 4], BlockOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::{verify_equivalent, VerifyPolicy};
     use odcfp_logic::rng::Xoshiro256;
     use odcfp_netlist::CellLibrary;
     use odcfp_synth::benchmarks::random::{random_dag, DagParams};
@@ -490,13 +449,12 @@ mod tests {
         let payload_len = Code::Hamming.payload_capacity(fp.locations().len()).min(4);
         let payload: Vec<bool> = (0..payload_len).map(|i| i % 2 == 0).collect();
         let policy = VerifyPolicy::quick();
-        let (copy, verdict) =
-            embed_payload_with_policy(&fp, Code::Hamming, &payload, &policy).unwrap();
+        let bits = encode(Code::Hamming, &payload, fp.locations().len()).unwrap();
+        let (copy, verdict) = fp.embed_with_policy(&bits, &policy).unwrap();
         assert!(verdict.is_pass(), "embed: {verdict}");
-        let (decoded, verdict) =
-            extract_payload_verified(&fp, Code::Hamming, copy.netlist(), payload_len, &policy)
-                .unwrap();
+        let decoded = extract_payload(&fp, Code::Hamming, copy.netlist(), payload_len);
         assert_eq!(decoded.payload, payload);
+        let verdict = verify_equivalent(fp.base(), copy.netlist(), &policy).unwrap();
         assert!(verdict.is_pass(), "extract: {verdict}");
     }
 

@@ -49,6 +49,9 @@ use odcfp_sat::{
 use crate::codebook::CodeSpace;
 use crate::FingerprintError;
 
+/// Seed of the smoke test's random patterns, fixed so failures reproduce.
+const SIM_SEED: u64 = 0xF1A9;
+
 /// Resource policy for the staged verification ladder.
 ///
 /// The defaults ([`VerifyPolicy::strict`]) always reach a definitive
@@ -60,9 +63,6 @@ pub struct VerifyPolicy {
     /// 64-bit pattern words for the random-simulation smoke test
     /// (`sim_words * 64` vectors). `0` skips the stage.
     pub sim_words: usize,
-    /// Seed for the random patterns (fixed by default so failures
-    /// reproduce).
-    pub sim_seed: u64,
     /// Run exhaustive simulation when the primary-input count is at most
     /// this (clamped to 16 internally; `0` disables the stage).
     pub exhaustive_max_inputs: usize,
@@ -101,7 +101,6 @@ impl VerifyPolicy {
     pub fn strict() -> Self {
         VerifyPolicy {
             sim_words: 16,
-            sim_seed: 0xF1A9,
             exhaustive_max_inputs: 12,
             sat: SatBudget::Unbounded,
             time_limit: None,
@@ -428,7 +427,7 @@ fn sim_stages(
     // Stage 1: random-simulation smoke test.
     if policy.sim_words > 0 {
         let mut span = odcfp_obs::span("verify.sim");
-        let mut rng = Xoshiro256::seed_from_u64(policy.sim_seed);
+        let mut rng = Xoshiro256::seed_from_u64(SIM_SEED);
         let patterns: Vec<Vec<u64>> = (0..num_inputs)
             .map(|_| sim::random_words(&mut rng, policy.sim_words))
             .collect();

@@ -360,40 +360,6 @@ fn summarize_attack(trace: &TraceData, out: &mut String) {
     }
 }
 
-/// Convenience: total self time in microseconds per span name.
-///
-/// Used by the bench bins to fold a captured event stream into a stage
-/// breakdown without re-implementing aggregation.
-pub fn span_self_us(events: &[Event]) -> BTreeMap<String, u64> {
-    let mut agg = BTreeMap::new();
-    for ev in events {
-        if ev.kind == Kind::Span {
-            *agg.entry(ev.name.clone()).or_default() += ev.self_us.unwrap_or(0);
-        }
-    }
-    agg
-}
-
-/// Convenience: counter totals per name.
-pub fn counter_totals(events: &[Event]) -> BTreeMap<String, u64> {
-    let mut agg = BTreeMap::new();
-    for ev in events {
-        if ev.kind == Kind::Count {
-            *agg.entry(ev.name.clone()).or_default() += ev.field_u64("v").unwrap_or(0);
-        }
-    }
-    agg
-}
-
-/// Convenience: sum of one u64 field over all point events of a name.
-pub fn point_field_total(events: &[Event], name: &str, field: &str) -> u64 {
-    events
-        .iter()
-        .filter(|e| e.kind == Kind::Point && e.name == name)
-        .filter_map(|e| e.field_u64(field))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,7 @@
 //! The placeholder solver configuration and the rephasing mixer.
 
 /// A configuration with nothing to configure: the solver runs one search
-/// (LBD scoring, tiered learnt-DB reduction, rephasing and chronological
-/// backtracking, always on).
+/// (LBD scoring, tiered learnt-DB reduction and rephasing, always on).
 ///
 /// It survives only as the argument [`SharedMiter::build_with`] accepts
 /// and ignores, and leaves with `shared.rs`.

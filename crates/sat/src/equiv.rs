@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use odcfp_logic::rng::Xoshiro256;
-use odcfp_logic::sim;
 use odcfp_netlist::Netlist;
 
 use crate::tseitin::encode_netlist;
@@ -256,48 +254,6 @@ impl Miter {
     }
 }
 
-/// Fast probabilistic pre-check: simulates both netlists on `num_words * 64`
-/// seeded random patterns and compares the primary outputs.
-///
-/// `false` means the circuits *definitely* differ (a witness exists among
-/// the simulated patterns); `true` means no difference was observed. Use
-/// [`check_equivalence`] for proof.
-///
-/// # Errors
-///
-/// Returns an error if the interfaces don't match.
-pub fn probably_equivalent(
-    left: &Netlist,
-    right: &Netlist,
-    num_words: usize,
-    seed: u64,
-) -> Result<bool, EquivError> {
-    if left.primary_inputs().len() != right.primary_inputs().len() {
-        return Err(EquivError::InputCountMismatch {
-            left: left.primary_inputs().len(),
-            right: right.primary_inputs().len(),
-        });
-    }
-    if left.primary_outputs().len() != right.primary_outputs().len() {
-        return Err(EquivError::OutputCountMismatch {
-            left: left.primary_outputs().len(),
-            right: right.primary_outputs().len(),
-        });
-    }
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let patterns: Vec<Vec<u64>> = (0..left.primary_inputs().len())
-        .map(|_| sim::random_words(&mut rng, num_words))
-        .collect();
-    let vl = left.simulate(&patterns);
-    let vr = right.simulate(&patterns);
-    for (&ol, &or) in left.primary_outputs().iter().zip(right.primary_outputs()) {
-        if vl[ol.index()] != vr[or.index()] {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +289,6 @@ mod tests {
             check_equivalence(&base, &marked, None).unwrap(),
             EquivResult::Equivalent
         );
-        assert!(probably_equivalent(&base, &marked, 4, 1).unwrap());
     }
 
     #[test]
@@ -358,7 +313,6 @@ mod tests {
             }
             EquivResult::Equivalent => panic!("must differ"),
         }
-        assert!(!probably_equivalent(&base, &wrong, 4, 1).unwrap());
     }
 
     #[test]
@@ -370,10 +324,6 @@ mod tests {
         tiny.set_primary_output(a);
         assert!(matches!(
             check_equivalence(&base, &tiny, None),
-            Err(EquivError::InputCountMismatch { .. })
-        ));
-        assert!(matches!(
-            probably_equivalent(&base, &tiny, 1, 0),
             Err(EquivError::InputCountMismatch { .. })
         ));
     }

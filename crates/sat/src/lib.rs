@@ -6,8 +6,8 @@
 //!
 //! * [`Solver`] — a conflict-driven clause-learning SAT solver with
 //!   two-literal watching, VSIDS branching, phase saving, first-UIP clause
-//!   learning and Luby restarts, plus LBD-guided learnt-DB reduction,
-//!   rephasing and chronological backtracking. It is the only solver
+//!   learning and Luby restarts, plus LBD-guided learnt-DB reduction and
+//!   rephasing. It is the only solver
 //!   type: [`Miter`], [`SharedMiter`] and [`SweepEngine`] each own one
 //!   and call it directly;
 //! * [`prove_locally`] — decides a superposed fingerprint variant's whole
@@ -18,9 +18,7 @@
 //!   [`Netlist`](odcfp_netlist::Netlist) into CNF;
 //! * [`check_equivalence`] — miter-based combinational equivalence checking
 //!   between two netlists, returning either a proof of equivalence or a
-//!   concrete counterexample input assignment;
-//! * [`probably_equivalent`] — the fast 64-way random-simulation pre-check
-//!   used before invoking the full decision procedure.
+//!   concrete counterexample input assignment.
 //!
 //! # Example
 //!
@@ -60,9 +58,7 @@ pub mod tseitin;
 pub use cnf::CnfBuilder;
 pub use config::SolverConfig;
 pub use dimacs::{parse_dimacs, ParseDimacsError};
-pub use equiv::{
-    check_equivalence, probably_equivalent, EquivError, EquivResult, Miter, MiterOutcome,
-};
+pub use equiv::{check_equivalence, EquivError, EquivResult, Miter, MiterOutcome};
 pub use lit::{Lit, Var};
 pub use local::{prove_locally, LocalProof, Witness};
 pub use shared::{SelectableInput, SelectableVariant, SharedMiter, VariantId};

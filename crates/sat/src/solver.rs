@@ -20,9 +20,6 @@ const REDUCE_BASE: u64 = 2000;
 const REDUCE_GROWTH: u64 = 300;
 /// Conflicts between rephasings (the interval then grows geometrically).
 const REPHASE_BASE: u64 = 1000;
-/// A backjump discarding more than this many decision levels backtracks
-/// chronologically (one level) instead, keeping the trail prefix warm.
-const CHRONO_JUMP: u32 = 100;
 
 /// The outcome of [`Solver::solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +95,7 @@ pub struct SolverStats {
     /// Number of learnt clauses currently stored (live, excluding any
     /// deleted by DB reduction).
     pub learnt_clauses: usize,
-    /// Sum of literal-block-distances over all scored learnt clauses
-    /// (zero unless LBD tracking or DB reduction is enabled).
+    /// Sum of literal-block-distances over all scored learnt clauses.
     pub lbd_sum: u64,
     /// Number of learnt clauses scored with an LBD.
     pub lbd_samples: u64,
@@ -109,9 +105,6 @@ pub struct SolverStats {
     pub learnt_deleted: u64,
     /// Number of rephasings performed.
     pub rephases: u64,
-    /// Number of conflicts resolved with a chronological (one-level)
-    /// backtrack instead of a full backjump.
-    pub chrono_backtracks: u64,
 }
 
 impl SolverStats {
@@ -129,8 +122,7 @@ impl SolverStats {
 #[derive(Debug, Clone)]
 struct Clause {
     lits: Vec<Lit>,
-    /// Literal-block-distance at learn time; 0 for problem clauses and
-    /// for learnt clauses when LBD scoring is off.
+    /// Literal-block-distance at learn time; 0 for problem clauses.
     lbd: u32,
     /// Mid-tier reprieve: set the first time a reduction would have
     /// deleted this clause; a later reduction may then delete it.
@@ -151,7 +143,7 @@ const UNASSIGNED: i8 = -1;
 /// activities with an indexed heap, phase saving, first-UIP conflict
 /// analysis and Luby-sequence restarts — plus a modern-CDCL feature set
 /// (glucose-style LBD scoring, tiered learnt-DB reduction, best-phase
-/// rephasing, chronological backtracking), always on. See the
+/// rephasing), always on. See the
 /// [crate documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Solver {
@@ -182,8 +174,6 @@ pub struct Solver {
     /// Saved phases at the deepest trail seen (target phasing source).
     best_phase: Vec<bool>,
     best_trail: usize,
-    /// The most recent satisfying assignment, for [`Solver::model_value`].
-    last_model: Option<Model>,
     stats: SolverStats,
 }
 
@@ -213,7 +203,6 @@ impl Solver {
             rephase_count: 0,
             best_phase: Vec::new(),
             best_trail: 0,
-            last_model: None,
             stats: SolverStats::default(),
         }
     }
@@ -240,13 +229,6 @@ impl Solver {
         s
     }
 
-    /// The value `v` took in the most recent satisfying assignment, or
-    /// `None` when no `Sat` result has been produced yet. Variables never
-    /// constrained default to `false` (like [`Model::value`]).
-    pub fn model_value(&self, v: Var) -> Option<bool> {
-        self.last_model.as_ref().map(|m| m.value(v))
-    }
-
     /// The number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.assign.len()
@@ -258,8 +240,10 @@ impl Solver {
     }
 
     /// Marks every clause added so far as a problem clause, so stats
-    /// report only clauses learnt *after* this point. Incremental callers
-    /// ([`crate::SharedMiter`]) use this after encoding a new variant.
+    /// report only clauses learnt *after* this point. Only
+    /// [`crate::SharedMiter`] calls it, after encoding a new variant;
+    /// [`crate::SweepEngine`] does not, so the Tseitin clauses it encodes
+    /// after its first solve count as learnt.
     pub fn rebase_problem_clauses(&mut self) {
         self.first_learnt = self.clauses.len();
         // Everything before the new base — including any tombstones — is
@@ -750,21 +734,7 @@ impl Solver {
                 let lbd = self.compute_lbd(&learnt);
                 self.stats.lbd_sum += u64::from(lbd);
                 self.stats.lbd_samples += 1;
-                // Chronological backtracking: when the backjump would
-                // discard a long suffix of still-useful levels, step back
-                // one level instead. The learnt clause is still unit there
-                // (every non-asserting literal sits at a level <= bt), so
-                // the asserting literal propagates exactly as it would
-                // after the full jump. Unit learnts always go to level 0 —
-                // a reason-less literal above level 0 would be
-                // unanalyzable.
-                let target = if learnt.len() >= 2 && self.decision_level() - bt > CHRONO_JUMP {
-                    self.stats.chrono_backtracks += 1;
-                    self.decision_level() - 1
-                } else {
-                    bt
-                };
-                self.backtrack_to(target);
+                self.backtrack_to(bt);
                 self.record_learnt(learnt, lbd);
                 self.decay_activities();
                 if let Some(budget) = limits.conflicts {
@@ -829,9 +799,7 @@ impl Solver {
                     None => {
                         let values = self.assign.iter().map(|&a| a == 1).collect();
                         self.backtrack_to(0);
-                        let model = Model { values };
-                        self.last_model = Some(model.clone());
-                        return SolveResult::Sat(model);
+                        return SolveResult::Sat(Model { values });
                     }
                     Some(v) => {
                         self.stats.decisions += 1;
@@ -940,46 +908,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pigeonhole_3_into_2_unsat() {
-        // p_{i,j}: pigeon i in hole j. Vars 1..=6 as (i*2 + j + 1).
-        let p = |i: i64, j: i64| i * 2 + j + 1;
-        let mut clauses: Vec<Vec<i64>> = Vec::new();
-        for i in 0..3 {
-            clauses.push(vec![p(i, 0), p(i, 1)]);
+    /// Pigeonhole formula PHP(p, h), built exactly as `bench_sat`'s hard
+    /// set builds it (same variables, same clause order): UNSAT for p > h.
+    fn pigeonhole(pigeons: usize, holes: usize) -> CnfBuilder {
+        let mut cnf = CnfBuilder::new();
+        let vars: Vec<Vec<Var>> = (0..pigeons).map(|_| cnf.new_vars(holes)).collect();
+        for row in &vars {
+            cnf.add_clause(row.iter().map(|&v| Lit::pos(v)).collect::<Vec<_>>());
         }
-        for j in 0..2 {
-            for a in 0..3 {
-                for b in (a + 1)..3 {
-                    clauses.push(vec![-p(a, j), -p(b, j)]);
+        for (a, row_a) in vars.iter().enumerate() {
+            for row_b in &vars[a + 1..] {
+                for (&va, &vb) in row_a.iter().zip(row_b) {
+                    cnf.add_clause([Lit::neg(va), Lit::neg(vb)]);
                 }
             }
         }
-        let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with(6, &refs);
+        cnf
+    }
+
+    #[test]
+    fn pigeonhole_3_into_2_unsat() {
+        let mut s = Solver::from_cnf(&pigeonhole(3, 2));
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
     fn pigeonhole_5_into_4_unsat() {
-        let n = 5i64;
-        let h = 4i64;
-        let p = |i: i64, j: i64| i * h + j + 1;
-        let mut clauses: Vec<Vec<i64>> = Vec::new();
-        for i in 0..n {
-            clauses.push((0..h).map(|j| p(i, j)).collect());
-        }
-        for j in 0..h {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    clauses.push(vec![-p(a, j), -p(b, j)]);
-                }
-            }
-        }
-        let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with((n * h) as usize, &refs);
+        let mut s = Solver::from_cnf(&pigeonhole(5, 4));
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().conflicts > 0);
+    }
+
+    #[test]
+    fn search_mechanisms_fire_unforced_on_php_8_7() {
+        // The first instance of `bench_sat`'s hard set, with no trigger
+        // forced: restarts, learnt-DB reduction and rephasing all run on
+        // real search traffic.
+        let mut s = Solver::from_cnf(&pigeonhole(8, 7));
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let st = s.stats();
+        assert!(st.restarts > 0, "{st:?}");
+        assert!(st.db_reductions > 0, "{st:?}");
+        assert!(st.rephases > 0, "{st:?}");
     }
 
     #[test]
@@ -1028,22 +998,7 @@ mod tests {
     #[test]
     fn conflict_budget_returns_unknown() {
         // A pigeonhole instance large enough to need > 1 conflict.
-        let n = 6i64;
-        let h = 5i64;
-        let p = |i: i64, j: i64| i * h + j + 1;
-        let mut clauses: Vec<Vec<i64>> = Vec::new();
-        for i in 0..n {
-            clauses.push((0..h).map(|j| p(i, j)).collect());
-        }
-        for j in 0..h {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    clauses.push(vec![-p(a, j), -p(b, j)]);
-                }
-            }
-        }
-        let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with((n * h) as usize, &refs);
+        let mut s = Solver::from_cnf(&pigeonhole(6, 5));
         let one = Limits {
             conflicts: Some(1),
             ..Limits::default()
@@ -1253,10 +1208,6 @@ mod tests {
                     let assignment: Vec<bool> =
                         (0..num_vars).map(|v| model.value(vars[v])).collect();
                     assert!(cnf.eval(&assignment), "model violates formula");
-                    // model_value reports the same assignment.
-                    for (k, &v) in vars.iter().enumerate() {
-                        assert_eq!(s.model_value(v), Some(assignment[k]));
-                    }
                 }
                 SolveResult::Unsat => assert!(!brute_sat, "round {round}: UNSAT vs brute SAT"),
                 SolveResult::Unknown => panic!("no budget set"),
@@ -1311,10 +1262,7 @@ mod tests {
     }
 
     #[test]
-    fn chrono_profile_agrees_on_deep_instances() {
-        // Wide xor miters build trails deep enough for chronological
-        // backtracking to be reachable; whatever it does, the verdict
-        // must not change.
+    fn wide_xor_miters_are_unsat() {
         for width in [12usize, 40, 120] {
             let mut s = Solver::from_cnf(&xor_miter_cnf(width));
             assert_eq!(s.solve(), SolveResult::Unsat, "width {width}");
